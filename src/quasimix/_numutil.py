@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
@@ -19,14 +17,3 @@ def l2mu(values: np.ndarray) -> float:
     """Norm in L2 of the uniform probability measure: sqrt(mean |v|^2)."""
     return float(np.sqrt(np.mean(abs2(values))))
 
-
-def digest_arrays(*parts) -> str:
-    """Short stable hex digest of strings and ndarrays, for bound-check records."""
-    h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, str):
-            h.update(part.encode("utf-8"))
-        else:
-            h.update(np.ascontiguousarray(part).tobytes())
-        h.update(b"\x00")
-    return h.hexdigest()[:16]

@@ -8,11 +8,12 @@ for demonstrating that the deviations simply do not decay on abelian controls.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .harmonic import BoundCheck, ConstraintError, GroupFunction, Harmonic
+from .harmonic import BoundCheck, ConstraintError, GroupFunction, Harmonic, sample_disc
+from .report import CHECK_ORDER, CHECKS
 from .spectra import isotypic_project
 
 __all__ = [
@@ -79,50 +80,33 @@ def _unit_sphere(vals: np.ndarray) -> np.ndarray:
     return vals / norm
 
 
-def _centered_disc(vals: np.ndarray) -> GroupFunction:
-    shifted = vals - vals.mean()
-    return GroupFunction(shifted, two_disc_valued=True, mean_zero=True)
-
-
 def evaluate_inputs(
-    harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]
+    harmonic: Harmonic, check: str, inputs: Sequence[np.ndarray]
 ) -> BoundCheck:
-    """Run one objective on raw input vectors, re-imposing the declared constraints.
+    """Run any check in CHECKS on raw input vectors; corollary gives its published record.
 
-    This is the same code path the search uses for every iterate, which makes
-    a dumped input tuple exactly reproducible.
+    This is the evaluator verify uses and the code path the search uses for
+    every iterate, which makes a dumped input tuple exactly reproducible.
     """
-    arrays = [np.ascontiguousarray(a, dtype=np.complex128) for a in inputs]
-    if objective == "theorem":
-        f1, f2, f3 = (GroupFunction(a, disc_valued=True) for a in arrays)
-        return harmonic.theorem_lhs(f1, f2, f3)
-    if objective == "step1":
-        h1, raw2, raw3 = arrays
-        f1 = _centered_disc(h1)
-        f2 = GroupFunction(raw2, disc_valued=True)
-        f3 = GroupFunction(raw3, disc_valued=True)
-        return harmonic.step1_reduced_lhs(f1, f2, f3)
-    if objective == "lemma":
-        u, v = (GroupFunction(a) for a in arrays)
-        return harmonic.lemma_gap(u, v)
-    if objective == "corollary":
-        u, v = (GroupFunction(a) for a in arrays)
-        published, _ = harmonic.corollary_lhs(u, v)
-        return published
-    raise ValueError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
+    if check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}; choose from {CHECK_ORDER}")
+    spec = CHECKS[check]
+    if len(inputs) != spec.arity:
+        raise ValueError(f"{check} takes {spec.arity} input vectors, got {len(inputs)}")
+    return spec.evaluate(harmonic, inputs)[0]
 
 
 def _random_start(
     harmonic: Harmonic, objective: str, rng: np.random.Generator
 ) -> List[np.ndarray]:
+    spec = CHECKS[objective]
     n = harmonic.n
-    if objective in ("theorem", "step1"):
-        return [np.exp(2j * np.pi * rng.random(n)) for _ in range(3)]
-    starts = []
-    for _ in range(2):
-        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        starts.append(_unit_sphere(raw))
-    return starts
+    if spec.kind == "disc":
+        return [sample_disc(n, rng).values for _ in range(spec.arity)]
+    return [
+        _unit_sphere(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for _ in range(spec.arity)
+    ]
 
 
 def _structured_start(
@@ -133,12 +117,12 @@ def _structured_start(
     witness = spectral.quasirandomness.witness_row
     if witness is None:
         return _random_start(harmonic, objective, rng)
-    if objective in ("theorem", "step1"):
+    if CHECKS[objective].kind == "disc":
         chi = spectral.table.values[witness][spectral.classes.class_of]
         base = chi / max(float(spectral.table.degrees[witness]), 1.0)
         third = np.conj(base * base)
         return [base.copy(), base.copy(), _disc_clip(third)]
-    # lemma/corollary: a unit vector inside the lowest-degree nontrivial
+    # unit pairs: a unit vector inside the lowest-degree nontrivial
     # isotypic component that the conjugation action actually contains
     order = sorted(
         (r for r in range(spectral.classes.num_classes) if r != spectral.table.trivial_row),
@@ -156,10 +140,8 @@ def _structured_start(
     return _random_start(harmonic, objective, rng)
 
 
-def _project(objective: str, slot: int, vals: np.ndarray) -> np.ndarray:
-    if objective in ("theorem", "step1"):
-        return _disc_clip(vals)
-    return _unit_sphere(vals)
+def _project(kind: str, vals: np.ndarray) -> np.ndarray:
+    return _disc_clip(vals) if kind == "disc" else _unit_sphere(vals)
 
 
 def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
@@ -181,6 +163,7 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
         restarts_run, per_restart = config.restarts, config.budget // config.restarts
 
     hi, lo = config.step_schedule
+    kind = CHECKS[config.objective].kind
     best_value = -1.0
     best_inputs: Optional[List[np.ndarray]] = None
     best_check: Optional[BoundCheck] = None
@@ -209,7 +192,7 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
             candidate = [a.copy() for a in current]
             bump = complex(rng.standard_normal(), rng.standard_normal())
             candidate[slot][pos] += magnitude * bump
-            candidate[slot] = _project(config.objective, slot, candidate[slot])
+            candidate[slot] = _project(kind, candidate[slot])
             cand_check = evaluate_inputs(harmonic, config.objective, candidate)
             evaluations += 1
             if cand_check.observed > value:

@@ -73,11 +73,6 @@ class FiniteGroup:
         """g * x * g^-1."""
         return int(self.mul[self.mul[g, x], self.inv[g]])
 
-    def commutator(self, a: int, b: int) -> int:
-        """a * b * a^-1 * b^-1."""
-        ab = self.mul[a, b]
-        return int(self.mul[self.mul[ab, self.inv[a]], self.inv[b]])
-
     @property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._numutil import abs2, digest_arrays, l2mu
+from ._numutil import abs2, l2mu
 from .groups import FiniteGroup
 from .spectra import SpectralData, spectral_data
 
@@ -89,23 +89,9 @@ class GroupFunction:
 
 @dataclass(eq=False)
 class PairFunction:
-    """A complex function on ordered pairs, dense or factored.
+    """A complex function on ordered pairs, stored as a dense square matrix."""
 
-    Factored form stores (left, right) with value(x, y) = left[x]·right[y];
-    dense form stores the full matrix.  ``dense()`` materializes either form.
-    """
-
-    left: Optional[np.ndarray] = None
-    right: Optional[np.ndarray] = None
-    matrix: Optional[np.ndarray] = None
-
-    @classmethod
-    def tensor(cls, left, right) -> "PairFunction":
-        left = np.ascontiguousarray(left, dtype=np.complex128)
-        right = np.ascontiguousarray(right, dtype=np.complex128)
-        if left.shape != right.shape or left.ndim != 1:
-            raise ConstraintError("tensor factors must be equal-length vectors")
-        return cls(left=left, right=right)
+    matrix: np.ndarray
 
     @classmethod
     def from_dense(cls, matrix) -> "PairFunction":
@@ -115,27 +101,14 @@ class PairFunction:
         return cls(matrix=matrix)
 
     @property
-    def is_factored(self) -> bool:
-        return self.matrix is None
-
-    @property
     def n(self) -> int:
-        return len(self.left) if self.is_factored else self.matrix.shape[0]
-
-    def at(self, x: int, y: int) -> complex:
-        if self.is_factored:
-            return complex(self.left[x] * self.right[y])
-        return complex(self.matrix[x, y])
+        return self.matrix.shape[0]
 
     def dense(self) -> np.ndarray:
-        if self.is_factored:
-            return np.outer(self.left, self.right)
         return self.matrix
 
     def norm2(self) -> float:
         """L² norm under the product probability weight."""
-        if self.is_factored:
-            return l2mu(self.left) * l2mu(self.right)
         return l2mu(self.matrix)
 
 
@@ -151,8 +124,6 @@ class BoundCheck:
     observed: float
     bound: float
     margin: float
-    inputs_digest: str
-    seed: Optional[int] = None
 
 
 def centered(f: GroupFunction) -> GroupFunction:
@@ -245,22 +216,9 @@ class Harmonic:
             return 0.0
         return float(self.degree) ** power
 
-    def _check(
-        self,
-        name: str,
-        observed: float,
-        bound: float,
-        inputs: Tuple[np.ndarray, ...],
-        seed: Optional[int],
-    ) -> BoundCheck:
-        digest = digest_arrays(self.group.name, name, *inputs)
+    def _check(self, name: str, observed: float, bound: float) -> BoundCheck:
         return BoundCheck(
-            quantity_name=name,
-            observed=observed,
-            bound=bound,
-            margin=bound - observed,
-            inputs_digest=digest,
-            seed=seed,
+            quantity_name=name, observed=observed, bound=bound, margin=bound - observed
         )
 
     def _require(self, f: GroupFunction, name: str, **flags) -> None:
@@ -334,8 +292,6 @@ class Harmonic:
         """φ(z) = (1/n) Σ_w F(w, wz): the one-variable profile of E(F | Δ)."""
         if F.n != self.n:
             raise ConstraintError(f"pair function size {F.n} does not match order {self.n}")
-        if F.is_factored:
-            return (F.left @ F.right[self.mul]) / self.n
         rows = F.matrix[np.arange(self.n)[:, None], self.mul]
         return rows.mean(axis=0)
 
@@ -361,9 +317,7 @@ class Harmonic:
 
     # -- the inequality chain ------------------------------------------------
 
-    def lemma_gap(
-        self, u: GroupFunction, v: GroupFunction, seed: Optional[int] = None
-    ) -> BoundCheck:
+    def lemma_gap(self, u: GroupFunction, v: GroupFunction) -> BoundCheck:
         """Distance between the fixed part of u ⊗ v and the tensor of fixed parts.
 
         observed = ‖P°(u⊗v) − E(u|Φ) ⊗ E(v|Φ)‖ in L²(μ⊗μ);
@@ -380,10 +334,10 @@ class Harmonic:
         diff = projected - fixed
         observed = float(np.sqrt(np.mean(abs2(diff))))
         bound = self.degree_power(-0.5) * u.norm2 * v.norm2
-        return self._check("lemma", observed, bound, (u.values, v.values), seed)
+        return self._check("lemma", observed, bound)
 
     def corollary_lhs(
-        self, u: GroupFunction, v: GroupFunction, seed: Optional[int] = None
+        self, u: GroupFunction, v: GroupFunction
     ) -> Tuple[BoundCheck, BoundCheck]:
         """Mean-square deviation of the conjugation matrix coefficient.
 
@@ -403,13 +357,8 @@ class Harmonic:
         fixed_term = (np.conj(cv)[self.conj] @ cu) / self.n
         observed = float(np.mean(abs2(inner - fixed_term)))
         scale = u.norm2**2 * v.norm2**2
-        inputs = (u.values, v.values)
-        published = self._check(
-            "corollary", observed, self.degree_power(-0.5) * scale, inputs, seed
-        )
-        sharp = self._check(
-            "corollary_sharp", observed, self.degree_power(-1.0) * scale, inputs, seed
-        )
+        published = self._check("corollary", observed, self.degree_power(-0.5) * scale)
+        sharp = self._check("corollary_sharp", observed, self.degree_power(-1.0) * scale)
         return published, sharp
 
     def _triple_inner(
@@ -431,7 +380,6 @@ class Harmonic:
         f1: GroupFunction,
         f2: GroupFunction,
         f3: GroupFunction,
-        seed: Optional[int] = None,
     ) -> BoundCheck:
         """Averaged deviation of the triple correlation from its structured product.
 
@@ -454,14 +402,13 @@ class Harmonic:
         if observed > 2.0 + 1e-9:
             raise RuntimeError(f"triple correlation deviation {observed} exceeds the ceiling 2")
         bound = 4.0 * self.degree_power(-0.125)
-        return self._check("theorem", observed, bound, (f1.values, f2.values, f3.values), seed)
+        return self._check("theorem", observed, bound)
 
     def step1_reduced_lhs(
         self,
         f1: GroupFunction,
         f2: GroupFunction,
         f3: GroupFunction,
-        seed: Optional[int] = None,
     ) -> BoundCheck:
         """First-moment form after centering f1.
 
@@ -474,7 +421,7 @@ class Harmonic:
         inner = self._triple_inner(f1, f2, f3)
         observed = float(np.mean(np.abs(inner)))
         bound = 3.0 * self.degree_power(-0.125)
-        return self._check("step1", observed, bound, (f1.values, f2.values, f3.values), seed)
+        return self._check("step1", observed, bound)
 
     def _twisted_row(
         self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction, g: int
@@ -487,7 +434,6 @@ class Harmonic:
         f1: GroupFunction,
         f2: GroupFunction,
         f3: GroupFunction,
-        seed: Optional[int] = None,
     ) -> BoundCheck:
         """Second-moment form with the absolute values removed.
 
@@ -515,15 +461,13 @@ class Harmonic:
                     f"|inner|²={abs2(inner[g])} vs expanded={expanded}"
                 )
         bound = 5.0 * self.degree_power(-0.25)
-        return self._check("step2", observed, bound, (f1.values, f2.values, f3.values), seed)
+        return self._check("step2", observed, bound)
 
     def _conj_twist(self, f2: GroupFunction, h: int) -> np.ndarray:
         """a_h(x) = f2(x)·conj(f2(hxh⁻¹)) — the factored half of F2·conj(F2)∘(S̃T̃)^h."""
         return f2.values * np.conj(f2.values[self.conj[h]])
 
-    def step3_intermediate(
-        self, f1: GroupFunction, f2: GroupFunction, seed: Optional[int] = None
-    ) -> BoundCheck:
+    def step3_intermediate(self, f1: GroupFunction, f2: GroupFunction) -> BoundCheck:
         """Expanded two-variable form driven through the diagonal expectation.
 
         observed = (1/n) Σ_h ∫ F1·conj(F1)T̃^h·E(F2·conj(F2)S̃^hT̃^h | Δ) dμ⊗²
@@ -544,11 +488,9 @@ class Harmonic:
             total += phi @ psi
         observed = _real_nonnegative(total / n**3, "step3_intermediate")
         bound = 25.0 * self.degree_power(-0.5)
-        return self._check("step3", observed, bound, (f1.values, f2.values), seed)
+        return self._check("step3", observed, bound)
 
-    def step4_final(
-        self, f1: GroupFunction, f2: GroupFunction, seed: Optional[int] = None
-    ) -> BoundCheck:
+    def step4_final(self, f1: GroupFunction, f2: GroupFunction) -> BoundCheck:
         """Fully scalarized form: product of squared autocorrelation integrals.
 
         observed = (1/n) Σ_h |(1/n) Σ_x f1(x)conj(f1(xh⁻¹))|²
@@ -561,11 +503,9 @@ class Harmonic:
         inner_c = (np.conj(f2.values)[self.conj] @ f2.values) / self.n
         observed = float(np.mean(abs2(inner_t) * abs2(inner_c)))
         bound = self.degree_power(-0.5)
-        return self._check("step4", observed, bound, (f1.values, f2.values), seed)
+        return self._check("step4", observed, bound)
 
-    def step4_lemma_substitution(
-        self, f2: GroupFunction, h: int, seed: Optional[int] = None
-    ) -> BoundCheck:
+    def step4_lemma_substitution(self, f2: GroupFunction, h: int) -> BoundCheck:
         """Distance of the twisted diagonal expectation from its scalar mean.
 
         observed = ‖E(F2·conj(F2)S̃^hT̃^h | Δ) − |(1/n) Σ f2·conj(f2(h·h⁻¹))|²‖
@@ -576,10 +516,7 @@ class Harmonic:
         h = self._element(h)
         observed = self._substitution_distance(f2, h)
         bound = self.degree_power(-0.5)
-        h_arr = np.array([h], dtype=np.int64)
-        return self._check(
-            "step4_lemma_substitution", observed, bound, (f2.values, h_arr), seed
-        )
+        return self._check("step4_lemma_substitution", observed, bound)
 
     def _substitution_distance(self, f2: GroupFunction, h: int) -> float:
         a = self._conj_twist(f2, h)
@@ -587,9 +524,7 @@ class Harmonic:
         scalar = abs2(complex(a.mean()))
         return float(np.sqrt(np.mean(abs2(phi - scalar))))
 
-    def step4_substitution_sweep(
-        self, f2: GroupFunction, seed: Optional[int] = None
-    ) -> BoundCheck:
+    def step4_substitution_sweep(self, f2: GroupFunction) -> BoundCheck:
         """Worst case of step4_lemma_substitution over every h in the group."""
         self._cap("step4_lemma_substitution")
         self._require(f2, "f2", disc=True)
@@ -597,7 +532,7 @@ class Harmonic:
         for h in range(self.n):
             worst = max(worst, self._substitution_distance(f2, h))
         bound = self.degree_power(-0.5)
-        return self._check("step4_lemma_substitution", worst, bound, (f2.values,), seed)
+        return self._check("step4_lemma_substitution", worst, bound)
 
 
 def harmonic_for(group: FiniteGroup, *, seed: int = 0) -> Harmonic:

@@ -13,7 +13,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from . import __version__
 from .harmonic import BoundCheck, GroupFunction, Harmonic, centered, sample_disc, sample_unit
 
 __all__ = [
+    "CHECKS",
     "CHECK_ORDER",
+    "CheckSpec",
     "TrialRow",
     "VerificationOutcome",
     "group_summary",
@@ -32,29 +34,48 @@ __all__ = [
     "theorem_vacuity_note",
 ]
 
-# Stable per-check tags fold into the trial seeds; renaming or reordering
-# checks must never silently change the random streams.
-_TAGS: Dict[str, int] = {
-    "lemma": 1,
-    "corollary": 2,
-    "theorem": 3,
-    "step1": 4,
-    "step2": 5,
-    "step3": 6,
-    "step4": 7,
-    "step4sub": 8,
+@dataclass(frozen=True)
+class CheckSpec:
+    """How one certified inequality draws its inputs and evaluates them.
+
+    ``tag`` folds into the trial seeds, so renaming or reordering checks never
+    changes the random streams.  ``kind`` is the input constraint set: "unit"
+    vectors have L²(μ) norm 1 and "disc" vectors have |f| ≤ 1.  ``evaluate``
+    maps ``arity`` raw vectors to BoundCheck records; corollary yields two.
+    """
+
+    tag: int
+    kind: str
+    arity: int
+    evaluate: Callable[[Harmonic, Sequence[np.ndarray]], List[BoundCheck]]
+
+
+def _units(inputs: Sequence[np.ndarray]) -> List[GroupFunction]:
+    return [GroupFunction(a) for a in inputs]
+
+
+def _discs(inputs: Sequence[np.ndarray]) -> List[GroupFunction]:
+    return [GroupFunction(a, disc_valued=True) for a in inputs]
+
+
+def _centered_first(inputs: Sequence[np.ndarray]) -> List[GroupFunction]:
+    """step1 to step4 take a centered first argument and disc-valued rest."""
+    first, *rest = _discs(inputs)
+    return [centered(first), *rest]
+
+
+CHECKS: Dict[str, CheckSpec] = {
+    "lemma": CheckSpec(1, "unit", 2, lambda h, xs: [h.lemma_gap(*_units(xs))]),
+    "corollary": CheckSpec(2, "unit", 2, lambda h, xs: list(h.corollary_lhs(*_units(xs)))),
+    "theorem": CheckSpec(3, "disc", 3, lambda h, xs: [h.theorem_lhs(*_discs(xs))]),
+    "step1": CheckSpec(4, "disc", 3, lambda h, xs: [h.step1_reduced_lhs(*_centered_first(xs))]),
+    "step2": CheckSpec(5, "disc", 3, lambda h, xs: [h.step2_squared(*_centered_first(xs))]),
+    "step3": CheckSpec(6, "disc", 2, lambda h, xs: [h.step3_intermediate(*_centered_first(xs))]),
+    "step4": CheckSpec(7, "disc", 2, lambda h, xs: [h.step4_final(*_centered_first(xs))]),
+    "step4sub": CheckSpec(8, "disc", 1, lambda h, xs: [h.step4_substitution_sweep(*_discs(xs))]),
 }
 
-CHECK_ORDER: Tuple[str, ...] = (
-    "lemma",
-    "corollary",
-    "theorem",
-    "step1",
-    "step2",
-    "step3",
-    "step4",
-    "step4sub",
-)
+CHECK_ORDER: Tuple[str, ...] = tuple(CHECKS)
 
 
 @dataclass(frozen=True)
@@ -77,63 +98,14 @@ class VerificationOutcome:
     failures: List[Tuple[str, int, Tuple[np.ndarray, ...]]]
 
 
-def _trial_inputs(
-    harmonic: Harmonic, check: str, rng: np.random.Generator
-) -> Tuple[np.ndarray, ...]:
-    """Draw the raw input vectors for one trial of one check."""
-    n = harmonic.n
-    if check in ("lemma", "corollary"):
-        return (sample_unit(n, rng).values, sample_unit(n, rng).values)
-    if check in ("theorem", "step1", "step2"):
-        return tuple(sample_disc(n, rng).values for _ in range(3))
-    if check in ("step3", "step4"):
-        return (sample_disc(n, rng).values, sample_disc(n, rng).values)
-    if check == "step4sub":
-        return (sample_disc(n, rng).values,)
-    raise ValueError(f"unknown check {check!r}; choose from {CHECK_ORDER}")
-
-
-def _evaluate_trial(
-    harmonic: Harmonic, check: str, inputs: Sequence[np.ndarray], trial: int
-) -> List[BoundCheck]:
-    """Evaluate one check on raw vectors; corollary yields both its records."""
-    if check == "lemma":
-        u, v = (GroupFunction(a) for a in inputs)
-        return [harmonic.lemma_gap(u, v, seed=trial)]
-    if check == "corollary":
-        u, v = (GroupFunction(a) for a in inputs)
-        published, sharp = harmonic.corollary_lhs(u, v, seed=trial)
-        return [published, sharp]
-    if check == "theorem":
-        f1, f2, f3 = (GroupFunction(a, disc_valued=True) for a in inputs)
-        return [harmonic.theorem_lhs(f1, f2, f3, seed=trial)]
-    if check in ("step1", "step2"):
-        h1, raw2, raw3 = inputs
-        f1 = centered(GroupFunction(h1, disc_valued=True))
-        f2 = GroupFunction(raw2, disc_valued=True)
-        f3 = GroupFunction(raw3, disc_valued=True)
-        method = harmonic.step1_reduced_lhs if check == "step1" else harmonic.step2_squared
-        return [method(f1, f2, f3, seed=trial)]
-    if check == "step3":
-        h1, raw2 = inputs
-        f1 = centered(GroupFunction(h1, disc_valued=True))
-        return [harmonic.step3_intermediate(f1, GroupFunction(raw2, disc_valued=True), seed=trial)]
-    if check == "step4":
-        h1, raw2 = inputs
-        f1 = centered(GroupFunction(h1, disc_valued=True))
-        return [harmonic.step4_final(f1, GroupFunction(raw2, disc_valued=True), seed=trial)]
-    if check == "step4sub":
-        (raw2,) = inputs
-        return [harmonic.step4_substitution_sweep(GroupFunction(raw2, disc_valued=True), seed=trial)]
-    raise ValueError(f"unknown check {check!r}; choose from {CHECK_ORDER}")
-
-
 def _run_one_trial(
     harmonic: Harmonic, check: str, seed: int, trial: int
 ) -> Tuple[List[BoundCheck], Tuple[np.ndarray, ...]]:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _TAGS[check], trial)))
-    inputs = _trial_inputs(harmonic, check, rng)
-    return _evaluate_trial(harmonic, check, inputs, trial), inputs
+    spec = CHECKS[check]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, spec.tag, trial)))
+    sample = sample_unit if spec.kind == "unit" else sample_disc
+    inputs = tuple(sample(harmonic.n, rng).values for _ in range(spec.arity))
+    return spec.evaluate(harmonic, inputs), inputs
 
 
 def theorem_vacuity_note(harmonic: Harmonic) -> Optional[str]:
@@ -179,7 +151,7 @@ def run_verification(
     default reports byte-stable across machines.
     """
     for check in checks:
-        if check not in _TAGS:
+        if check not in CHECKS:
             raise ValueError(f"unknown check {check!r}; choose from {CHECK_ORDER}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -10,7 +10,8 @@ from quasimix.adversary import (
     witness_abelian_character,
 )
 from quasimix.groups import build_cyclic, build_sl2
-from quasimix.harmonic import ConstraintError, harmonic_for
+from quasimix.harmonic import ConstraintError, harmonic_for, sample_disc, sample_unit
+from quasimix.report import CHECK_ORDER, CHECKS, run_verification
 
 
 def test_witness_attains_one_on_z3():
@@ -87,6 +88,42 @@ def test_best_inputs_reevaluate_to_best_value(s3_harmonic):
         res = maximize(s3_harmonic, SearchConfig(objective, budget=40, seed=5))
         again = evaluate_inputs(s3_harmonic, objective, res.best_inputs)
         assert abs(again.observed - res.best_value) < 1e-12, objective
+
+
+# (seed tag, sampler, arity) of verify's trial streams; tags must never change.
+_VERIFY_STREAMS = {
+    "lemma": (1, sample_unit, 2),
+    "corollary": (2, sample_unit, 2),
+    "theorem": (3, sample_disc, 3),
+    "step1": (4, sample_disc, 3),
+    "step2": (5, sample_disc, 3),
+    "step3": (6, sample_disc, 2),
+    "step4": (7, sample_disc, 2),
+    "step4sub": (8, sample_disc, 1),
+}
+
+
+@pytest.mark.parametrize("check", CHECK_ORDER)
+def test_evaluate_inputs_reproduces_verify_trial_zero(s3_harmonic, check):
+    assert {c: spec.tag for c, spec in CHECKS.items()} == {
+        c: tag for c, (tag, _, _) in _VERIFY_STREAMS.items()
+    }
+    seed = 13
+    tag, sampler, arity = _VERIFY_STREAMS[check]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, tag, 0)))
+    inputs = [sampler(s3_harmonic.n, rng).values for _ in range(arity)]
+    got = evaluate_inputs(s3_harmonic, check, inputs)
+    rows = run_verification(s3_harmonic, [check], trials=1, seed=seed).rows
+    (row,) = [r for r in rows if r.check == got.quantity_name]
+    assert row.trial == 0
+    assert got.observed == row.observed
+
+
+def test_evaluate_inputs_rejects_unknown_check_and_arity(s3_harmonic):
+    with pytest.raises(ValueError, match="unknown check"):
+        evaluate_inputs(s3_harmonic, "step9", [])
+    with pytest.raises(ValueError, match="takes 2 input vectors, got 3"):
+        evaluate_inputs(s3_harmonic, "lemma", [np.ones(6)] * 3)
 
 
 def test_iterates_stay_feasible(s3_harmonic):

@@ -132,11 +132,8 @@ def test_timings_flag_records_runtimes(tmp_path):
 
 
 def test_bound_failure_exits_two_and_dumps_reproducer(tmp_path, monkeypatch):
-    def failing_lemma(self, u, v, seed=None):
-        return BoundCheck(
-            quantity_name="lemma", observed=1.0, bound=0.25, margin=-0.75,
-            inputs_digest="0" * 16, seed=seed,
-        )
+    def failing_lemma(self, u, v):
+        return BoundCheck(quantity_name="lemma", observed=1.0, bound=0.25, margin=-0.75)
 
     monkeypatch.setattr(quasimix.harmonic.Harmonic, "lemma_gap", failing_lemma)
     out = tmp_path / "fail.json"
