@@ -19,7 +19,6 @@ from .groups import (
 )
 from .spectra import (
     CharacterTable,
-    ClassAlgebra,
     DegenerateSpectrumError,
     QuasiRandomnessDegree,
     SpectralData,

@@ -1,8 +1,8 @@
 """Command-line interface: group catalog, analysis, verification, search, export.
 
-Exit codes: 0 — success and every margin nonnegative; 1 — usage, argument, or
-I/O error; 2 — a bound check came back with a negative margin (the offending
-inputs are dumped to a reproducer file next to the report).
+Exit codes: 0 — success, every margin ≥ −BOUND_TOL·max(1, bound) (float rounding
+of a tight bound); 1 — usage, argument, or I/O error; 2 — a margin below that
+(the offending inputs are dumped to a reproducer file next to the report).
 """
 
 import argparse
@@ -191,7 +191,7 @@ def _cmd_search(args) -> int:
         },
     }
     _write_text(canonical_json(payload), args.out)
-    if result.best_check.margin < 0.0:
+    if not result.best_check.passed:
         target_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
         path = os.path.join(target_dir, f"quasimix-reproducer-search-{args.objective}.json")
         payload = reproducer_payload(

@@ -400,13 +400,11 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyStructure:
 def commutator_subgroup(group: FiniteGroup) -> frozenset:
     """Element indices of the subgroup generated by all commutators."""
     mul, inv = group.mul, group.inv
-    inside = mul[mul, inv[:, None]]  # [a, b] = a*b*a^-1
-    comms = mul[inside, inv[None, :]]  # [a, b] = a*b*a^-1*b^-1
-    current = np.unique(comms)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[mul[group.conjugation_table(), inv[None, :]]] = True  # [a, b] = a*b*a^-1*b^-1
     while True:
-        products = np.unique(mul[np.ix_(current, current)])
-        merged = np.union1d(current, products)
-        if len(merged) == len(current):
+        current = np.flatnonzero(inside)
+        inside[mul[np.ix_(current, current)]] = True
+        if np.count_nonzero(inside) == len(current):
             break
-        current = merged
-    return frozenset(int(x) for x in current)
+    return frozenset(current.tolist())

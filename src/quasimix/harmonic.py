@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 DISC_TOL = 1e-12
+BOUND_TOL = 1e-12
+"""Relative allowance of a bound verdict: absorbs float rounding of a tight bound, nothing more."""
 IMAG_RESIDUE_TOL = 1e-9
 PAIR_SIZE_CAP = 2000
 STEP2_IDENTITY_TOL = 1e-10
@@ -116,14 +118,18 @@ class PairFunction:
 class BoundCheck:
     """One observed quantity against its degree-driven bound.
 
-    margin = bound − observed and is recorded even when negative; a negative
-    margin is a failure the caller must surface, never something to clamp.
+    margin = bound − observed, recorded raw even when negative.  ``passed`` is
+    the verdict: a margin below −BOUND_TOL·max(1, bound) must be surfaced.
     """
 
     quantity_name: str
     observed: float
     bound: float
     margin: float
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= -BOUND_TOL * max(1.0, self.bound)
 
 
 def centered(f: GroupFunction) -> GroupFunction:

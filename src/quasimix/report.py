@@ -177,15 +177,12 @@ def run_verification(
         # corollary expands to two named records; group the flat list back up
         by_name: Dict[str, List[Tuple[int, BoundCheck]]] = {}
         for trial, (bound_checks, inputs) in enumerate(results):
-            failed_here = False
             for bc in bound_checks:
                 by_name.setdefault(bc.quantity_name, []).append((trial, bc))
                 rows.append(
                     TrialRow(bc.quantity_name, trial, bc.observed, bc.bound, bc.margin)
                 )
-                if bc.margin < 0.0:
-                    failed_here = True
-            if failed_here:
+            if not all(bc.passed for bc in bound_checks):
                 failures.append((check, trial, inputs))
 
         for name in sorted(by_name, key=lambda q: (q != check, q)):
@@ -202,7 +199,7 @@ def run_verification(
                     "min_margin": worst.margin,
                     "worst_trial": worst_trial,
                     "runtime_s": elapsed if timings else None,
-                    "status": "pass" if worst.margin >= 0.0 else "fail",
+                    "status": "pass" if all(bc.passed for _, bc in entries) else "fail",
                 }
             )
 

@@ -1,4 +1,4 @@
-"""Class algebra, numeric character tables, quasi-randomness degree, isotypic projections."""
+"""Class matrices, numeric character tables, quasi-randomness degree, isotypic projections."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .groups import (
 )
 
 __all__ = [
-    "ClassAlgebra",
     "CharacterTable",
     "QuasiRandomnessDegree",
     "SpectralData",
@@ -35,6 +34,7 @@ DEFAULT_ORTHO_TOL = 1e-8
 DEFAULT_DEGREE_TOL = 1e-6
 DEFAULT_ATTEMPTS = 20
 _SPECTRA_TAG = 0x5350
+_CHUNK_ENTRIES = 1 << 20  # int64 entries per pair-count batch (8 MB)
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -43,17 +43,6 @@ class DegenerateSpectrumError(RuntimeError):
 
 class SpectralInconsistencyError(RuntimeError):
     """Character data contradicts an independent structural cross-check."""
-
-
-@dataclass(eq=False)
-class ClassAlgebra:
-    """Integer structure constants of the conjugacy-class sums.
-
-    With C_i the sum of class i in the group algebra,
-    C_i * C_j = sum_l constants[i, j, l] * C_l.
-    """
-
-    constants: np.ndarray  # (k, k, k) int64
 
 
 @dataclass(eq=False)
@@ -83,23 +72,46 @@ class QuasiRandomnessDegree:
     witness_row: Optional[int]
 
 
-def class_algebra(group: FiniteGroup, classes: ConjugacyStructure) -> ClassAlgebra:
-    """Structure constants via one pass over all products x*y.
-
-    constants[i, j, l] counts, for a fixed z in class l, the pairs
-    (x, y) in C_i x C_j with x*y = z; the count is the same for every such z.
+def _pair_counts(group: FiniteGroup, classes: ConjugacyStructure, targets: np.ndarray):
+    """Yield exact counts[b, i, j] = #{x in C_i : x^-1 * z_b in C_j} for the targets z_b,
+    in order, in batches whose temporaries hold at most _CHUNK_ENTRIES entries.
     """
     k = classes.num_classes
     cls = classes.class_of.astype(np.int64)
-    idx = (cls[:, None] * k + cls[None, :]) * k + cls[group.mul]
-    counts = np.bincount(idx.ravel(), minlength=k**3).reshape(k, k, k)
-    sizes = classes.class_sizes
-    constants, remainder = np.divmod(counts, sizes[None, None, :])
-    if remainder.any():
-        raise SpectralInconsistencyError("class product counts not constant on classes")
-    if not np.array_equal((constants * sizes[None, None, :]).sum(axis=2), np.outer(sizes, sizes)):
-        raise SpectralInconsistencyError("class algebra row sums disagree with class sizes")
-    return ClassAlgebra(constants)
+    step = max(1, _CHUNK_ENTRIES // max(group.order, k * k))
+    for start in range(0, len(targets), step):
+        batch = targets[start : start + step]
+        left = group.mul[group.inv[:, None], batch[None, :]]  # [x, b] = x^-1 * batch[b]
+        codes = (np.arange(len(batch)) * k * k)[None, :] + cls[:, None] * k + cls[left]
+        counts = np.bincount(codes.ravel(), minlength=len(batch) * k * k)
+        yield counts.reshape(-1, k, k)
+
+
+def _check_class_constancy(group: FiniteGroup, classes: ConjugacyStructure) -> None:
+    """Every element's pair counts must equal those of its class's first member.
+
+    Conjugation maps the pairs for z onto those for g z g^-1, so on a true
+    class partition they agree; singleton classes (all, if abelian) are skipped.
+    """
+    for c in np.nonzero(classes.class_sizes > 1)[0]:
+        members = np.nonzero(classes.class_of == c)[0]
+        expect = next(_pair_counts(group, classes, members[:1]))
+        for counts in _pair_counts(group, classes, members[1:]):
+            if (counts != expect).any():
+                raise SpectralInconsistencyError("class product counts not constant on classes")
+
+
+def class_algebra(
+    group: FiniteGroup, classes: ConjugacyStructure, coeffs: np.ndarray
+) -> np.ndarray:
+    """The (k, k) combination sum_i coeffs[i] * M_i of class multiplication matrices.
+
+    With C_i * C_j = sum_l a[i, j, l] * C_l for the class sums, (M_i)[l, j] =
+    a[i, j, l].  Row l is coeffs times the exact pair counts of representative
+    z_l, one length-k dot product per entry; no (k, k, k) array is formed.
+    """
+    rows = [coeffs @ counts for counts in _pair_counts(group, classes, classes.representatives)]
+    return np.concatenate(rows)
 
 
 def _sorted_rows(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -114,12 +126,9 @@ def _sorted_rows(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
 def character_table(
     group: FiniteGroup,
     classes: ConjugacyStructure,
-    algebra: Optional[ClassAlgebra] = None,
     *,
     rng: Optional[np.random.Generator] = None,
     ortho_tol: float = DEFAULT_ORTHO_TOL,
-    degree_tol: float = DEFAULT_DEGREE_TOL,
-    max_attempts: int = DEFAULT_ATTEMPTS,
 ) -> CharacterTable:
     """Compute the character table from the class algebra numerically.
 
@@ -130,23 +139,21 @@ def character_table(
     metric, phase-fixed so the identity-class entry (the degree) is real and
     positive, and the whole table is polished to the nearest weighted-unitary
     matrix.  Attempts with colliding eigenvalues are retried with fresh
-    weights up to ``max_attempts`` before DegenerateSpectrumError is raised.
+    weights up to DEFAULT_ATTEMPTS times before DegenerateSpectrumError is raised.
     """
-    if algebra is None:
-        algebra = class_algebra(group, classes)
+    _check_class_constancy(group, classes)
     n = group.order
     k = classes.num_classes
     sizes = classes.class_sizes.astype(np.float64)
     id_class = int(classes.class_of[group.identity])
-    mats = np.transpose(algebra.constants, (0, 2, 1)).astype(np.float64)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence((0, _SPECTRA_TAG)))
     weight = np.sqrt(sizes / n)
 
     failure = "no attempt made"
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_ATTEMPTS):
         coeffs = rng.uniform(1.0, 2.0, size=k)
-        combined = np.tensordot(coeffs, mats, axes=1)
+        combined = class_algebra(group, classes, coeffs)
         evals, evecs = np.linalg.eig(combined)
         scale = max(1.0, float(np.abs(evals).max()))
         gaps = np.abs(evals[:, None] - evals[None, :])
@@ -188,7 +195,7 @@ def character_table(
 
         raw_degrees = rows[:, id_class].real
         degrees = np.rint(raw_degrees).astype(np.int64)
-        if np.abs(raw_degrees - degrees).max() > degree_tol or (degrees < 1).any():
+        if np.abs(raw_degrees - degrees).max() > DEFAULT_DEGREE_TOL or (degrees < 1).any():
             failure = "non-integral degree"
             continue
         if int((degrees**2).sum()) != n:
@@ -217,7 +224,7 @@ def character_table(
         return CharacterTable(rows, degrees, int(trivial_rows[0]))
 
     raise DegenerateSpectrumError(
-        f"no usable spectrum after {max_attempts} attempts (last failure: {failure})"
+        f"no usable spectrum after {DEFAULT_ATTEMPTS} attempts (last failure: {failure})"
     )
 
 
@@ -319,7 +326,6 @@ class SpectralData:
 
     group: FiniteGroup
     classes: ConjugacyStructure
-    algebra: ClassAlgebra
     table: CharacterTable
     quasirandomness: QuasiRandomnessDegree
     is_perfect: bool
@@ -329,18 +335,12 @@ def spectral_data(
     group: FiniteGroup,
     *,
     seed: int = 0,
-    rng: Optional[np.random.Generator] = None,
     ortho_tol: float = DEFAULT_ORTHO_TOL,
-    degree_tol: float = DEFAULT_DEGREE_TOL,
 ) -> SpectralData:
-    """Compute classes, class algebra, character table and quasi-randomness degree."""
+    """Compute classes, character table and quasi-randomness degree."""
     classes = conjugacy_classes(group)
-    algebra = class_algebra(group, classes)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _SPECTRA_TAG)))
-    table = character_table(
-        group, classes, algebra, rng=rng, ortho_tol=ortho_tol, degree_tol=degree_tol
-    )
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _SPECTRA_TAG)))
+    table = character_table(group, classes, rng=rng, ortho_tol=ortho_tol)
     is_perfect = len(commutator_subgroup(group)) == group.order
     degree = quasirandomness_degree(table, is_perfect)
-    return SpectralData(group, classes, algebra, table, degree, is_perfect)
+    return SpectralData(group, classes, table, degree, is_perfect)

@@ -253,3 +253,26 @@ def brute_right_translation_corollary(group, f1):
         ip = sum(f1[x] * np.conj(f1[group.product(x, hinv)]) for x in range(n)) / n
         total += abs(ip) ** 2
     return total / n
+
+
+def class_structure_constants(group, classes):
+    """The full (k, k, k) tensor a[i, j, l] of class-sum structure constants.
+
+    C_i * C_j = sum_l a[i, j, l] * C_l.  One bincount over all n² products,
+    divided by the size of the product's class: the dense O(k³)-memory route
+    that the package's per-representative kernel replaces.
+    """
+    k = classes.num_classes
+    cls = classes.class_of.astype(np.int64)
+    idx = (cls[:, None] * k + cls[None, :]) * k + cls[group.mul]
+    counts = np.bincount(idx.ravel(), minlength=k**3).reshape(k, k, k)
+    constants, remainder = np.divmod(counts, classes.class_sizes[None, None, :])
+    if remainder.any():
+        raise AssertionError("class product counts not constant on classes")
+    return constants
+
+
+def tensor_class_combination(group, classes, coeffs):
+    """sum_i coeffs[i] * M_i with (M_i)[l, j] = a[i, j, l], through the full tensor."""
+    mats = np.transpose(class_structure_constants(group, classes), (0, 2, 1)).astype(np.float64)
+    return np.tensordot(coeffs, mats, axes=1)

@@ -156,6 +156,40 @@ def test_bound_failure_exits_two_and_dumps_reproducer(tmp_path, monkeypatch):
     assert len(repro["inputs"][0]["real"]) == 4
 
 
+@pytest.mark.parametrize(
+    "observed, margin, rc",
+    [(1.0 + 2.0**-52, -(2.0**-52), 0), (1.0 + 1e-9, -1e-9, 2)],
+)
+def test_bound_verdict_allows_rounding_only(tmp_path, monkeypatch, observed, margin, rc):
+    def tight_lemma(self, u, v):
+        return BoundCheck(quantity_name="lemma", observed=observed, bound=1.0, margin=margin)
+
+    monkeypatch.setattr(quasimix.harmonic.Harmonic, "lemma_gap", tight_lemma)
+    out = tmp_path / "tight.json"
+    argv = ["verify", "--group", "z:4", "--check", "lemma", "--trials", "2", "--out", str(out)]
+    assert main(argv) == rc
+    record = json.loads(out.read_text())["checks"][0]
+    assert record["min_margin"] == margin  # raw, never clamped
+    assert record["status"] == ("pass" if rc == 0 else "fail")
+    assert len(list(tmp_path.glob("quasimix-reproducer-*.json"))) == rc // 2
+
+
+@pytest.mark.parametrize(
+    "group, objective, budget, seed",
+    [("s:5", "lemma", 200, 0), ("s:4", "corollary", 120, 3),
+     ("s:4", "corollary", 120, 5), ("s:4", "corollary", 120, 9)],
+)
+def test_tight_d1_search_is_not_a_violation(tmp_path, group, objective, budget, seed):
+    # At D = 1 these searches reach the bound itself, up to float rounding.
+    out = tmp_path / "search.json"
+    argv = ["search", "--group", group, "--objective", objective,
+            "--budget", str(budget), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    search = json.loads(out.read_text())["search"]
+    assert abs(search["margin"]) < 1e-12
+    assert not list(tmp_path.glob("quasimix-reproducer-*.json"))
+
+
 def test_export_round_trips_identical_tables(tmp_path):
     path = tmp_path / "s4.txt"
     assert main(["export-cayley", "--group", "s:4", "--out", str(path)]) == 0

@@ -1,10 +1,27 @@
-"""Class algebra, numerical character tables, and quasi-randomness degrees."""
+"""Class-matrix combinations, numerical character tables, and quasi-randomness degrees."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from oracles import brute_class_average, brute_class_constant, regular_degrees
-from quasimix.groups import build_cyclic, build_sl2, build_psl2, conjugacy_classes
+import quasimix.spectra
+from oracles import (
+    brute_class_average,
+    brute_class_constant,
+    class_structure_constants,
+    regular_degrees,
+    tensor_class_combination,
+)
+from quasimix.groups import (
+    ConjugacyStructure,
+    build_cyclic,
+    build_sl2,
+    build_symmetric,
+    conjugacy_classes,
+)
 from quasimix.spectra import (
     DegenerateSpectrumError,
     SpectralInconsistencyError,
@@ -35,35 +52,101 @@ def _round_row_set(values):
     return {tuple(np.round(row, 6)) for row in values}
 
 
+def _class_matrix(group, cc, i):
+    """M_i read through the kernel: the combination with coefficient vector e_i."""
+    return class_algebra(group, cc, np.eye(cc.num_classes)[i])
+
+
 def test_s3_class_constants(s3):
     cc = conjugacy_classes(s3)
-    alg = class_algebra(s3, cc)
-    # class 1 = transpositions, class 2 = 3-cycles
-    assert alg.constants[1, 1, 0] == 3
-    assert alg.constants[1, 1, 1] == 0
-    assert alg.constants[1, 1, 2] == 3
-    assert alg.constants[1, 2, 1] == 2
-    assert alg.constants[0, 2, 2] == 1  # identity acts trivially
+    # class 1 = transpositions, class 2 = 3-cycles; (M_i)[l, j] = a[i, j, l]
+    m1, m0 = _class_matrix(s3, cc, 1), _class_matrix(s3, cc, 0)
+    assert m1[0, 1] == 3
+    assert m1[1, 1] == 0
+    assert m1[2, 1] == 3
+    assert m1[1, 2] == 2
+    assert m0[2, 2] == 1  # identity acts trivially
 
 
 def test_class_constants_match_brute_counts(s4):
     cc = conjugacy_classes(s4)
-    alg = class_algebra(s4, cc)
-    members = [np.nonzero(cc.class_of == c)[0].tolist() for c in range(cc.num_classes)]
+    k = cc.num_classes
+    oracle = class_structure_constants(s4, cc)
+    members = [np.nonzero(cc.class_of == c)[0].tolist() for c in range(k)]
+    mats = [_class_matrix(s4, cc, i) for i in range(k)]
+    for i in range(k):
+        assert np.array_equal(mats[i], oracle[i].T)
     rng = np.random.default_rng(11)
     for _ in range(25):
-        i, j, l = rng.integers(0, cc.num_classes, size=3)
+        i, j, l = rng.integers(0, k, size=3)
         z = members[l][0]
-        assert alg.constants[i, j, l] == brute_class_constant(s4, members[i], members[j], z)
+        assert mats[i][l, j] == brute_class_constant(s4, members[i], members[j], z)
 
 
 def test_class_constant_row_sums(a4):
     cc = conjugacy_classes(a4)
-    alg = class_algebra(a4, cc)
     sizes = cc.class_sizes
     for i in range(cc.num_classes):
-        for j in range(cc.num_classes):
-            assert int((alg.constants[i, j] * sizes).sum()) == sizes[i] * sizes[j]
+        mat = _class_matrix(a4, cc, i)
+        # sum_l a[i, j, l] |C_l| = |C_i| |C_j|
+        assert np.array_equal(sizes @ mat, sizes[i] * sizes)
+
+
+def test_random_combinations_match_tensor_oracle(s4, a5, sl2_5, sl2_7):
+    rng = np.random.default_rng(12)
+    for group in (build_cyclic(12), s4, a5, sl2_5, sl2_7):
+        cc = conjugacy_classes(group)
+        coeffs = rng.uniform(1.0, 2.0, size=cc.num_classes)
+        expect = tensor_class_combination(group, cc, coeffs)
+        got = class_algebra(group, cc, coeffs)
+        assert got.shape == (cc.num_classes, cc.num_classes)
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_character_tables_match_tensor_oracle_path(monkeypatch, s4, a5, sl2_5, sl2_7):
+    groups = (s4, a5, sl2_5, sl2_7, build_symmetric(6))
+    direct = [spectral_data(group).table for group in groups]
+    # character_table looks class_algebra up as a module global
+    monkeypatch.setattr(quasimix.spectra, "class_algebra", tensor_class_combination)
+    for group, table in zip(groups, direct):
+        expect = spectral_data(group).table
+        assert np.array_equal(table.degrees, expect.degrees), group.name
+        assert np.abs(table.values - expect.values).max() < 1e-12, group.name
+
+
+def test_misassigned_class_fails_constancy_check(s3):
+    cc = conjugacy_classes(s3)
+    moved = int(np.nonzero(cc.class_of == 1)[0][-1])  # one transposition ...
+    class_of = cc.class_of.copy()
+    class_of[moved] = 2  # ... filed with the 3-cycles
+    broken = ConjugacyStructure(
+        class_of=class_of,
+        representatives=cc.representatives,
+        class_sizes=np.bincount(class_of, minlength=3).astype(np.int64),
+        num_classes=3,
+    )
+    with pytest.raises(SpectralInconsistencyError, match="not constant on classes"):
+        character_table(s3, broken)
+
+
+def test_cyclic_256_spectral_data_stays_small():
+    # VmHWM counts this process's own peak; ru_maxrss would carry the
+    # parent's resident set as a floor.
+    script = (
+        "from quasimix.groups import build_cyclic\n"
+        "from quasimix.spectra import spectral_data\n"
+        "spectral_data(build_cyclic(256))\n"
+        "with open('/proc/self/status') as handle:\n"
+        "    print([line.split()[1] for line in handle if line.startswith('VmHWM:')][0])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    peak_mb = int(out.stdout.strip()) / 1024.0
+    assert peak_mb < 150.0, peak_mb
 
 
 def test_s3_character_table_values(s3_spectral):
@@ -173,7 +256,7 @@ def test_equal_weights_collide_and_raise():
     # All-equal weights sum the class matrices to the all-ones matrix, whose
     # spectrum {4, 0, 0, 0} never separates the three nontrivial characters.
     with pytest.raises(DegenerateSpectrumError, match="eigenvalue collision"):
-        character_table(g, cc, rng=_ConstantWeights(), max_attempts=3)
+        character_table(g, cc, rng=_ConstantWeights())
 
 
 def test_isotypic_projections_on_abelian(z6):
