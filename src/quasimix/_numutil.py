@@ -17,3 +17,13 @@ def l2mu(values: np.ndarray) -> float:
     """Norm in L2 of the uniform probability measure: sqrt(mean |v|^2)."""
     return float(np.sqrt(np.mean(abs2(values))))
 
+
+TEMP_ENTRIES = 1 << 16
+"""Entries per row chunk of an n-wide temporary (1 MB of complex128)."""
+
+
+def row_chunks(rows: int, width: int):
+    """Consecutive row slices of a (rows, width) array, each holding at most TEMP_ENTRIES."""
+    step = max(1, TEMP_ENTRIES // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(rows, start + step))

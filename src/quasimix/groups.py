@@ -8,6 +8,8 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ._numutil import row_chunks
+
 __all__ = [
     "FiniteGroup",
     "ConjugacyStructure",
@@ -397,14 +399,30 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyStructure:
     )
 
 
-def commutator_subgroup(group: FiniteGroup) -> frozenset:
-    """Element indices of the subgroup generated by all commutators."""
+def commutator_subgroup(
+    group: FiniteGroup, classes: Optional[ConjugacyStructure] = None
+) -> frozenset:
+    """Element indices of the subgroup generated by all commutators.
+
+    The commutators form a union of conjugacy classes, since
+    [g r g^-1, b] = g [r, g^-1 b g] g^-1 and a conjugate of a commutator is a
+    commutator, so the k*n commutators [r, y], r a class representative, mark
+    every class that holds one.  The mark is then closed under products.
+    ``classes`` are the group's conjugacy classes, computed when not given.
+    """
     mul, inv = group.mul, group.inv
-    inside = np.zeros(group.order, dtype=bool)
-    inside[mul[group.conjugation_table(), inv[None, :]]] = True  # [a, b] = a*b*a^-1*b^-1
+    if classes is None:
+        classes = conjugacy_classes(group)
+    conj = group.conjugation_table()
+    reps = classes.representatives
+    hit = np.zeros(classes.num_classes, dtype=bool)
+    for rows in row_chunks(len(reps), group.order):
+        hit[classes.class_of[mul[conj[reps[rows]], inv[None, :]]]] = True  # [r, y] = r*y*r^-1*y^-1
+    inside = hit[classes.class_of]
     while True:
         current = np.flatnonzero(inside)
-        inside[mul[np.ix_(current, current)]] = True
+        for rows in row_chunks(len(current), len(current)):
+            inside[mul[np.ix_(current[rows], current)]] = True
         if np.count_nonzero(inside) == len(current):
             break
     return frozenset(current.tolist())

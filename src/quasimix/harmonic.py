@@ -10,14 +10,15 @@ quasi-randomness degree D.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ._numutil import abs2, l2mu
+from ._numutil import abs2, l2mu, row_chunks
 from .groups import FiniteGroup
-from .spectra import SpectralData, spectral_data
+from .spectra import FourierBasis, SpectralData, fourier_basis, spectral_data
 
 __all__ = [
     "GroupFunction",
@@ -169,6 +170,21 @@ def sample_unit(n: int, rng: np.random.Generator) -> GroupFunction:
             return GroupFunction(vals / norm)
 
 
+def _fourier_grams(basis: FourierBasis, coeffs: np.ndarray):
+    """Yield (d, V*V) for each run of degree d: the Gram V(ρ)*V(ρ) of every row's block.
+
+    ``coeffs`` holds Fourier coefficients ``values @ basis.matrix`` row by row; a
+    degree-1 block is a scalar, whose Gram is |V|².
+    """
+    for d, cols in basis.runs:
+        block = coeffs[:, cols]
+        if d == 1:
+            yield d, abs2(block)
+        else:
+            v = block.reshape(len(coeffs), -1, d, d)
+            yield d, np.conj(np.swapaxes(v, 2, 3)) @ v
+
+
 def _real_nonnegative(value: complex, what: str) -> float:
     """Take the real part of a quantity that is real and ≥ 0 by symmetry.
 
@@ -192,7 +208,8 @@ class Harmonic:
 
     Wraps a SpectralData bundle and exposes the actions, conditional
     expectations and inequality left-hand sides as methods.  All methods are
-    pure; results depend only on the inputs.
+    pure; results depend only on the inputs.  The group's Fourier basis is
+    built on the first call that needs it and kept with this object.
     """
 
     spectral: SpectralData
@@ -203,6 +220,15 @@ class Harmonic:
         self.mul = self.group.mul
         self.inv = self.group.inv
         self.conj = self.group.conjugation_table()
+        self._basis: Optional[FourierBasis] = None
+        self._basis_lock = threading.Lock()
+
+    def fourier(self) -> FourierBasis:
+        """The group's unitary irreducible representations (built once, thread-safe)."""
+        with self._basis_lock:
+            if self._basis is None:
+                self._basis = fourier_basis(self.group, self.spectral.classes, self.spectral.table)
+            return self._basis
 
     # -- degree-driven bounds ------------------------------------------------
 
@@ -239,7 +265,8 @@ class Harmonic:
         if flags.get("unit_l2") and f.norm2 > 1.0 + DISC_TOL:
             raise ConstraintError(f"{name} must have L2 norm <= 1, got {f.norm2}")
 
-    def _cap(self, what: str) -> None:
+    def check_pair_cap(self, what: str) -> None:
+        """Raise ConstraintError if ``what`` needs dense pair storage beyond PAIR_SIZE_CAP."""
         if self.n > PAIR_SIZE_CAP:
             raise ConstraintError(
                 f"{what} needs dense pair storage; order {self.n} exceeds cap {PAIR_SIZE_CAP}"
@@ -308,13 +335,13 @@ class Harmonic:
         the profile φ(z) = (1/n) Σ_w F(w, wz) and re-expanded, costing O(n²)
         instead of the O(n³) of direct averaging.
         """
-        self._cap("cond_exp_diag")
+        self.check_pair_cap("cond_exp_diag")
         phi = self._diag_profile(F)
         return PairFunction.from_dense(phi[self.mul[self.inv]])
 
     def proj_fixed_tensor(self, u: GroupFunction, v: GroupFunction) -> PairFunction:
         """Average u ⊗ v over the diagonal conjugation action on pairs."""
-        self._cap("proj_fixed_tensor")
+        self.check_pair_cap("proj_fixed_tensor")
         self._require(u, "u")
         self._require(v, "v")
         U = u.values[self.conj]
@@ -469,30 +496,31 @@ class Harmonic:
         bound = 5.0 * self.degree_power(-0.25)
         return self._check("step2", observed, bound)
 
-    def _conj_twist(self, f2: GroupFunction, h: int) -> np.ndarray:
-        """a_h(x) = f2(x)·conj(f2(hxh⁻¹)) — the factored half of F2·conj(F2)∘(S̃T̃)^h."""
-        return f2.values * np.conj(f2.values[self.conj[h]])
-
     def step3_intermediate(self, f1: GroupFunction, f2: GroupFunction) -> BoundCheck:
         """Expanded two-variable form driven through the diagonal expectation.
 
         observed = (1/n) Σ_h ∫ F1·conj(F1)T̃^h·E(F2·conj(F2)S̃^hT̃^h | Δ) dμ⊗²
-        with F_i = f_i ⊗ conj(f_i); bound = 25·D^(-1/2).  Each h-term reduces
-        to profiles φ_h, ψ_h on single elements, so the total cost is O(n³).
-        The value is real by the z ↦ z⁻¹ symmetry of the profiles; the
-        imaginary residue is checked against 1e-9 before discarding.
+        with F_i = f_i ⊗ conj(f_i); bound = 25·D^(-1/2).  Each h-term is a
+        correlation pairing of a_h(x) = f2(x)·conj(f2(hxh⁻¹)) with
+        b_h(x) = f1(x)·conj(f1(xh⁻¹)); by Plancherel over the irreps ρ it equals
+        Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h) with V_h = Σ_x conj a_h(x)ρ(x) and
+        Y_h = Σ_x b_h(x)ρ(x), so observed = Σ_h Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h)/n⁵,
+        taken with one GEMM against the Fourier basis per block of h.  The
+        value is real and ≥ 0 (a trace of two positive matrices); the imaginary
+        residue is checked against 1e-9 before discarding.
         """
         self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
-        n = self.n
+        basis = self.fourier()
         total = 0.0 + 0.0j
-        for h in range(n):
-            a = self._conj_twist(f2, h)
-            phi = (a @ np.conj(a)[self.mul]) / n
-            b = f1.values * np.conj(f1.values[self.mul[:, self.inv[h]]])
-            psi = b @ np.conj(b)[self.mul]
-            total += phi @ psi
-        observed = _real_nonnegative(total / n**3, "step3_intermediate")
+        for rows in row_chunks(self.n, 2 * self.n):
+            hs = np.arange(rows.start, rows.stop)
+            conj_a = np.conj(f2.values) * f2.values[self.conj[hs]]
+            b = f1.values * np.conj(f1.values[self.mul[:, self.inv[hs]].T])
+            coeffs = np.concatenate([conj_a, b]) @ basis.matrix  # rows V_h, then rows Y_h
+            for d, gram in _fourier_grams(basis, coeffs):
+                total += d * np.vdot(gram[len(hs) :], gram[: len(hs)])
+        observed = _real_nonnegative(total / self.n**5, "step3_intermediate")
         bound = 25.0 * self.degree_power(-0.5)
         return self._check("step3", observed, bound)
 
@@ -517,26 +545,37 @@ class Harmonic:
         observed = ‖E(F2·conj(F2)S̃^hT̃^h | Δ) − |(1/n) Σ f2·conj(f2(h·h⁻¹))|²‖
         in L²(μ⊗μ); bound = D^(-1/2), for the single element h.
         """
-        self._cap("step4_lemma_substitution")
+        self.check_pair_cap("step4_lemma_substitution")
         self._require(f2, "f2", disc=True)
         h = self._element(h)
-        observed = self._substitution_distance(f2, h)
+        observed = float(self._substitution_distances(f2, np.array([h]))[0])
         bound = self.degree_power(-0.5)
         return self._check("step4_lemma_substitution", observed, bound)
 
-    def _substitution_distance(self, f2: GroupFunction, h: int) -> float:
-        a = self._conj_twist(f2, h)
-        phi = (a @ np.conj(a)[self.mul]) / self.n
-        scalar = abs2(complex(a.mean()))
-        return float(np.sqrt(np.mean(abs2(phi - scalar))))
+    def _substitution_distances(self, f2: GroupFunction, hs: np.ndarray) -> np.ndarray:
+        """The step-4 substitution distance at every h in hs.
+
+        E(·|Δ) reduces the pair function to the profile
+        φ_h(z) = (1/n) Σ_x a_h(x)·conj(a_h(xz)), and subtracting the scalar
+        removes exactly its trivial Fourier component, so by Plancherel
+        observed_h² = Σ_{ρ≠1} d_ρ·‖V_h*V_h‖²_F / n⁴.
+        """
+        basis = self.fourier()
+        coeffs = (np.conj(f2.values) * f2.values[self.conj[hs]]) @ basis.matrix
+        coeffs[:, basis.trivial_column] = 0.0
+        total = np.zeros(len(hs))
+        for d, gram in _fourier_grams(basis, coeffs):
+            total += d * abs2(gram).reshape(len(hs), -1).sum(axis=1)
+        return np.sqrt(total) / self.n**2
 
     def step4_substitution_sweep(self, f2: GroupFunction) -> BoundCheck:
         """Worst case of step4_lemma_substitution over every h in the group."""
-        self._cap("step4_lemma_substitution")
+        self.check_pair_cap("step4_lemma_substitution")
         self._require(f2, "f2", disc=True)
-        worst = 0.0
-        for h in range(self.n):
-            worst = max(worst, self._substitution_distance(f2, h))
+        worst = max(
+            float(self._substitution_distances(f2, np.arange(rows.start, rows.stop)).max())
+            for rows in row_chunks(self.n, self.n)
+        )
         bound = self.degree_power(-0.5)
         return self._check("step4_lemma_substitution", worst, bound)
 

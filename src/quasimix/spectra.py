@@ -1,13 +1,14 @@
-"""Class matrices, numeric character tables, quasi-randomness degree, isotypic projections."""
+"""Class matrices, numeric character tables, quasi-randomness degree, isotypic projections,
+and unitary irreducible representations (the Fourier basis)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._numutil import abs2
+from ._numutil import abs2, row_chunks
 from .groups import (
     ConjugacyStructure,
     FiniteGroup,
@@ -17,12 +18,14 @@ from .groups import (
 
 __all__ = [
     "CharacterTable",
+    "FourierBasis",
     "QuasiRandomnessDegree",
     "SpectralData",
     "DegenerateSpectrumError",
     "SpectralInconsistencyError",
     "class_algebra",
     "character_table",
+    "fourier_basis",
     "quasirandomness_degree",
     "spectral_data",
     "isotypic_project",
@@ -34,6 +37,11 @@ DEFAULT_ORTHO_TOL = 1e-8
 DEFAULT_DEGREE_TOL = 1e-6
 DEFAULT_ATTEMPTS = 20
 _SPECTRA_TAG = 0x5350
+_FOURIER_TAG = 0x4652  # fixed: the basis never depends on a user seed
+BASIS_TOL = 1e-10
+"""Largest homomorphism or unitarity residue a Fourier basis may show."""
+SPLIT_GAP = 1e-3
+"""Smallest relative gap that separates one irreducible eigenspace of the commutant."""
 _CHUNK_ENTRIES = 1 << 20  # int64 entries per pair-count batch (8 MB)
 
 
@@ -57,6 +65,7 @@ class CharacterTable:
     values: np.ndarray  # (k, k) complex128
     degrees: np.ndarray  # (k,) int64
     trivial_row: int
+    ortho_tol: float = DEFAULT_ORTHO_TOL  # the orthogonality tolerance the table was accepted at
 
 
 @dataclass(frozen=True)
@@ -221,7 +230,7 @@ def character_table(
             failure = "column orthogonality residue too large"
             continue
 
-        return CharacterTable(rows, degrees, int(trivial_rows[0]))
+        return CharacterTable(rows, degrees, int(trivial_rows[0]), ortho_tol)
 
     raise DegenerateSpectrumError(
         f"no usable spectrum after {DEFAULT_ATTEMPTS} attempts (last failure: {failure})"
@@ -321,6 +330,193 @@ def is_multiplicity_free(
 
 
 @dataclass(eq=False)
+class FourierBasis:
+    """Unitary irreducible representations, one per character-table row, as one matrix.
+
+    ``matrix[x, offset_r + i*d_r + j]`` = ρ_r(x)[i, j], rows r in table order
+    (d_r² columns each, Σd_r² = n), so ``values @ matrix`` holds the Fourier
+    coefficients Σ_x f(x)ρ(x) of every row of ``values`` at once.  ``runs``
+    lists (d, column slice) for each run of consecutive rows of equal degree;
+    ``trivial_column`` is the column of the trivial representation.
+    """
+
+    matrix: np.ndarray  # (n, n) complex128
+    runs: Tuple[Tuple[int, slice], ...]
+    trivial_column: int
+
+
+def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _spanning_tree(group: FiniteGroup, gens: List[int]):
+    """Breadth-first layers from the identity over left multiplication by gens.
+
+    Each layer is (children, generator index, parents) with
+    child = gens[index] * parent; also returns the mask of elements reached.
+    """
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity], dtype=np.int64)
+    layers = []
+    while gens:
+        flat = group.mul[np.asarray(gens)[:, None], frontier[None, :]].ravel()
+        fresh = np.flatnonzero(~seen[flat])
+        if not len(fresh):
+            break
+        children, first = np.unique(flat[fresh], return_index=True)
+        gen_index, parent = np.divmod(fresh[first], len(frontier))
+        layers.append((children, gen_index, frontier[parent]))
+        seen[children] = True
+        frontier = children.astype(np.int64)
+    return layers, seen
+
+
+def _generators(group: FiniteGroup, rng: np.random.Generator):
+    """Random elements (and their inverses) until they generate; with their spanning tree."""
+    gens: List[int] = []
+    while True:
+        layers, seen = _spanning_tree(group, gens)
+        if seen.all():
+            return gens, layers
+        s = int(rng.choice(np.flatnonzero(~seen)))
+        gens += [s] if group.inv[s] == s else [s, int(group.inv[s])]
+
+
+def _irreducible_frame(
+    group: FiniteGroup, class_of: np.ndarray, chi: np.ndarray, d: int, rng: np.random.Generator
+) -> np.ndarray:
+    """An n×d orthonormal frame of one left-invariant irreducible subspace of type chi.
+
+    The range of P[x, y] = (d/n)·conj chi(x y^-1) is the chi-isotypic component
+    of the regular representation (dimension d²).  A random Hermitian right
+    convolution R[x, y] = c(x^-1 y), c(g^-1) = conj c(g), commutes with the left
+    action and acts on that component with d eigenvalues of multiplicity d; its
+    lowest eigenspace is irreducible.  Draws of c whose lowest cluster is not
+    separated are retried.
+    """
+    n = group.order
+    weights = (d / n) * np.conj(chi)
+    gauss = _gaussian(rng, (n, d * d))
+    image = np.empty_like(gauss)
+    for rows in row_chunks(n, n):
+        image[rows] = weights[class_of[group.mul[rows][:, group.inv]]] @ gauss
+    frame, _ = np.linalg.qr(image)
+
+    failure = "no attempt made"
+    for _ in range(DEFAULT_ATTEMPTS):
+        c = _gaussian(rng, n)
+        c = (c + np.conj(c[group.inv])) / 2
+        turned = np.empty_like(frame)
+        for rows in row_chunks(n, n):
+            turned[rows] = c[group.mul[group.inv[rows]]] @ frame
+        herm = frame.conj().T @ turned
+        evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
+        scale = float(np.abs(evals).max())
+        if evals[d - 1] - evals[0] > BASIS_TOL * scale:
+            failure = "lowest eigenvalue cluster is not d-fold"
+        elif evals[d] - evals[d - 1] < SPLIT_GAP * scale:
+            failure = "lowest eigenvalue cluster is not separated"
+        else:
+            return frame @ evecs[:, :d]
+    raise DegenerateSpectrumError(
+        f"no separated irreducible subspace of degree {d} after {DEFAULT_ATTEMPTS} "
+        f"attempts (last failure: {failure})"
+    )
+
+
+def _check_basis(
+    group: FiniteGroup,
+    classes: ConjugacyStructure,
+    table: CharacterTable,
+    basis: FourierBasis,
+    gens: List[int],
+) -> None:
+    """Raise SpectralInconsistencyError unless the basis holds unitary irreps of the table.
+
+    rho(s)rho(x) = rho(sx) for every generator s and every x proves rho a
+    homomorphism; E*E = I for the column-scaled E (sqrt(d/n) per column) is
+    unitarity and Schur orthogonality; tr rho = chi ties each block to its row.
+    """
+    n = group.order
+    E = basis.matrix
+    worst = 0.0
+    for d, cols in basis.runs:
+        for s in gens:
+            rho_s = E[s, cols].reshape(-1, d, d)
+            for rows in row_chunks(n, n):
+                if d == 1:
+                    lhs = E[s, cols] * E[rows, cols]
+                else:
+                    lhs = rho_s @ E[rows, cols].reshape(-1, len(rho_s), d, d)
+                rhs = E[group.mul[s, rows], cols].reshape(lhs.shape)
+                worst = max(worst, float(np.abs(lhs - rhs).max()))
+    if worst > BASIS_TOL:
+        raise SpectralInconsistencyError(f"Fourier basis homomorphism residue {worst:.3g}")
+
+    scale = np.sqrt(np.repeat(table.degrees, table.degrees**2) / n)
+    worst = 0.0
+    for cols in row_chunks(n, n):
+        gram = (E[:, cols].conj().T @ E) * (scale[cols, None] * scale[None, :])
+        gram[np.arange(gram.shape[0]), np.arange(n)[cols]] -= 1.0
+        worst = max(worst, float(np.abs(gram).max()))
+    if worst > BASIS_TOL:
+        raise SpectralInconsistencyError(f"Fourier basis unitarity residue {worst:.3g}")
+
+    offsets = np.cumsum(table.degrees**2) - table.degrees**2
+    traces = np.stack(
+        [E[:, off : off + d * d : d + 1].sum(axis=1) for off, d in zip(offsets, table.degrees)]
+    )
+    worst = float(np.abs(traces - table.values[:, classes.class_of]).max())
+    if worst > table.ortho_tol:
+        raise SpectralInconsistencyError(
+            f"Fourier basis trace differs from the characters by {worst:.3g}"
+        )
+
+
+def fourier_basis(
+    group: FiniteGroup, classes: ConjugacyStructure, table: CharacterTable
+) -> FourierBasis:
+    """Unitary irreducible representations of every table row, from the Cayley table.
+
+    Degree-1 rows are their characters.  For every other row an irreducible
+    subspace of the regular representation is split off (Dixon, Math. Comp. 24
+    (1970), numerically), rho(s) = W* lambda(s) W is formed on a few random
+    generators s, and every rho(x) follows along a breadth-first tree over them:
+    rho(s y) = rho(s) rho(y).  The result is cross-checked before it is returned.
+    Random draws come from a fixed seed, so the basis is a function of the table.
+    """
+    n = group.order
+    rng = np.random.default_rng(np.random.SeedSequence(_FOURIER_TAG))
+    gens, layers = _generators(group, rng)
+    degrees = table.degrees
+    offsets = np.concatenate([[0], np.cumsum(degrees**2)])
+    E = np.empty((n, n), dtype=np.complex128)
+    for r, d in enumerate(degrees):
+        chi = table.values[r]
+        if d == 1:
+            E[:, offsets[r]] = chi[classes.class_of]
+            continue
+        frame = _irreducible_frame(group, classes.class_of, chi, int(d), rng)
+        # (lambda(s) W)[y] = W[s^-1 y]
+        rho_gens = np.stack([frame.conj().T @ frame[group.mul[group.inv[s]]] for s in gens])
+        rho = np.empty((n, d, d), dtype=np.complex128)
+        rho[group.identity] = np.eye(d)
+        for children, gen_index, parents in layers:
+            rho[children] = rho_gens[gen_index] @ rho[parents]
+        E[:, offsets[r] : offsets[r + 1]] = rho.reshape(n, d * d)
+
+    starts = np.flatnonzero(np.diff(degrees, prepend=0))
+    ends = np.append(starts[1:], len(degrees))
+    runs = tuple(
+        (int(degrees[a]), slice(int(offsets[a]), int(offsets[b]))) for a, b in zip(starts, ends)
+    )
+    basis = FourierBasis(E, runs, int(offsets[table.trivial_row]))
+    _check_basis(group, classes, table, basis, gens)
+    return basis
+
+
+@dataclass(eq=False)
 class SpectralData:
     """Bundle of everything the bound calculus needs about one group."""
 
@@ -341,6 +537,6 @@ def spectral_data(
     classes = conjugacy_classes(group)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SPECTRA_TAG)))
     table = character_table(group, classes, rng=rng, ortho_tol=ortho_tol)
-    is_perfect = len(commutator_subgroup(group)) == group.order
+    is_perfect = len(commutator_subgroup(group, classes)) == group.order
     degree = quasirandomness_degree(table, is_perfect)
     return SpectralData(group, classes, table, degree, is_perfect)

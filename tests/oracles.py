@@ -276,3 +276,43 @@ def tensor_class_combination(group, classes, coeffs):
     """sum_i coeffs[i] * M_i with (M_i)[l, j] = a[i, j, l], through the full tensor."""
     mats = np.transpose(class_structure_constants(group, classes), (0, 2, 1)).astype(np.float64)
     return np.tensordot(coeffs, mats, axes=1)
+
+
+def loop_step3_intermediate(group, f1, f2):
+    """step3's observed value by the per-h profile loop (O(n³) gathers), complex.
+
+    For each h: a_h(x) = f2(x)·conj(f2(hxh⁻¹)) and b_h(x) = f1(x)·conj(f1(xh⁻¹))
+    reduce to the profiles φ_h(z) = (1/n) Σ_x a_h(x)·conj(a_h(xz)) and
+    ψ_h(z) = Σ_x b_h(x)·conj(b_h(xz)); the value is Σ_h φ_h·ψ_h / n³.
+    """
+    n = group.order
+    mul, inv, conj = group.mul, group.inv, group.conjugation_table()
+    total = 0.0 + 0.0j
+    for h in range(n):
+        a = f2 * np.conj(f2[conj[h]])
+        phi = (a @ np.conj(a)[mul]) / n
+        b = f1 * np.conj(f1[mul[:, inv[h]]])
+        psi = b @ np.conj(b)[mul]
+        total += phi @ psi
+    return total / n**3
+
+
+def loop_substitution_distance(group, f2, h):
+    """step4's substitution distance at one h from the profile φ_h, no Fourier basis."""
+    n = group.order
+    a = f2 * np.conj(f2[group.conjugation_table()[h]])
+    phi = (a @ np.conj(a)[group.mul]) / n
+    scalar = np.abs(a.mean()) ** 2
+    return float(np.sqrt(np.mean(np.abs(phi - scalar) ** 2)))
+
+
+def all_pairs_commutator_subgroup(group):
+    """The commutator subgroup from all n² commutators [a, b], closed under products."""
+    mul, inv = group.mul, group.inv
+    inside = np.zeros(group.order, dtype=bool)
+    inside[mul[group.conjugation_table(), inv[None, :]]] = True
+    while True:
+        current = np.flatnonzero(inside)
+        inside[mul[np.ix_(current, current)]] = True
+        if np.count_nonzero(inside) == len(current):
+            return frozenset(current.tolist())

@@ -101,6 +101,30 @@ def test_threaded_verify_matches_serial(tmp_path):
             assert abs(a[key] - b[key]) <= 1e-12
 
 
+def test_threaded_fourier_checks_are_byte_identical(tmp_path):
+    base = ["verify", "--group", "sl2:7", "--check", "step3,step4sub", "--trials", "2"]
+    outputs = {}
+    for threads in ("1", "4"):
+        out, table = tmp_path / f"t{threads}.json", tmp_path / f"t{threads}.csv"
+        assert main(base + ["--threads", threads, "--out", str(out), "--csv", str(table)]) == 0
+        outputs[threads] = (out.read_bytes(), table.read_bytes())
+    serial, threaded = outputs["1"], outputs["4"]
+    # the settings block records the thread count; every other byte must agree
+    assert threaded[0].replace(b'"threads": 4', b'"threads": 1') == serial[0]
+    assert threaded[1] == serial[1]
+
+
+def test_capped_check_fails_before_any_trial(monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a step3 trial ran before the plan was checked")
+
+    monkeypatch.setattr(Harmonic, "step3_intermediate", never)
+    rc = main(["verify", "--group", "sl2:13", "--check", "step3,step4sub", "--trials", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "step4_lemma_substitution needs dense pair storage; order 2184 exceeds cap 2000" in err
+
+
 def test_csv_layout(tmp_path):
     out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
     rc = main(

@@ -1,0 +1,190 @@
+"""The Fourier basis (unitary irreps from the Cayley table) and the Plancherel kernels."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import quasimix.harmonic
+from oracles import loop_step3_intermediate, loop_substitution_distance
+from quasimix.cli import resolve_group
+from quasimix.harmonic import GroupFunction, Harmonic, centered, sample_disc
+from quasimix.spectra import (
+    FourierBasis,
+    SpectralInconsistencyError,
+    _check_basis,
+    _generators,
+    fourier_basis,
+    spectral_data,
+)
+
+_BASIS_GROUPS = ("s:3", "a:5", "sl2:5", "sl2:7", "z:12")
+_KERNEL_GROUPS = ("s:3", "a:4", "a:5", "sl2:5", "sl2:7")
+
+
+@pytest.fixture(scope="module", params=_BASIS_GROUPS)
+def built(request):
+    group = resolve_group(request.param)
+    data = spectral_data(group)
+    return group, data, fourier_basis(group, data.classes, data.table)
+
+
+def _blocks(basis, rows, d, cols):
+    return basis.matrix[rows][:, cols].reshape(len(rows), -1, d, d)
+
+
+def test_basis_is_a_homomorphism_on_sampled_pairs(built):
+    group, _, basis = built
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(0, group.order, size=(2, 2000))
+    for d, cols in basis.runs:
+        lhs = _blocks(basis, x, d, cols) @ _blocks(basis, y, d, cols)
+        assert np.abs(lhs - _blocks(basis, group.mul[x, y], d, cols)).max() < 1e-12
+
+
+def test_basis_is_unitary_with_schur_orthogonality(built):
+    group, data, basis = built
+    degrees = np.repeat(data.table.degrees, data.table.degrees**2)
+    gram = basis.matrix.conj().T @ basis.matrix * np.sqrt(np.outer(degrees, degrees)) / group.order
+    assert np.abs(gram - np.eye(group.order)).max() < 1e-12
+
+
+def test_basis_traces_are_the_characters(built):
+    group, data, basis = built
+    table, start = data.table, 0
+    for r, d in enumerate(table.degrees):
+        trace = basis.matrix[:, start : start + d * d : d + 1].sum(axis=1)
+        assert np.abs(trace - table.values[r][data.classes.class_of]).max() < 1e-10
+        start += d * d
+    assert start == group.order
+
+
+def _mutants(group, data, basis):
+    """Corrupted copies of a correct basis, one per cross-check that must catch it."""
+    table = data.table
+    d, cols = basis.runs[-1]
+    one_entry = basis.matrix.copy()
+    one_entry[group.order // 2, cols.start] += 1e-6
+    yield "homomorphism", one_entry
+
+    skewed = basis.matrix.copy()  # S·ρ·S⁻¹ with S not unitary: still a representation
+    scale = np.eye(d)
+    scale[0, 0] = 2.0
+    first = slice(cols.start, cols.start + d * d)
+    block = skewed[:, first].reshape(-1, d, d)
+    skewed[:, first] = (scale @ block @ np.linalg.inv(scale)).reshape(-1, d * d)
+    yield "unitarity", skewed
+
+    # two inequivalent irreps of one degree, exchanged: still unitary representations
+    r = next(r for r in range(1, len(table.degrees)) if table.degrees[r] == table.degrees[r - 1])
+    offsets = np.concatenate([[0], np.cumsum(table.degrees**2)])
+    a, b = slice(offsets[r - 1], offsets[r]), slice(offsets[r], offsets[r + 1])
+    swapped = basis.matrix.copy()
+    swapped[:, a], swapped[:, b] = basis.matrix[:, b], basis.matrix[:, a]
+    yield "trace", swapped
+
+
+@pytest.mark.parametrize("token", ["a:5", "sl2:5"])
+def test_corrupted_blocks_are_caught(token):
+    group = resolve_group(token)
+    data = spectral_data(group)
+    basis = fourier_basis(group, data.classes, data.table)
+    gens, _ = _generators(group, np.random.default_rng(1))
+    _check_basis(group, data.classes, data.table, basis, gens)
+    caught = []
+    for check, matrix in _mutants(group, data, basis):
+        mutant = FourierBasis(matrix, basis.runs, basis.trivial_column)
+        with pytest.raises(SpectralInconsistencyError, match=check):
+            _check_basis(group, data.classes, data.table, mutant, gens)
+        caught.append(check)
+    assert caught == ["homomorphism", "unitarity", "trace"]
+
+
+# -- the Plancherel kernels against the per-h loops -----------------------------
+
+
+def _agree(got, ref):
+    """1e-12 relative; a true zero computes as rounding noise at the unit scale."""
+    return abs(got - ref) <= 1e-12 * abs(ref) + 1e-15
+
+
+def _inputs(harmonic, seed):
+    """(name, f1, f2) cases: random phases, disc interiors, class functions, f2 ≡ 1."""
+    n = harmonic.n
+    rng = np.random.default_rng(seed)
+    phase1, phase2 = sample_disc(n, rng), sample_disc(n, rng)
+    inner1, inner2 = sample_disc(n, rng, mode="disc"), sample_disc(n, rng, mode="disc")
+    yield "phase", centered(phase1), phase2
+    yield "disc", centered(inner1), inner2
+    yield "class", centered(harmonic.cond_exp_conj(phase1)), harmonic.cond_exp_conj(phase2)
+    yield "flat", centered(inner1), GroupFunction(np.ones(n), disc_valued=True)
+
+
+@pytest.fixture(scope="module", params=_KERNEL_GROUPS)
+def kernel_harmonic(request):
+    return Harmonic(spectral_data(resolve_group(request.param)))
+
+
+def test_step3_matches_loop_oracle(kernel_harmonic):
+    for name, f1, f2 in _inputs(kernel_harmonic, 3):
+        ref = loop_step3_intermediate(kernel_harmonic.group, f1.values, f2.values)
+        got = kernel_harmonic.step3_intermediate(f1, f2).observed
+        assert abs(ref.imag) < 1e-15
+        assert _agree(got, ref.real), (name, got, ref)
+
+
+def test_substitution_matches_loop_oracle(kernel_harmonic):
+    group = kernel_harmonic.group
+    hs = np.unique(np.linspace(0, group.order - 1, 24).astype(int))
+    for name, _, f2 in _inputs(kernel_harmonic, 4):
+        refs = [loop_substitution_distance(group, f2.values, h) for h in hs]
+        for h, ref in zip(hs, refs):
+            got = kernel_harmonic.step4_lemma_substitution(f2, h).observed
+            assert _agree(got, ref), (name, h, got, ref)
+        everywhere = max(loop_substitution_distance(group, f2.values, h) for h in group.elements())
+        assert _agree(kernel_harmonic.step4_substitution_sweep(f2).observed, everywhere), name
+
+
+# -- the lazy build ----------------------------------------------------------------
+
+
+def test_basis_is_built_on_first_use_only():
+    harmonic = Harmonic(spectral_data(resolve_group("a:4")))
+    assert harmonic._basis is None
+    first = harmonic.fourier()
+    assert harmonic.fourier() is first
+    # the basis seed is fixed: a second Harmonic builds bit-identical matrices
+    again = Harmonic(spectral_data(resolve_group("a:4"))).fourier()
+    assert np.array_equal(again.matrix, first.matrix)
+
+
+def test_concurrent_first_use_builds_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return fourier_basis(*args)
+
+    monkeypatch.setattr(quasimix.harmonic, "fourier_basis", counting)
+    harmonic = Harmonic(spectral_data(resolve_group("a:5")))
+    results = []
+    start = threading.Barrier(8)
+
+    def worker():
+        start.wait(timeout=10)
+        results.append(harmonic.fourier())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 and all(r is results[0] for r in results)
+    assert len(calls) == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import brute_conjugacy_partition
+from oracles import all_pairs_commutator_subgroup, brute_conjugacy_partition
+from quasimix.cli import resolve_group
 from quasimix.groups import (
     CayleyTableError,
     build_alternating,
@@ -197,6 +198,12 @@ def test_commutator_subgroup_sizes(z6, s3, s4, a4, a5):
     assert len(commutator_subgroup(a4)) == 4
     assert len(commutator_subgroup(a5)) == 60
     assert len(commutator_subgroup(build_sl2(3))) == 8
+
+
+@pytest.mark.parametrize("token", ["s:7", "a:7", "sl2:13", "s:4", "a:5", "z:12", "sl2:3"])
+def test_commutator_subgroup_matches_all_pairs_route(token):
+    group = resolve_group(token)
+    assert commutator_subgroup(group) == all_pairs_commutator_subgroup(group)
 
 
 def test_commutator_subgroup_is_closed(s4):
