@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class FiniteGroup:
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return int(self.mul[self.mul[g, x], self.inv[g]])
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
 
     def conjugation_table(self) -> np.ndarray:
         """(n, n) table with entry [g, x] = g * x * g^-1, cached."""
@@ -203,116 +199,75 @@ def build_cyclic(n: int) -> FiniteGroup:
     return group_from_table(mul, name=f"z:{n}")
 
 
-def _perm_group(perms: np.ndarray, name: str) -> FiniteGroup:
-    m = perms.shape[1]
-    weights = (m ** np.arange(m - 1, -1, -1)).astype(np.int64)
-    keys = perms @ weights  # ascending, since perms are listed lexicographically
-    n = len(perms)
+def _element_table(elements: np.ndarray, compose, key) -> np.ndarray:
+    """Multiplication table of the group whose elements are ``elements``, in order.
+
+    ``compose(a, b)`` multiplies each element of the chunk a by each element of b;
+    ``key`` maps elements (their trailing axes) to distinct integers, and a dense
+    key -> index array turns each product back into its position.
+    """
+    n = len(elements)
+    keys = key(elements)
+    index = np.full(int(keys.max()) + 1, -1, dtype=np.int32)
+    index[keys] = np.arange(n, dtype=np.int32)
     mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        comp = perms[i][perms]  # [j, x] = p_i(p_j(x))
-        mul[i] = np.searchsorted(keys, comp @ weights)
-    return group_from_table(mul, name=name)
+    for rows in row_chunks(n, elements.size):  # every temporary <= TEMP_ENTRIES
+        mul[rows] = index[key(compose(elements[rows], elements))]
+    return mul
 
 
-def _perm_signs(perms: np.ndarray) -> np.ndarray:
-    m = perms.shape[1]
-    inversions = np.zeros(len(perms), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            inversions += perms[:, i] > perms[:, j]
-    return inversions % 2  # 0 = even
+def _base_code(x: np.ndarray, base: int, ndim: int) -> np.ndarray:
+    """Each element of x (its last ``ndim`` axes) read as a base-``base`` number."""
+    flat = x.reshape(x.shape[: x.ndim - ndim] + (-1,))
+    return flat @ base ** np.arange(flat.shape[-1] - 1, -1, -1)
+
+
+def _permutation_table(m: int, even_only: bool) -> np.ndarray:
+    """Permutations of 0..m-1, or the even ones, lexicographic; a*b = a[b] applies b first."""
+    perms = np.array(list(permutations(range(m))), dtype=np.int64)
+    if even_only:
+        inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+        perms = perms[inversions % 2 == 0]
+    return _element_table(perms, lambda a, b: np.take(a, b, axis=1), lambda x: _base_code(x, m, 1))
+
+
+def _sl2_table(p: int, projective: bool) -> np.ndarray:
+    """SL(2, p) matrices, lexicographic; for PSL(2, p) each coset {M, -M} as its smaller one."""
+    if p not in _SL2_PRIMES:
+        raise ValueError(f"matrix groups supported for prime moduli {_SL2_PRIMES}, got {p}")
+    grid = np.indices((p, p, p, p), dtype=np.int64).reshape(4, -1).T.reshape(-1, 2, 2)
+    mats = grid[(grid[:, 0, 0] * grid[:, 1, 1] - grid[:, 0, 1] * grid[:, 1, 0]) % p == 1]
+
+    def key(x):
+        code = _base_code(x, p, 2)
+        return np.minimum(code, _base_code(-x % p, p, 2)) if projective else code
+
+    mats = mats[_base_code(mats, p, 2) == key(mats)]
+    return _element_table(mats, lambda a, b: (a[:, None] @ b[None]) % p, key)
 
 
 def build_symmetric(m: int) -> FiniteGroup:
     """Symmetric group on m letters (2 <= m <= 7), permutations in lexicographic order."""
     if not 2 <= m <= 7:
         raise ValueError(f"symmetric group supported for 2 <= m <= 7, got {m}")
-    perms = np.array(list(permutations(range(m))), dtype=np.int64)
-    return _perm_group(perms, name=f"s:{m}")
+    return group_from_table(_permutation_table(m, even_only=False), name=f"s:{m}")
 
 
 def build_alternating(m: int) -> FiniteGroup:
     """Alternating group on m letters (2 <= m <= 7): even permutations, lexicographic."""
     if not 2 <= m <= 7:
         raise ValueError(f"alternating group supported for 2 <= m <= 7, got {m}")
-    perms = np.array(list(permutations(range(m))), dtype=np.int64)
-    perms = perms[_perm_signs(perms) == 0]
-    return _perm_group(perms, name=f"a:{m}")
-
-
-def _check_sl2_prime(p: int) -> None:
-    if p not in _SL2_PRIMES:
-        raise ValueError(f"matrix groups supported for prime moduli {_SL2_PRIMES}, got {p}")
-
-
-def _sl2_matrices(p: int) -> np.ndarray:
-    """All 2x2 matrices (a, b, c, d) over Z_p with ad - bc = 1, lexicographic."""
-    grid = np.indices((p, p, p, p)).reshape(4, -1).T.astype(np.int64)
-    a, b, c, d = grid.T
-    keep = (a * d - b * c) % p == 1
-    return grid[keep]
-
-
-def _sl2_codes(mats: np.ndarray, p: int) -> np.ndarray:
-    a, b, c, d = mats.T
-    return ((a * p + b) * p + c) * p + d
-
-
-def _matmul_mod(row: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
-    a1, b1, c1, d1 = (int(v) for v in row)
-    a2, b2, c2, d2 = mats.T
-    return np.stack(
-        [
-            (a1 * a2 + b1 * c2) % p,
-            (a1 * b2 + b1 * d2) % p,
-            (c1 * a2 + d1 * c2) % p,
-            (c1 * b2 + d1 * d2) % p,
-        ],
-        axis=1,
-    )
+    return group_from_table(_permutation_table(m, even_only=True), name=f"a:{m}")
 
 
 def build_sl2(p: int) -> FiniteGroup:
-    """Special linear group SL(2, p) for prime p in 3..13.
-
-    Elements are the determinant-1 matrices [[a, b], [c, d]] over Z_p in
-    lexicographic order of (a, b, c, d).
-    """
-    _check_sl2_prime(p)
-    mats = _sl2_matrices(p)
-    n = len(mats)
-    lookup = np.full(p**4, -1, dtype=np.int32)
-    lookup[_sl2_codes(mats, p)] = np.arange(n, dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        mul[i] = lookup[_sl2_codes(_matmul_mod(mats[i], mats, p), p)]
-    return group_from_table(mul, name=f"sl2:{p}")
+    """SL(2, p) for prime p in 3..13: determinant-1 matrices over Z_p, lexicographic."""
+    return group_from_table(_sl2_table(p, projective=False), name=f"sl2:{p}")
 
 
 def build_psl2(p: int) -> FiniteGroup:
-    """Projective group PSL(2, p) = SL(2, p) / {I, -I} for prime p in 3..13.
-
-    Each coset {M, -M} is represented by whichever matrix has the
-    lexicographically smaller entry tuple; representatives are enumerated in
-    lexicographic order.
-    """
-    _check_sl2_prime(p)
-    mats = _sl2_matrices(p)
-    codes = _sl2_codes(mats, p)
-    neg_codes = _sl2_codes((-mats) % p, p)
-    canonical = np.minimum(codes, neg_codes)
-    reps = mats[codes == canonical]
-    n = len(reps)
-    lookup = np.full(p**4, -1, dtype=np.int32)
-    rep_codes = _sl2_codes(reps, p)
-    neg_rep_codes = _sl2_codes((-reps) % p, p)
-    lookup[rep_codes] = np.arange(n, dtype=np.int32)
-    lookup[neg_rep_codes] = np.arange(n, dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        mul[i] = lookup[_sl2_codes(_matmul_mod(reps[i], reps, p), p)]
-    return group_from_table(mul, name=f"psl2:{p}")
+    """PSL(2, p) = SL(2, p) / {I, -I} for prime p in 3..13: each coset's smaller matrix."""
+    return group_from_table(_sl2_table(p, projective=True), name=f"psl2:{p}")
 
 
 # ---------------------------------------------------------------------------

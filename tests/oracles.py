@@ -7,7 +7,11 @@ when a fast implementation and an oracle agree to near machine precision, a
 shared bug is about the only way both could be wrong in the same place.
 """
 
+from itertools import permutations
+
 import numpy as np
+
+from quasimix.groups import group_from_table
 
 
 def brute_conjugacy_partition(group):
@@ -316,3 +320,64 @@ def all_pairs_commutator_subgroup(group):
         inside[mul[np.ix_(current, current)]] = True
         if np.count_nonzero(inside) == len(current):
             return frozenset(current.tolist())
+
+
+def loop_permutation_table(m, even_only=False):
+    """S_m, or A_m, by the per-row loop: one compose and one searchsorted per row."""
+    perms = np.array(list(permutations(range(m))), dtype=np.int64)
+    if even_only:
+        inversions = np.zeros(len(perms), dtype=np.int64)
+        for i in range(m):
+            for j in range(i + 1, m):
+                inversions += perms[:, i] > perms[:, j]
+        perms = perms[inversions % 2 == 0]
+    weights = (m ** np.arange(m - 1, -1, -1)).astype(np.int64)
+    keys = perms @ weights  # ascending, since perms are listed lexicographically
+    n = len(perms)
+    mul = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        comp = perms[i][perms]  # [j, x] = p_i(p_j(x))
+        mul[i] = np.searchsorted(keys, comp @ weights)
+    return group_from_table(mul, name=f"{'a' if even_only else 's'}:{m}")
+
+
+def _sl2_codes(mats, p):
+    a, b, c, d = mats.T
+    return ((a * p + b) * p + c) * p + d
+
+
+def _matmul_mod(row, mats, p):
+    a1, b1, c1, d1 = (int(v) for v in row)
+    a2, b2, c2, d2 = mats.T
+    return np.stack(
+        [
+            (a1 * a2 + b1 * c2) % p,
+            (a1 * b2 + b1 * d2) % p,
+            (c1 * a2 + d1 * c2) % p,
+            (c1 * b2 + d1 * d2) % p,
+        ],
+        axis=1,
+    )
+
+
+def loop_sl2_table(p, projective=False):
+    """SL(2, p), or PSL(2, p), by the per-row loop over (a, b, c, d) tuples.
+
+    PSL(2, p) keeps each coset {M, -M} as the matrix with the smaller code and
+    maps both codes of a coset to its index.
+    """
+    grid = np.indices((p, p, p, p)).reshape(4, -1).T.astype(np.int64)
+    a, b, c, d = grid.T
+    mats = grid[(a * d - b * c) % p == 1]
+    codes = _sl2_codes(mats, p)
+    if projective:
+        mats = mats[codes == np.minimum(codes, _sl2_codes((-mats) % p, p))]
+    n = len(mats)
+    lookup = np.full(p**4, -1, dtype=np.int32)
+    lookup[_sl2_codes(mats, p)] = np.arange(n, dtype=np.int32)
+    if projective:
+        lookup[_sl2_codes((-mats) % p, p)] = np.arange(n, dtype=np.int32)
+    mul = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        mul[i] = lookup[_sl2_codes(_matmul_mod(mats[i], mats, p), p)]
+    return group_from_table(mul, name=f"{'psl2' if projective else 'sl2'}:{p}")

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles import all_pairs_commutator_subgroup, brute_conjugacy_partition
+from oracles import (
+    all_pairs_commutator_subgroup,
+    brute_conjugacy_partition,
+    loop_permutation_table,
+    loop_sl2_table,
+)
 from quasimix.cli import resolve_group
 from quasimix.groups import (
+    MAX_ORDER,
     CayleyTableError,
     build_alternating,
     build_cyclic,
@@ -91,6 +97,50 @@ def test_builder_range_errors():
         build_sl2(4)
     with pytest.raises(ValueError):
         build_cyclic(0)
+    with pytest.raises(ValueError):
+        build_psl2(4)
+    with pytest.raises(ValueError):
+        build_psl2(17)
+    with pytest.raises(ValueError):
+        build_sl2(17)
+    with pytest.raises(ValueError):
+        build_symmetric(1)
+    with pytest.raises(ValueError):
+        build_alternating(8)
+    with pytest.raises(ValueError):
+        build_cyclic(MAX_ORDER + 1)
+
+
+# Every built-in permutation and matrix table but s:7, whose row loop alone
+# takes over a second.
+BUILT_IN_TOKENS = (
+    [f"s:{m}" for m in range(2, 7)]
+    + [f"a:{m}" for m in range(2, 8)]
+    + [f"{family}:{p}" for family in ("sl2", "psl2") for p in (3, 5, 7, 11, 13)]
+)
+
+
+@pytest.mark.parametrize("token", BUILT_IN_TOKENS)
+def test_builders_match_row_loop_oracles(token):
+    family, arg = token.split(":")
+    if family in ("s", "a"):
+        oracle = loop_permutation_table(int(arg), even_only=family == "a")
+    else:
+        oracle = loop_sl2_table(int(arg), projective=family == "psl2")
+    group = resolve_group(token)
+    assert group.mul.dtype == oracle.mul.dtype and group.mul.shape == oracle.mul.shape
+    assert group.mul.tobytes() == oracle.mul.tobytes()
+    assert np.array_equal(group.inv, oracle.inv)
+    assert (group.identity, group.name, group.assoc_check) == (
+        oracle.identity, oracle.name, oracle.assoc_check
+    )
+
+
+def test_alternating_7_build_stays_small(subprocess_peak_mb):
+    # Row chunks keep every composition temporary at TEMP_ENTRIES entries; one
+    # unchunked n*n*m int64 composition alone would be 356 MB here.
+    peak_mb = subprocess_peak_mb("from quasimix.groups import build_alternating\nbuild_alternating(7)\n")
+    assert peak_mb < 150.0, peak_mb
 
 
 def test_identity_need_not_be_zero():

@@ -1,9 +1,5 @@
 """Class-matrix combinations, numerical character tables, and quasi-randomness degrees."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -129,23 +125,12 @@ def test_misassigned_class_fails_constancy_check(s3):
         character_table(s3, broken)
 
 
-def test_cyclic_256_spectral_data_stays_small():
-    # VmHWM counts this process's own peak; ru_maxrss would carry the
-    # parent's resident set as a floor.
-    script = (
+def test_cyclic_256_spectral_data_stays_small(subprocess_peak_mb):
+    peak_mb = subprocess_peak_mb(
         "from quasimix.groups import build_cyclic\n"
         "from quasimix.spectra import spectral_data\n"
         "spectral_data(build_cyclic(256))\n"
-        "with open('/proc/self/status') as handle:\n"
-        "    print([line.split()[1] for line in handle if line.startswith('VmHWM:')][0])\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
-    )
-    peak_mb = int(out.stdout.strip()) / 1024.0
     assert peak_mb < 150.0, peak_mb
 
 
