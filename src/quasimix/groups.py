@@ -130,9 +130,15 @@ def group_from_table(mul, name: str = "table") -> FiniteGroup:
     Checks, in order: shape, entry range, Latin-square rows and columns,
     two-sided identity, two-sided inverses, associativity (exhaustive up to
     order 256, randomized sampling above that).  Violations raise
-    CayleyTableError naming an offending index.
+    CayleyTableError naming an offending index.  The group holds its own
+    int32 copy, so the caller's array is neither frozen nor aliased.
     """
     mul = np.asarray(mul)
+    _check_shape_and_range(mul)  # before the int32 copy, so no entry can wrap
+    return _validated_group(mul.astype(np.int32), name)
+
+
+def _check_shape_and_range(mul: np.ndarray) -> None:
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
         raise CayleyTableError(f"table must be square, got shape {mul.shape}")
     n = mul.shape[0]
@@ -142,11 +148,13 @@ def group_from_table(mul, name: str = "table") -> FiniteGroup:
         raise CayleyTableError(f"order {n} exceeds the supported cap {MAX_ORDER}")
     if mul.min() < 0 or mul.max() >= n:
         bad = np.argwhere((mul < 0) | (mul >= n))[0]
-        raise CayleyTableError(
-            f"entry at row {bad[0]}, column {bad[1]} is outside 0..{n - 1}"
-        )
-    mul = mul.astype(np.int32)
+        raise CayleyTableError(f"entry at row {bad[0]}, column {bad[1]} is outside 0..{n - 1}")
 
+
+def _validated_group(mul: np.ndarray, name: str) -> FiniteGroup:
+    """group_from_table's checks on a fresh int32 table, which the group then owns."""
+    _check_shape_and_range(mul)
+    n = mul.shape[0]
     expect = np.arange(n, dtype=np.int32)
     for i in range(n):
         if not np.array_equal(np.sort(mul[i]), expect):
@@ -194,9 +202,8 @@ def build_cyclic(n: int) -> FiniteGroup:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported cap {MAX_ORDER}")
-    idx = np.arange(n)
-    mul = np.add.outer(idx, idx) % n
-    return group_from_table(mul, name=f"z:{n}")
+    idx = np.arange(n, dtype=np.int32)
+    return _validated_group(np.add.outer(idx, idx) % n, name=f"z:{n}")
 
 
 def _element_table(elements: np.ndarray, compose, key) -> np.ndarray:
@@ -250,24 +257,24 @@ def build_symmetric(m: int) -> FiniteGroup:
     """Symmetric group on m letters (2 <= m <= 7), permutations in lexicographic order."""
     if not 2 <= m <= 7:
         raise ValueError(f"symmetric group supported for 2 <= m <= 7, got {m}")
-    return group_from_table(_permutation_table(m, even_only=False), name=f"s:{m}")
+    return _validated_group(_permutation_table(m, even_only=False), name=f"s:{m}")
 
 
 def build_alternating(m: int) -> FiniteGroup:
     """Alternating group on m letters (2 <= m <= 7): even permutations, lexicographic."""
     if not 2 <= m <= 7:
         raise ValueError(f"alternating group supported for 2 <= m <= 7, got {m}")
-    return group_from_table(_permutation_table(m, even_only=True), name=f"a:{m}")
+    return _validated_group(_permutation_table(m, even_only=True), name=f"a:{m}")
 
 
 def build_sl2(p: int) -> FiniteGroup:
     """SL(2, p) for prime p in 3..13: determinant-1 matrices over Z_p, lexicographic."""
-    return group_from_table(_sl2_table(p, projective=False), name=f"sl2:{p}")
+    return _validated_group(_sl2_table(p, projective=False), name=f"sl2:{p}")
 
 
 def build_psl2(p: int) -> FiniteGroup:
     """PSL(2, p) = SL(2, p) / {I, -I} for prime p in 3..13: each coset's smaller matrix."""
-    return group_from_table(_sl2_table(p, projective=True), name=f"psl2:{p}")
+    return _validated_group(_sl2_table(p, projective=True), name=f"psl2:{p}")
 
 
 # ---------------------------------------------------------------------------

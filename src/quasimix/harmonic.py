@@ -1,4 +1,4 @@
-"""Group actions, conditional expectations, tensor projections, and the bound calculus.
+"""Group actions, conditional expectations, conjugation coefficients, and the bound calculus.
 
 All integrals over the group use the uniform probability weight 1/n, and the
 L² norm is always the probability-weighted one.  The quantities computed by
@@ -185,18 +185,19 @@ def _fourier_grams(basis: FourierBasis, coeffs: np.ndarray):
             yield d, np.conj(np.swapaxes(v, 2, 3)) @ v
 
 
-def _real_nonnegative(value: complex, what: str) -> float:
+def _real_nonnegative(value: complex, what: str, scale: float = 1.0) -> float:
     """Take the real part of a quantity that is real and ≥ 0 by symmetry.
 
     The imaginary residue and any negative excursion must both be numerical
-    dust (< 1e-9); anything larger means a symmetry was violated upstream and
-    is raised as a hard failure.
+    dust (< 1e-9·scale, ``scale`` bounding |value|); anything larger means a
+    symmetry was violated upstream and is raised as a hard failure.
     """
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise RuntimeError(f"{what}: imaginary residue {value.imag} exceeds {IMAG_RESIDUE_TOL}")
+    tol = IMAG_RESIDUE_TOL * scale
+    if abs(value.imag) > tol:
+        raise RuntimeError(f"{what}: imaginary residue {value.imag} exceeds {tol}")
     real = value.real
     if real < 0.0:
-        if real < -IMAG_RESIDUE_TOL:
+        if real < -tol:
             raise RuntimeError(f"{what}: negative value {real} for a nonnegative quantity")
         real = 0.0
     return float(real)
@@ -339,56 +340,48 @@ class Harmonic:
         phi = self._diag_profile(F)
         return PairFunction.from_dense(phi[self.mul[self.inv]])
 
-    def proj_fixed_tensor(self, u: GroupFunction, v: GroupFunction) -> PairFunction:
-        """Average u ⊗ v over the diagonal conjugation action on pairs."""
-        self.check_pair_cap("proj_fixed_tensor")
-        self._require(u, "u")
-        self._require(v, "v")
-        U = u.values[self.conj]
-        V = v.values[self.conj]
-        return PairFunction.from_dense((U.T @ V) / self.n)
+    def _conj_coefficients(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """c(a, b)[g] = (1/n) Σ_x a(x)·conj b(gxg⁻¹) for every g, in row chunks."""
+        conj_b = np.conj(b)  # np.take gathers about twice as fast as fancy indexing
+        chunks = [conj_b.take(self.conj[rows]) @ a for rows in row_chunks(self.n, self.n)]
+        return np.concatenate(chunks) / self.n
 
     # -- the inequality chain ------------------------------------------------
 
     def lemma_gap(self, u: GroupFunction, v: GroupFunction) -> BoundCheck:
         """Distance between the fixed part of u ⊗ v and the tensor of fixed parts.
 
-        observed = ‖P°(u⊗v) − E(u|Φ) ⊗ E(v|Φ)‖ in L²(μ⊗μ);
-        bound = D^(-1/2)·‖u‖₂·‖v‖₂.
-        """
-        projected = self.proj_fixed_tensor(u, v).matrix
-        cu = self._class_average(u.values)
-        cv = self._class_average(v.values)
-        # The tensor of fixed parts is evaluated through the same averaged
-        # product kernel as the projection (class functions are fixed by the
-        # gather), so the two terms cancel *exactly* — not just to rounding —
-        # whenever u, v are already conjugation-invariant.
-        fixed = (cu[self.conj].T @ cv[self.conj]) / self.n
-        diff = projected - fixed
-        observed = float(np.sqrt(np.mean(abs2(diff))))
-        bound = self.degree_power(-0.5) * u.norm2 * v.norm2
-        return self._check("lemma", observed, bound)
-
-    def corollary_lhs(
-        self, u: GroupFunction, v: GroupFunction
-    ) -> Tuple[BoundCheck, BoundCheck]:
-        """Mean-square deviation of the conjugation matrix coefficient.
-
-        observed = (1/n) Σ_g |⟨u, π^g v⟩ − ⟨E(u|Φ), E(v|Φ)⟩|² for the
-        conjugation action π.  Two checks are returned for the same observed
-        value: the D^(-1/2)·‖u‖₂²‖v‖₂² bound, and the sharper D^(-1) variant.
+        observed = ‖P°(u⊗v) − E(u|Φ) ⊗ E(v|Φ)‖ in L²(μ⊗μ), P° the average over
+        the diagonal conjugation action; bound = D^(-1/2)·‖u‖₂·‖v‖₂.  With
+        u₀ = u − E(u|Φ) and v₀ = v − E(v|Φ), P° fixes E(u|Φ)⊗E(v|Φ) and kills
+        both cross terms, so the difference is P°(u₀⊗v₀); P° is a self-adjoint
+        idempotent, hence observed² = ⟨P°(u₀⊗v₀), u₀⊗v₀⟩ =
+        mean_g c(u₀,u₀)[g]·c(v₀,v₀)[g], two O(n²) gathers and no pair function.
         """
         self._require(u, "u")
         self._require(v, "v")
-        inner = (np.conj(v.values)[self.conj] @ u.values) / self.n
-        cu = self._class_average(u.values)
-        cv = self._class_average(v.values)
-        # ⟨E(u|Φ), E(v|Φ)⟩ re-evaluated per g through the identical gather and
-        # product kernel; conjugation fixes class functions, so every entry is
-        # the same inner product, and the subtraction cancels exactly when u, v
-        # are themselves class functions (trivial and abelian groups included).
-        fixed_term = (np.conj(cv)[self.conj] @ cu) / self.n
-        observed = float(np.mean(abs2(inner - fixed_term)))
+        u0 = u.values - self._class_average(u.values)
+        v0 = v.values - self._class_average(v.values)
+        total = np.mean(self._conj_coefficients(u0, u0) * self._conj_coefficients(v0, v0))
+        scale = float(np.mean(abs2(u0)) * np.mean(abs2(v0)))
+        observed = float(np.sqrt(_real_nonnegative(complex(total), "lemma_gap", scale)))
+        bound = self.degree_power(-0.5) * u.norm2 * v.norm2
+        return self._check("lemma", observed, bound)
+
+    def corollary_lhs(self, u: GroupFunction, v: GroupFunction) -> Tuple[BoundCheck, BoundCheck]:
+        """Mean-square deviation of the conjugation matrix coefficient.
+
+        observed = (1/n) Σ_g |⟨u, π^g v⟩ − ⟨E(u|Φ), E(v|Φ)⟩|² for the
+        conjugation action π.  Both cross terms of the centered parts vanish
+        (E(u₀|Φ) = E(v₀|Φ) = 0), so the deviation is c(u₀, v₀)[g] exactly and
+        observed = mean_g |c(u₀,v₀)[g]|².  Two checks are returned for the same
+        observed value: the D^(-1/2)·‖u‖₂²‖v‖₂² bound and the sharper D^(-1) one.
+        """
+        self._require(u, "u")
+        self._require(v, "v")
+        u0 = u.values - self._class_average(u.values)
+        v0 = v.values - self._class_average(v.values)
+        observed = float(np.mean(abs2(self._conj_coefficients(u0, v0))))
         scale = u.norm2**2 * v.norm2**2
         published = self._check("corollary", observed, self.degree_power(-0.5) * scale)
         sharp = self._check("corollary_sharp", observed, self.degree_power(-1.0) * scale)
@@ -534,7 +527,7 @@ class Harmonic:
         self._require(f1, "f1", mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
         inner_t = (f1.values @ np.conj(f1.values)[self.mul[:, self.inv]]) / self.n
-        inner_c = (np.conj(f2.values)[self.conj] @ f2.values) / self.n
+        inner_c = self._conj_coefficients(f2.values, f2.values)
         observed = float(np.mean(abs2(inner_t) * abs2(inner_c)))
         bound = self.degree_power(-0.5)
         return self._check("step4", observed, bound)

@@ -43,7 +43,7 @@ class CheckSpec:
     vectors have L²(μ) norm 1 and "disc" vectors have |f| ≤ 1.  ``evaluate``
     maps ``arity`` raw vectors to BoundCheck records; corollary yields two.
     ``pair_kernel`` names the dense-pair kernel the check runs, if any, whose
-    PAIR_SIZE_CAP is checked before the first trial.
+    PAIR_SIZE_CAP is checked before the first trial; only step4sub has one.
     """
 
     tag: int
@@ -68,9 +68,7 @@ def _centered_first(inputs: Sequence[np.ndarray]) -> List[GroupFunction]:
 
 
 CHECKS: Dict[str, CheckSpec] = {
-    "lemma": CheckSpec(
-        1, "unit", 2, lambda h, xs: [h.lemma_gap(*_units(xs))], pair_kernel="proj_fixed_tensor"
-    ),
+    "lemma": CheckSpec(1, "unit", 2, lambda h, xs: [h.lemma_gap(*_units(xs))]),
     "corollary": CheckSpec(2, "unit", 2, lambda h, xs: list(h.corollary_lhs(*_units(xs)))),
     "theorem": CheckSpec(3, "disc", 3, lambda h, xs: [h.theorem_lhs(*_discs(xs))]),
     "step1": CheckSpec(4, "disc", 3, lambda h, xs: [h.step1_reduced_lhs(*_centered_first(xs))]),

@@ -12,6 +12,7 @@ from itertools import permutations
 import numpy as np
 
 from quasimix.groups import group_from_table
+from quasimix.harmonic import PairFunction
 
 
 def brute_conjugacy_partition(group):
@@ -280,6 +281,42 @@ def tensor_class_combination(group, classes, coeffs):
     """sum_i coeffs[i] * M_i with (M_i)[l, j] = a[i, j, l], through the full tensor."""
     mats = np.transpose(class_structure_constants(group, classes), (0, 2, 1)).astype(np.float64)
     return np.tensordot(coeffs, mats, axes=1)
+
+
+def proj_fixed_tensor(h, u, v):
+    """Average u ⊗ v over the diagonal conjugation action, as a dense n×n pair function.
+
+    The pair-storage route that lemma_gap replaced; it keeps its PAIR_SIZE_CAP.
+    """
+    h.check_pair_cap("proj_fixed_tensor")
+    U = u.values[h.conj]
+    V = v.values[h.conj]
+    return PairFunction.from_dense((U.T @ V) / h.n)
+
+
+def dense_lemma_gap(h, u, v):
+    """lemma's observed value from P°(u⊗v) minus P°(E(u|Φ)⊗E(v|Φ)): two dense GEMMs."""
+    projected = proj_fixed_tensor(h, u, v).matrix
+    cu = h.cond_exp_conj(u).values
+    cv = h.cond_exp_conj(v).values
+    fixed = (cu[h.conj].T @ cv[h.conj]) / h.n
+    return float(np.sqrt(np.mean(np.abs(projected - fixed) ** 2)))
+
+
+def dense_corollary_lhs(h, u, v):
+    """corollary's observed value from ⟨u, π^g v⟩ − ⟨E(u|Φ), E(v|Φ)⟩, uncentered, unchunked."""
+    inner = (np.conj(v.values)[h.conj] @ u.values) / h.n
+    cu = h.cond_exp_conj(u).values
+    cv = h.cond_exp_conj(v).values
+    fixed_term = (np.conj(cv)[h.conj] @ cu) / h.n
+    return float(np.mean(np.abs(inner - fixed_term) ** 2))
+
+
+def dense_step4_final(h, f1, f2):
+    """step4's observed value with both autocorrelations as unchunked n×n gathers."""
+    inner_t = (f1.values @ np.conj(f1.values)[h.mul[:, h.inv]]) / h.n
+    inner_c = (np.conj(f2.values)[h.conj] @ f2.values) / h.n
+    return float(np.mean(np.abs(inner_t) ** 2 * np.abs(inner_c) ** 2))
 
 
 def loop_step3_intermediate(group, f1, f2):

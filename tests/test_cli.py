@@ -125,6 +125,18 @@ def test_capped_check_fails_before_any_trial(monkeypatch, capsys):
     assert "step4_lemma_substitution needs dense pair storage; order 2184 exceeds cap 2000" in err
 
 
+def test_lemma_runs_above_the_old_pair_cap(tmp_path):
+    # lemma keeps no pair storage, so orders past PAIR_SIZE_CAP run it too
+    out = tmp_path / "a7.json"
+    assert main(["verify", "--group", "a:7", "--check", "lemma", "--trials", "1",
+                 "--out", str(out)]) == 0
+    assert [r["status"] for r in json.loads(out.read_text())["checks"]] == ["pass"]
+    out = tmp_path / "sl2-13.json"
+    assert main(["search", "--group", "sl2:13", "--objective", "lemma", "--budget", "8",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["search"]["evaluations_used"] == 8
+
+
 def test_csv_layout(tmp_path):
     out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
     rc = main(

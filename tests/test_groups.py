@@ -143,6 +143,22 @@ def test_alternating_7_build_stays_small(subprocess_peak_mb):
     assert peak_mb < 150.0, peak_mb
 
 
+def test_symmetric_7_build_keeps_one_table(subprocess_peak_mb):
+    # The builder's fresh int32 table becomes the group's own: one 101 MB
+    # table at the peak, not a second copy made during validation.
+    peak_mb = subprocess_peak_mb("from quasimix.groups import build_symmetric\nbuild_symmetric(7)\n")
+    assert peak_mb < 200.0, peak_mb
+
+
+def test_group_from_table_copies_the_callers_array():
+    table = build_cyclic(5).mul.copy()
+    g = group_from_table(table)
+    assert table.dtype == np.int32 and table.flags.writeable
+    assert not np.shares_memory(table, g.mul)
+    table[0, 0] = 4
+    assert g.product(0, 0) == 0
+
+
 def test_identity_need_not_be_zero():
     # Z_2 written with the identity in slot 1.
     g = group_from_table([[1, 0], [0, 1]])

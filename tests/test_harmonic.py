@@ -15,7 +15,12 @@ from oracles import (
     brute_step3_second_moment,
     brute_step4_final,
     brute_theorem_lhs,
+    dense_corollary_lhs,
+    dense_lemma_gap,
+    dense_step4_final,
+    proj_fixed_tensor,
 )
+from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic, build_sl2
 from quasimix.harmonic import (
     ConstraintError,
@@ -184,7 +189,7 @@ def test_cond_exp_diag_matches_oracle(s3_harmonic, s3):
 def test_proj_fixed_tensor(s3_harmonic, s3):
     u = _rand_free(6, 8)
     v = _rand_free(6, 9)
-    got = s3_harmonic.proj_fixed_tensor(u, v)
+    got = proj_fixed_tensor(s3_harmonic, u, v)
     expect = brute_fixed_tensor(s3, u.values, v.values)
     assert np.abs(got.dense() - expect).max() < 1e-13
 
@@ -194,7 +199,7 @@ def test_pair_cap_blocks_large_groups():
     assert big.degree == 6
     u = sample_unit(big.n, np.random.default_rng(0))
     with pytest.raises(ConstraintError, match="exceeds cap"):
-        big.proj_fixed_tensor(u, u)
+        proj_fixed_tensor(big, u, u)
     with pytest.raises(ConstraintError, match="exceeds cap"):
         big.step4_substitution_sweep(sample_disc(big.n, np.random.default_rng(1)))
 
@@ -336,6 +341,80 @@ def test_corollary_matches_brute(s3_harmonic, s3):
     scale = u.norm2**2 * v.norm2**2
     assert abs(published.bound - scale) < 1e-12  # D = 1 for S_3
     assert abs(sharp.bound - scale) < 1e-12
+
+
+# -- conjugation-coefficient kernels against the dense pair oracles ----------
+
+_KERNEL_GROUPS = ("s:4", "a:5", "z:12", "sl2:7", "psl2:11", "s:6")
+
+
+@pytest.fixture(scope="module")
+def kernel_harmonics():
+    return {token: harmonic_for(resolve_group(token)) for token in _KERNEL_GROUPS}
+
+
+def _close(got, expect):
+    return abs(got - expect) <= 1e-12 * abs(expect) + 1e-15
+
+
+@pytest.mark.parametrize("token", _KERNEL_GROUPS)
+def test_conjugation_kernels_match_dense_oracles(kernel_harmonics, token):
+    h = kernel_harmonics[token]
+    rng = np.random.default_rng(42)
+    for _ in range(3):
+        u, v = sample_unit(h.n, rng), sample_unit(h.n, rng)
+        assert _close(h.lemma_gap(u, v).observed, dense_lemma_gap(h, u, v))
+        pub, sharp = h.corollary_lhs(u, v)
+        assert pub.observed == sharp.observed
+        assert _close(pub.observed, dense_corollary_lhs(h, u, v))
+        f1, f2 = centered(sample_disc(h.n, rng)), sample_disc(h.n, rng, mode="disc")
+        assert _close(h.step4_final(f1, f2).observed, dense_step4_final(h, f1, f2))
+    # mixed inputs: one argument a class function, the other not
+    u = sample_unit(h.n, rng)
+    v = h.cond_exp_conj(sample_unit(h.n, rng))
+    assert _close(h.lemma_gap(u, v).observed, dense_lemma_gap(h, u, v))
+    assert _close(h.corollary_lhs(v, u)[0].observed, dense_corollary_lhs(h, v, u))
+
+
+@pytest.mark.parametrize("token", ["sl2:7", "psl2:11", "s:6"])
+def test_lemma_vanishes_when_one_input_is_a_class_function(kernel_harmonics, token):
+    h = kernel_harmonics[token]
+    rng = np.random.default_rng(43)
+    u = sample_unit(h.n, rng)
+    v = h.cond_exp_conj(sample_unit(h.n, rng))
+    assert h.lemma_gap(u, v).observed <= 1e-14
+    assert h.lemma_gap(v, u).observed <= 1e-14
+
+
+@pytest.mark.parametrize("token", ["sl2:7", "s:6"])
+def test_lemma_is_homogeneous_at_any_scale(kernel_harmonics, token):
+    # the real-part guard scales with ‖u₀‖²‖v₀‖², so a large input never trips it
+    h = kernel_harmonics[token]
+    rng = np.random.default_rng(44)
+    u, v = sample_unit(h.n, rng), sample_unit(h.n, rng)
+    base = h.lemma_gap(u, v).observed
+    for lam in (1e4, -1e4j, 1e-4):
+        scaled = h.lemma_gap(GroupFunction(lam * u.values), v).observed
+        assert abs(scaled - abs(lam) * base) <= 1e-12 * abs(lam) * base
+        both = h.lemma_gap(GroupFunction(lam * u.values), GroupFunction(lam * v.values))
+        assert abs(both.observed - abs(lam) ** 2 * base) <= 1e-12 * abs(lam) ** 2 * base
+
+
+def test_lemma_and_corollary_above_the_old_pair_cap(subprocess_peak_mb):
+    # sl2:13 has order 2184 > PAIR_SIZE_CAP; no n×n complex array is built
+    script = (
+        "import numpy as np\n"
+        "from quasimix.groups import build_sl2\n"
+        "from quasimix.harmonic import harmonic_for, sample_unit\n"
+        "h = harmonic_for(build_sl2(13))\n"
+        "rng = np.random.default_rng(0)\n"
+        "u, v = sample_unit(h.n, rng), sample_unit(h.n, rng)\n"
+        "lemma = h.lemma_gap(u, v)\n"
+        "pub, sharp = h.corollary_lhs(u, v)\n"
+        "assert 0.0 < lemma.observed < lemma.bound, lemma\n"
+        "assert 0.0 < sharp.observed < sharp.bound, sharp\n"
+    )
+    assert subprocess_peak_mb(script) < 150.0
 
 
 # -- structural exactness ----------------------------------------------------
