@@ -36,7 +36,6 @@ from .harmonic import (
     ConstraintError,
     GroupFunction,
     Harmonic,
-    PairFunction,
     centered,
     harmonic_for,
     sample_disc,

@@ -13,7 +13,6 @@ from typing import List, Optional
 from .adversary import OBJECTIVES, SearchConfig, maximize
 from .groups import (
     MAX_ORDER,
-    CayleyTableError,
     FiniteGroup,
     build_alternating,
     build_cyclic,
@@ -23,7 +22,7 @@ from .groups import (
     format_cayley_table,
     load_cayley_table,
 )
-from .harmonic import ConstraintError, Harmonic
+from .harmonic import Harmonic
 from .report import (
     CHECK_ORDER,
     canonical_json,
@@ -94,6 +93,15 @@ def _write_text(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
+def _dump_reproducer(out: Optional[str], name: str, payload: dict, message: str) -> None:
+    """Write a failing input tuple next to ``out`` (or into the working directory)."""
+    target_dir = os.path.dirname(os.path.abspath(out)) if out else os.getcwd()
+    path = os.path.join(target_dir, name)
+    with open(path, "w") as handle:
+        handle.write(canonical_json(payload))
+    sys.stderr.write(f"{message}; inputs dumped to {path}\n")
+
+
 def _cmd_groups(args) -> int:
     sys.stdout.write(_CATALOG)
     return 0
@@ -145,17 +153,17 @@ def _cmd_verify(args) -> int:
     if not outcome.failures:
         return 0
 
-    target_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
     dumped = set()
     for check, trial, inputs in outcome.failures:
         if check in dumped:
             continue
         dumped.add(check)
-        path = os.path.join(target_dir, f"quasimix-reproducer-{check}-trial{trial}.json")
-        payload = reproducer_payload(group.name, check, trial, args.seed, inputs)
-        with open(path, "w") as handle:
-            handle.write(canonical_json(payload))
-        sys.stderr.write(f"bound check {check} failed at trial {trial}; inputs dumped to {path}\n")
+        _dump_reproducer(
+            args.out,
+            f"quasimix-reproducer-{check}-trial{trial}.json",
+            reproducer_payload(group.name, check, trial, args.seed, inputs),
+            f"bound check {check} failed at trial {trial}",
+        )
     return 2
 
 
@@ -192,15 +200,11 @@ def _cmd_search(args) -> int:
     }
     _write_text(canonical_json(payload), args.out)
     if not result.best_check.passed:
-        target_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else os.getcwd()
-        path = os.path.join(target_dir, f"quasimix-reproducer-search-{args.objective}.json")
-        payload = reproducer_payload(
-            group.name, args.objective, -1, args.seed, result.best_inputs
-        )
-        with open(path, "w") as handle:
-            handle.write(canonical_json(payload))
-        sys.stderr.write(
-            f"search found a bound violation for {args.objective}; inputs dumped to {path}\n"
+        _dump_reproducer(
+            args.out,
+            f"quasimix-reproducer-search-{args.objective}.json",
+            reproducer_payload(group.name, args.objective, -1, args.seed, result.best_inputs),
+            f"search found a bound violation for {args.objective}",
         )
         return 2
     return 0
@@ -277,10 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, ConstraintError, CayleyTableError) as exc:
-        sys.stderr.write(f"quasimix: error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConstraintError and CayleyTableError are ValueErrors
         sys.stderr.write(f"quasimix: error: {exc}\n")
         return 1
     except RuntimeError as exc:

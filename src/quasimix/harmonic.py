@@ -22,7 +22,6 @@ from .spectra import FourierBasis, SpectralData, fourier_basis, spectral_data
 
 __all__ = [
     "GroupFunction",
-    "PairFunction",
     "BoundCheck",
     "ConstraintError",
     "Harmonic",
@@ -88,31 +87,6 @@ class GroupFunction:
     def norm2(self) -> float:
         """L² norm under the uniform probability weight."""
         return l2mu(self.values)
-
-
-@dataclass(eq=False)
-class PairFunction:
-    """A complex function on ordered pairs, stored as a dense square matrix."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_dense(cls, matrix) -> "PairFunction":
-        matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ConstraintError(f"dense pair function must be square, got {matrix.shape}")
-        return cls(matrix=matrix)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.matrix
-
-    def norm2(self) -> float:
-        """L² norm under the product probability weight."""
-        return l2mu(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -322,28 +296,24 @@ class Harmonic:
             two_disc_valued=f.two_disc_valued,
         )
 
-    def _diag_profile(self, F: PairFunction) -> np.ndarray:
-        """φ(z) = (1/n) Σ_w F(w, wz): the one-variable profile of E(F | Δ)."""
-        if F.n != self.n:
-            raise ConstraintError(f"pair function size {F.n} does not match order {self.n}")
-        rows = F.matrix[np.arange(self.n)[:, None], self.mul]
-        return rows.mean(axis=0)
+    def _points(self, point: str, rows: slice) -> np.ndarray:
+        """Element indices of the point p(g, x) for g in rows: "gx", "xg", "gxg^-1" or "xg^-1"."""
+        if point == "xg^-1":
+            return self.mul.T[self.inv[rows]]
+        return {"gx": self.mul, "xg": self.mul.T, "gxg^-1": self.conj}[point][rows]
 
-    def cond_exp_diag(self, F: PairFunction) -> PairFunction:
-        """Average F over simultaneous left translation of both coordinates.
+    def _gathered(self, *terms):
+        """Yield (rows, blocks) over row chunks of g, one block per (values, point) term.
 
-        The result depends on (x, y) only through x⁻¹y, so it is computed as
-        the profile φ(z) = (1/n) Σ_w F(w, wz) and re-expanded, costing O(n²)
-        instead of the O(n³) of direct averaging.
+        blocks[i][g, x] = values_i(p_i(g, x)); no block is wider than one
+        row_chunks slice, and np.take gathers about twice as fast as fancy indexing.
         """
-        self.check_pair_cap("cond_exp_diag")
-        phi = self._diag_profile(F)
-        return PairFunction.from_dense(phi[self.mul[self.inv]])
+        for rows in row_chunks(self.n, self.n):
+            yield rows, [values.take(self._points(point, rows)) for values, point in terms]
 
-    def _conj_coefficients(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """c(a, b)[g] = (1/n) Σ_x a(x)·conj b(gxg⁻¹) for every g, in row chunks."""
-        conj_b = np.conj(b)  # np.take gathers about twice as fast as fancy indexing
-        chunks = [conj_b.take(self.conj[rows]) @ a for rows in row_chunks(self.n, self.n)]
+    def _coefficients(self, a: np.ndarray, b: np.ndarray, point: str) -> np.ndarray:
+        """c[g] = (1/n) Σ_x a(x)·conj b(p(g, x)) for every g, p one of _gathered's points."""
+        chunks = [block @ a for _, (block,) in self._gathered((np.conj(b), point))]
         return np.concatenate(chunks) / self.n
 
     # -- the inequality chain ------------------------------------------------
@@ -362,7 +332,8 @@ class Harmonic:
         self._require(v, "v")
         u0 = u.values - self._class_average(u.values)
         v0 = v.values - self._class_average(v.values)
-        total = np.mean(self._conj_coefficients(u0, u0) * self._conj_coefficients(v0, v0))
+        cu = self._coefficients(u0, u0, "gxg^-1")
+        total = np.mean(cu * self._coefficients(v0, v0, "gxg^-1"))
         scale = float(np.mean(abs2(u0)) * np.mean(abs2(v0)))
         observed = float(np.sqrt(_real_nonnegative(complex(total), "lemma_gap", scale)))
         bound = self.degree_power(-0.5) * u.norm2 * v.norm2
@@ -381,7 +352,7 @@ class Harmonic:
         self._require(v, "v")
         u0 = u.values - self._class_average(u.values)
         v0 = v.values - self._class_average(v.values)
-        observed = float(np.mean(abs2(self._conj_coefficients(u0, v0))))
+        observed = float(np.mean(abs2(self._coefficients(u0, v0, "gxg^-1"))))
         scale = u.norm2**2 * v.norm2**2
         published = self._check("corollary", observed, self.degree_power(-0.5) * scale)
         sharp = self._check("corollary_sharp", observed, self.degree_power(-1.0) * scale)
@@ -397,9 +368,11 @@ class Harmonic:
         through this same kernel shape so the two cancel exactly (not just to
         rounding) on the one-element group.
         """
-        A = f2.values[self.mul]
-        B = f3.values[self.mul.T]
-        return np.mean(A * B * f1.values[None, :], axis=1)
+        chunks = [
+            np.mean(a * b * f1.values[None, :], axis=1)
+            for _, (a, b) in self._gathered((f2.values, "gx"), (f3.values, "xg"))
+        ]
+        return np.concatenate(chunks)
 
     def theorem_lhs(
         self,
@@ -449,12 +422,6 @@ class Harmonic:
         bound = 3.0 * self.degree_power(-0.125)
         return self._check("step1", observed, bound)
 
-    def _twisted_row(
-        self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction, g: int
-    ) -> np.ndarray:
-        """x ↦ f3(x)·f1(xg⁻¹)·f2(gxg⁻¹), the change-of-variables integrand."""
-        return f3.values * f1.values[self.mul[:, self.inv[g]]] * f2.values[self.conj[g]]
-
     def step2_squared(
         self,
         f1: GroupFunction,
@@ -472,20 +439,21 @@ class Harmonic:
         self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
         self._require(f3, "f3", disc=True)
-        T1 = f1.values[self.mul[:, self.inv]].T  # [g, x] = f1(x·g⁻¹)
-        C2 = f2.values[self.conj]  # [g, x] = f2(g·x·g⁻¹)
-        inner = ((T1 * C2) @ f3.values) / self.n
-        observed = float(np.mean(abs2(inner)))
-
         step = max(1, self.n // 8) if self.n <= 512 else max(1, self.n // 3)
-        for g in range(0, self.n, step):
-            row = self._twisted_row(f1, f2, f3, g)
-            expanded = complex(np.outer(row, np.conj(row)).mean())
-            if abs(expanded - complex(abs2(inner[g]))) > STEP2_IDENTITY_TOL:
-                raise RuntimeError(
-                    f"pair-expansion identity failed at g={g}: "
-                    f"|inner|²={abs2(inner[g])} vs expanded={expanded}"
-                )
+        inner = np.empty(self.n, dtype=np.complex128)
+        for rows, (t1, c2) in self._gathered((f1.values, "xg^-1"), (f2.values, "gxg^-1")):
+            twisted = t1 * c2  # [g, x] = f1(x·g⁻¹)·f2(g·x·g⁻¹)
+            inner[rows] = (twisted @ f3.values) / self.n
+            for g in range(rows.start + (-rows.start) % step, rows.stop, step):  # g % step == 0
+                row = twisted[g - rows.start] * f3.values  # the change-of-variables integrand
+                pairs = (np.outer(row[p], np.conj(row)).sum() for p in row_chunks(self.n, self.n))
+                expanded = complex(sum(pairs)) / self.n**2
+                if abs(expanded - complex(abs2(inner[g]))) > STEP2_IDENTITY_TOL:
+                    raise RuntimeError(
+                        f"pair-expansion identity failed at g={g}: "
+                        f"|inner|²={abs2(inner[g])} vs expanded={expanded}"
+                    )
+        observed = float(np.mean(abs2(inner)))
         bound = 5.0 * self.degree_power(-0.25)
         return self._check("step2", observed, bound)
 
@@ -506,13 +474,13 @@ class Harmonic:
         self._require(f2, "f2", disc=True)
         basis = self.fourier()
         total = 0.0 + 0.0j
-        for rows in row_chunks(self.n, 2 * self.n):
-            hs = np.arange(rows.start, rows.stop)
-            conj_a = np.conj(f2.values) * f2.values[self.conj[hs]]
-            b = f1.values * np.conj(f1.values[self.mul[:, self.inv[hs]].T])
+        terms = ((f2.values, "gxg^-1"), (np.conj(f1.values), "xg^-1"))
+        for _, (f2_conj, conj_f1_t) in self._gathered(*terms):
+            conj_a = np.conj(f2.values) * f2_conj
+            b = f1.values * conj_f1_t
             coeffs = np.concatenate([conj_a, b]) @ basis.matrix  # rows V_h, then rows Y_h
             for d, gram in _fourier_grams(basis, coeffs):
-                total += d * np.vdot(gram[len(hs) :], gram[: len(hs)])
+                total += d * np.vdot(gram[len(b) :], gram[: len(b)])
         observed = _real_nonnegative(total / self.n**5, "step3_intermediate")
         bound = 25.0 * self.degree_power(-0.5)
         return self._check("step3", observed, bound)
@@ -526,8 +494,8 @@ class Harmonic:
         """
         self._require(f1, "f1", mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
-        inner_t = (f1.values @ np.conj(f1.values)[self.mul[:, self.inv]]) / self.n
-        inner_c = self._conj_coefficients(f2.values, f2.values)
+        inner_t = self._coefficients(f1.values, f1.values, "xg^-1")
+        inner_c = self._coefficients(f2.values, f2.values, "gxg^-1")
         observed = float(np.mean(abs2(inner_t) * abs2(inner_c)))
         bound = self.degree_power(-0.5)
         return self._check("step4", observed, bound)
@@ -540,13 +508,13 @@ class Harmonic:
         """
         self.check_pair_cap("step4_lemma_substitution")
         self._require(f2, "f2", disc=True)
-        h = self._element(h)
-        observed = float(self._substitution_distances(f2, np.array([h]))[0])
+        f2_conj = self.conj_action(h, f2).values[None, :]  # validates h
+        observed = float(self._substitution_distances(f2, f2_conj)[0])
         bound = self.degree_power(-0.5)
         return self._check("step4_lemma_substitution", observed, bound)
 
-    def _substitution_distances(self, f2: GroupFunction, hs: np.ndarray) -> np.ndarray:
-        """The step-4 substitution distance at every h in hs.
+    def _substitution_distances(self, f2: GroupFunction, f2_conj: np.ndarray) -> np.ndarray:
+        """The step-4 substitution distance at every h of the rows f2_conj[h, x] = f2(hxh⁻¹).
 
         E(·|Δ) reduces the pair function to the profile
         φ_h(z) = (1/n) Σ_x a_h(x)·conj(a_h(xz)), and subtracting the scalar
@@ -554,11 +522,11 @@ class Harmonic:
         observed_h² = Σ_{ρ≠1} d_ρ·‖V_h*V_h‖²_F / n⁴.
         """
         basis = self.fourier()
-        coeffs = (np.conj(f2.values) * f2.values[self.conj[hs]]) @ basis.matrix
+        coeffs = (np.conj(f2.values) * f2_conj) @ basis.matrix
         coeffs[:, basis.trivial_column] = 0.0
-        total = np.zeros(len(hs))
+        total = np.zeros(len(coeffs))
         for d, gram in _fourier_grams(basis, coeffs):
-            total += d * abs2(gram).reshape(len(hs), -1).sum(axis=1)
+            total += d * abs2(gram).reshape(len(coeffs), -1).sum(axis=1)
         return np.sqrt(total) / self.n**2
 
     def step4_substitution_sweep(self, f2: GroupFunction) -> BoundCheck:
@@ -566,8 +534,8 @@ class Harmonic:
         self.check_pair_cap("step4_lemma_substitution")
         self._require(f2, "f2", disc=True)
         worst = max(
-            float(self._substitution_distances(f2, np.arange(rows.start, rows.stop)).max())
-            for rows in row_chunks(self.n, self.n)
+            float(self._substitution_distances(f2, f2_conj).max())
+            for _, (f2_conj,) in self._gathered((f2.values, "gxg^-1"))
         )
         bound = self.degree_power(-0.5)
         return self._check("step4_lemma_substitution", worst, bound)

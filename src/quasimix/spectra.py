@@ -224,7 +224,7 @@ def character_table(
         if np.abs(row_gram - np.eye(k)).max() > ortho_tol:
             failure = "row orthogonality residue too large"
             continue
-        col_gram = np.einsum("rc,rd->cd", rows, rows.conj())
+        col_gram = rows.T @ rows.conj()
         col_target = np.diag(n / sizes)
         if np.abs(col_gram - col_target).max() > ortho_tol:
             failure = "column orthogonality residue too large"

@@ -12,7 +12,6 @@ from itertools import permutations
 import numpy as np
 
 from quasimix.groups import group_from_table
-from quasimix.harmonic import PairFunction
 
 
 def brute_conjugacy_partition(group):
@@ -284,19 +283,19 @@ def tensor_class_combination(group, classes, coeffs):
 
 
 def proj_fixed_tensor(h, u, v):
-    """Average u ⊗ v over the diagonal conjugation action, as a dense n×n pair function.
+    """Average u ⊗ v over the diagonal conjugation action, as a dense n×n array.
 
     The pair-storage route that lemma_gap replaced; it keeps its PAIR_SIZE_CAP.
     """
     h.check_pair_cap("proj_fixed_tensor")
     U = u.values[h.conj]
     V = v.values[h.conj]
-    return PairFunction.from_dense((U.T @ V) / h.n)
+    return (U.T @ V) / h.n
 
 
 def dense_lemma_gap(h, u, v):
     """lemma's observed value from P°(u⊗v) minus P°(E(u|Φ)⊗E(v|Φ)): two dense GEMMs."""
-    projected = proj_fixed_tensor(h, u, v).matrix
+    projected = proj_fixed_tensor(h, u, v)
     cu = h.cond_exp_conj(u).values
     cv = h.cond_exp_conj(v).values
     fixed = (cu[h.conj].T @ cv[h.conj]) / h.n

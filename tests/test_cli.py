@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+import quasimix.adversary
 import quasimix.harmonic
 from quasimix.cli import main, resolve_group
 from quasimix.groups import build_symmetric
 from quasimix.harmonic import BoundCheck, Harmonic
 from quasimix.report import (
     CHECK_ORDER,
+    CHECKS,
     canonical_json,
     reproducer_payload,
     run_verification,
@@ -190,6 +192,33 @@ def test_bound_failure_exits_two_and_dumps_reproducer(tmp_path, monkeypatch):
     assert repro["seed"] == 9
     assert len(repro["inputs"]) == 2
     assert len(repro["inputs"][0]["real"]) == 4
+
+
+@pytest.mark.parametrize("objective", ["theorem", "lemma"])
+def test_search_violation_exits_two_and_dumps_reproducer(
+    tmp_path, monkeypatch, capsys, objective
+):
+    def failing_evaluator(harmonic, check, inputs):
+        return BoundCheck(quantity_name=check, observed=3.0, bound=1.0, margin=-2.0)
+
+    monkeypatch.setattr(quasimix.adversary, "evaluate_inputs", failing_evaluator)
+    out = tmp_path / "search.json"
+    argv = ["search", "--group", "z:4", "--objective", objective,
+            "--budget", "8", "--seed", "11", "--out", str(out)]
+    assert main(argv) == 2
+    assert json.loads(out.read_text())["search"]["margin"] == -2.0
+    path = tmp_path / f"quasimix-reproducer-search-{objective}.json"
+    assert capsys.readouterr().err == (
+        f"search found a bound violation for {objective}; inputs dumped to {path}\n"
+    )
+    repro = json.loads(path.read_text())
+    assert repro["kind"] == "reproducer"
+    assert repro["group"] == "z:4"
+    assert repro["check"] == objective
+    assert repro["trial"] == -1
+    assert repro["seed"] == 11
+    assert len(repro["inputs"]) == CHECKS[objective].arity
+    assert all(len(vector["real"]) == 4 for vector in repro["inputs"])
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,6 @@ from quasimix.groups import build_cyclic, build_sl2
 from quasimix.harmonic import (
     ConstraintError,
     GroupFunction,
-    PairFunction,
     _real_nonnegative,
     centered,
     harmonic_for,
@@ -87,17 +86,6 @@ def test_sampling_modes():
         sample_disc(5, rng, mode="ball")
     unit = sample_unit(50, rng)
     assert abs(unit.norm2 - 1.0) < 1e-12
-
-
-def test_pair_function_forms():
-    left = np.array([1.0, 2.0j])
-    right = np.array([3.0, -1.0])
-    F = PairFunction.from_dense(np.outer(left, right))
-    assert F.n == 2
-    assert F.dense()[1, 0] == 6.0j
-    assert abs(F.norm2() - np.sqrt(12.5)) < 1e-12  # mean of |3|², |-1|², |6i|², |-2i|²
-    with pytest.raises(ConstraintError, match="square"):
-        PairFunction.from_dense(np.ones((2, 3)))
 
 
 def test_real_nonnegative_guard():
@@ -170,28 +158,12 @@ def test_cond_exp_conj_is_class_average(s3_harmonic, s3):
     assert np.abs(again.values - e.values).max() < 1e-13
 
 
-def test_cond_exp_diag_matches_oracle(s3_harmonic, s3):
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    expect = brute_cond_exp_diag(s3, np.outer(u, v))
-    got = s3_harmonic.cond_exp_diag(PairFunction.from_dense(np.outer(u, v)))
-    assert np.abs(got.dense() - expect).max() < 1e-13
-
-    # idempotent: averaging an already-averaged pair function changes nothing
-    twice = s3_harmonic.cond_exp_diag(got)
-    assert np.abs(twice.dense() - got.dense()).max() < 1e-13
-
-    with pytest.raises(ConstraintError, match="does not match order"):
-        s3_harmonic.cond_exp_diag(PairFunction.from_dense(np.ones((4, 4))))
-
-
 def test_proj_fixed_tensor(s3_harmonic, s3):
     u = _rand_free(6, 8)
     v = _rand_free(6, 9)
     got = proj_fixed_tensor(s3_harmonic, u, v)
     expect = brute_fixed_tensor(s3, u.values, v.values)
-    assert np.abs(got.dense() - expect).max() < 1e-13
+    assert np.abs(got - expect).max() < 1e-13
 
 
 def test_pair_cap_blocks_large_groups():
@@ -413,6 +385,41 @@ def test_lemma_and_corollary_above_the_old_pair_cap(subprocess_peak_mb):
         "pub, sharp = h.corollary_lhs(u, v)\n"
         "assert 0.0 < lemma.observed < lemma.bound, lemma\n"
         "assert 0.0 < sharp.observed < sharp.bound, sharp\n"
+    )
+    assert subprocess_peak_mb(script) < 150.0
+
+
+@pytest.mark.parametrize("token", ["sl2:7", "psl2:11"])
+def test_chain_kernels_match_brute_across_row_chunks(kernel_harmonics, token):
+    # sl2:7 gathers its rows in 2 chunks and psl2:11 in 7, where s:3 takes one
+    h = kernel_harmonics[token]
+    group = h.group
+    rng = np.random.default_rng(45)
+    f1, f2, f3 = (sample_disc(h.n, rng) for _ in range(3))
+    c1 = centered(f1)
+    theorem = h.theorem_lhs(f1, f2, f3).observed
+    assert _close(theorem, brute_theorem_lhs(group, f1.values, f2.values, f3.values))
+    step1 = h.step1_reduced_lhs(c1, f2, f3).observed
+    assert _close(step1, brute_step1_lhs(group, c1.values, f2.values, f3.values))
+    step2 = h.step2_squared(c1, f2, f3).observed
+    assert _close(step2, brute_step2_squared(group, c1.values, f2.values, f3.values))
+    step4 = h.step4_final(c1, f2).observed
+    assert _close(step4, brute_step4_final(group, c1.values, f2.values))
+
+
+def test_chain_kernels_stay_small_on_alternating_7(subprocess_peak_mb):
+    # a:7 has order 2520; an unchunked n×n complex gather alone is 102 MB
+    script = (
+        "import numpy as np\n"
+        "from quasimix.groups import build_alternating\n"
+        "from quasimix.harmonic import centered, harmonic_for, sample_disc\n"
+        "h = harmonic_for(build_alternating(7))\n"
+        "rng = np.random.default_rng(0)\n"
+        "f1, f2, f3 = (sample_disc(h.n, rng) for _ in range(3))\n"
+        "c1 = centered(f1)\n"
+        "checks = [h.theorem_lhs(f1, f2, f3), h.step1_reduced_lhs(c1, f2, f3),\n"
+        "          h.step2_squared(c1, f2, f3), h.step4_final(c1, f2)]\n"
+        "assert all(0.0 < c.observed < c.bound for c in checks), checks\n"
     )
     assert subprocess_peak_mb(script) < 150.0
 
