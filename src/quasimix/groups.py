@@ -305,6 +305,8 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
             order = values[0]
             if order < 1:
                 raise CayleyTableError(f"line {lineno}: order must be >= 1, got {order}")
+            if order > MAX_ORDER:
+                raise CayleyTableError(f"order {order} exceeds the supported cap {MAX_ORDER}")
             continue
         if len(values) != order:
             raise CayleyTableError(

@@ -35,7 +35,6 @@ DISC_TOL = 1e-12
 BOUND_TOL = 1e-12
 """Relative allowance of a bound verdict: absorbs float rounding of a tight bound, nothing more."""
 IMAG_RESIDUE_TOL = 1e-9
-PAIR_SIZE_CAP = 2000
 STEP2_IDENTITY_TOL = 1e-10
 
 
@@ -240,13 +239,6 @@ class Harmonic:
         if flags.get("unit_l2") and f.norm2 > 1.0 + DISC_TOL:
             raise ConstraintError(f"{name} must have L2 norm <= 1, got {f.norm2}")
 
-    def check_pair_cap(self, what: str) -> None:
-        """Raise ConstraintError if ``what`` needs dense pair storage beyond PAIR_SIZE_CAP."""
-        if self.n > PAIR_SIZE_CAP:
-            raise ConstraintError(
-                f"{what} needs dense pair storage; order {self.n} exceeds cap {PAIR_SIZE_CAP}"
-            )
-
     # -- actions ---------------------------------------------------------------
 
     def _element(self, g: int) -> int:
@@ -432,9 +424,9 @@ class Harmonic:
 
         observed = (1/n) Σ_g |(1/n) Σ_x f3(x)·f1(xg⁻¹)·f2(gxg⁻¹)|²;
         bound = 5·D^(-1/4).  For a deterministic sample of g the squared inner
-        integral is re-derived from the dense pair-function expansion
-        (f_i ⊗ conj(f_i) integrated over X²) and must agree to 1e-10 — the
-        identity that justifies removing the absolute values.
+        integral is re-derived from its pair expansion (the integrand times
+        its conjugate, summed over X² in row chunks) and must agree to 1e-10
+        — the identity that justifies removing the absolute values.
         """
         self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
@@ -506,7 +498,6 @@ class Harmonic:
         observed = ‖E(F2·conj(F2)S̃^hT̃^h | Δ) − |(1/n) Σ f2·conj(f2(h·h⁻¹))|²‖
         in L²(μ⊗μ); bound = D^(-1/2), for the single element h.
         """
-        self.check_pair_cap("step4_lemma_substitution")
         self._require(f2, "f2", disc=True)
         f2_conj = self.conj_action(h, f2).values[None, :]  # validates h
         observed = float(self._substitution_distances(f2, f2_conj)[0])
@@ -531,7 +522,6 @@ class Harmonic:
 
     def step4_substitution_sweep(self, f2: GroupFunction) -> BoundCheck:
         """Worst case of step4_lemma_substitution over every h in the group."""
-        self.check_pair_cap("step4_lemma_substitution")
         self._require(f2, "f2", disc=True)
         worst = max(
             float(self._substitution_distances(f2, f2_conj).max())

@@ -42,15 +42,12 @@ class CheckSpec:
     changes the random streams.  ``kind`` is the input constraint set: "unit"
     vectors have L²(μ) norm 1 and "disc" vectors have |f| ≤ 1.  ``evaluate``
     maps ``arity`` raw vectors to BoundCheck records; corollary yields two.
-    ``pair_kernel`` names the dense-pair kernel the check runs, if any, whose
-    PAIR_SIZE_CAP is checked before the first trial; only step4sub has one.
     """
 
     tag: int
     kind: str
     arity: int
     evaluate: Callable[[Harmonic, Sequence[np.ndarray]], List[BoundCheck]]
-    pair_kernel: Optional[str] = None
 
 
 def _units(inputs: Sequence[np.ndarray]) -> List[GroupFunction]:
@@ -75,13 +72,7 @@ CHECKS: Dict[str, CheckSpec] = {
     "step2": CheckSpec(5, "disc", 3, lambda h, xs: [h.step2_squared(*_centered_first(xs))]),
     "step3": CheckSpec(6, "disc", 2, lambda h, xs: [h.step3_intermediate(*_centered_first(xs))]),
     "step4": CheckSpec(7, "disc", 2, lambda h, xs: [h.step4_final(*_centered_first(xs))]),
-    "step4sub": CheckSpec(
-        8,
-        "disc",
-        1,
-        lambda h, xs: [h.step4_substitution_sweep(*_discs(xs))],
-        pair_kernel="step4_lemma_substitution",
-    ),
+    "step4sub": CheckSpec(8, "disc", 1, lambda h, xs: [h.step4_substitution_sweep(*_discs(xs))]),
 }
 
 CHECK_ORDER: Tuple[str, ...] = tuple(CHECKS)
@@ -157,9 +148,7 @@ def run_verification(
     Trials are independent; with threads > 1 they are dispatched to a pool
     but reduced in trial order, so the emitted numbers do not depend on the
     thread count.  runtime_s stays null unless timings is requested, keeping
-    default reports byte-stable across machines.  A plan holding a check
-    whose dense-pair kernel exceeds PAIR_SIZE_CAP on this group is rejected
-    with ConstraintError before any trial runs.
+    default reports byte-stable across machines.
     """
     for check in checks:
         if check not in CHECKS:
@@ -167,9 +156,6 @@ def run_verification(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     plan = [c for c in CHECK_ORDER if c in set(checks)]
-    for check in plan:
-        if CHECKS[check].pair_kernel:
-            harmonic.check_pair_cap(CHECKS[check].pair_kernel)
 
     rows: List[TrialRow] = []
     failures: List[Tuple[str, int, Tuple[np.ndarray, ...]]] = []

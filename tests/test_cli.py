@@ -116,19 +116,25 @@ def test_threaded_fourier_checks_are_byte_identical(tmp_path):
     assert threaded[1] == serial[1]
 
 
-def test_capped_check_fails_before_any_trial(monkeypatch, capsys):
-    def never(*args):
-        raise AssertionError("a step3 trial ran before the plan was checked")
-
-    monkeypatch.setattr(Harmonic, "step3_intermediate", never)
-    rc = main(["verify", "--group", "sl2:13", "--check", "step3,step4sub", "--trials", "1"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "step4_lemma_substitution needs dense pair storage; order 2184 exceeds cap 2000" in err
+def test_step4sub_runs_above_the_old_pair_cap(subprocess_peak_mb, tmp_path):
+    # sl2:13 has order 2184, above the 2000 that once refused step4sub; the sweep
+    # is a chunked Plancherel sum, so the Fourier basis build sets the peak
+    out = tmp_path / "sl2-13.json"
+    script = (
+        "import json\n"
+        "from quasimix.cli import main\n"
+        f"out = {str(out)!r}\n"
+        "rc = main(['verify', '--group', 'sl2:13', '--check', 'step4sub', '--trials', '1',\n"
+        "           '--out', out])\n"
+        "assert rc == 0, rc\n"
+        "statuses = [r['status'] for r in json.load(open(out))['checks']]\n"
+        "assert statuses == ['pass'], statuses\n"
+    )
+    assert subprocess_peak_mb(script) < 250.0
 
 
 def test_lemma_runs_above_the_old_pair_cap(tmp_path):
-    # lemma keeps no pair storage, so orders past PAIR_SIZE_CAP run it too
+    # lemma keeps no pair storage, so it runs above order 2000 like every check
     out = tmp_path / "a7.json"
     assert main(["verify", "--group", "a:7", "--check", "lemma", "--trials", "1",
                  "--out", str(out)]) == 0

@@ -9,7 +9,7 @@ from oracles import (
     loop_permutation_table,
     loop_sl2_table,
 )
-from quasimix.cli import resolve_group
+from quasimix.cli import main, resolve_group
 from quasimix.groups import (
     MAX_ORDER,
     CayleyTableError,
@@ -309,3 +309,16 @@ def test_loader_error_positions():
         load_cayley_table("2\n0 1\n1 0\n0 1\n")
     with pytest.raises(CayleyTableError, match="expected 3 table rows, got 1"):
         load_cayley_table("3\n0 1 2\n")
+
+
+def test_loader_rejects_an_oversized_order_line_before_any_row(tmp_path, capsys):
+    message = f"order {MAX_ORDER + 1} exceeds the supported cap {MAX_ORDER}"
+    with pytest.raises(CayleyTableError, match=message):
+        load_cayley_table(f"{MAX_ORDER + 1}\n")
+    # the rows are never read, so a malformed first row is not what gets reported
+    with pytest.raises(CayleyTableError, match=message):
+        load_cayley_table(f"# big\n{MAX_ORDER + 1}\nnot a row\n")
+    path = tmp_path / "big.txt"
+    path.write_text(f"{MAX_ORDER + 1}\n")
+    assert main(["analyze", "--group", f"file:{path}"]) == 1
+    assert message in capsys.readouterr().err

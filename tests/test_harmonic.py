@@ -21,7 +21,7 @@ from oracles import (
     proj_fixed_tensor,
 )
 from quasimix.cli import resolve_group
-from quasimix.groups import build_cyclic, build_sl2
+from quasimix.groups import build_cyclic
 from quasimix.harmonic import (
     ConstraintError,
     GroupFunction,
@@ -164,16 +164,6 @@ def test_proj_fixed_tensor(s3_harmonic, s3):
     got = proj_fixed_tensor(s3_harmonic, u, v)
     expect = brute_fixed_tensor(s3, u.values, v.values)
     assert np.abs(got - expect).max() < 1e-13
-
-
-def test_pair_cap_blocks_large_groups():
-    big = harmonic_for(build_sl2(13))
-    assert big.degree == 6
-    u = sample_unit(big.n, np.random.default_rng(0))
-    with pytest.raises(ConstraintError, match="exceeds cap"):
-        proj_fixed_tensor(big, u, u)
-    with pytest.raises(ConstraintError, match="exceeds cap"):
-        big.step4_substitution_sweep(sample_disc(big.n, np.random.default_rng(1)))
 
 
 # -- inequality left-hand sides against brute loops --------------------------
@@ -373,11 +363,14 @@ def test_lemma_is_homogeneous_at_any_scale(kernel_harmonics, token):
 
 
 def test_lemma_and_corollary_above_the_old_pair_cap(subprocess_peak_mb):
-    # sl2:13 has order 2184 > PAIR_SIZE_CAP; no n×n complex array is built
+    # sl2:13 has order 2184, above the 2000 that once capped pair storage; no
+    # n×n complex array is built, neither by the kernels nor by the isotypic
+    # projection behind search's structured start
     script = (
         "import numpy as np\n"
+        "from quasimix.adversary import _structured_start\n"
         "from quasimix.groups import build_sl2\n"
-        "from quasimix.harmonic import harmonic_for, sample_unit\n"
+        "from quasimix.harmonic import GroupFunction, harmonic_for, sample_unit\n"
         "h = harmonic_for(build_sl2(13))\n"
         "rng = np.random.default_rng(0)\n"
         "u, v = sample_unit(h.n, rng), sample_unit(h.n, rng)\n"
@@ -385,6 +378,9 @@ def test_lemma_and_corollary_above_the_old_pair_cap(subprocess_peak_mb):
         "pub, sharp = h.corollary_lhs(u, v)\n"
         "assert 0.0 < lemma.observed < lemma.bound, lemma\n"
         "assert 0.0 < sharp.observed < sharp.bound, sharp\n"
+        "start = [GroupFunction(a) for a in _structured_start(h, 'lemma', rng)]\n"
+        "assert abs(start[0].norm2 - 1.0) < 1e-12, start[0].norm2\n"
+        "assert h.lemma_gap(*start).passed\n"
     )
     assert subprocess_peak_mb(script) < 150.0
 

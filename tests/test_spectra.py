@@ -8,9 +8,11 @@ from oracles import (
     brute_class_average,
     brute_class_constant,
     class_structure_constants,
+    dense_isotypic_project,
     regular_degrees,
     tensor_class_combination,
 )
+from quasimix.cli import resolve_group
 from quasimix.groups import (
     ConjugacyStructure,
     build_cyclic,
@@ -284,6 +286,19 @@ def test_trivial_projection_is_class_average(s3_spectral, s3):
         s3, s3_spectral.classes, s3_spectral.table, f, s3_spectral.table.trivial_row
     )
     assert np.abs(proj - brute_class_average(s3, f)).max() < 1e-12
+
+
+@pytest.mark.parametrize("token", ["sl2:7", "psl2:11"])
+def test_isotypic_project_matches_dense_gather_across_row_chunks(token):
+    # sl2:7 sums its h in 2 row chunks and psl2:11 in 7; orders up to 256 take one
+    group = resolve_group(token)
+    data = spectral_data(group)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    for row in range(data.classes.num_classes):
+        got = isotypic_project(group, data.classes, data.table, f, row)
+        expect = dense_isotypic_project(group, data.classes, data.table, f, row)
+        assert np.abs(got - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1.0)
 
 
 def test_isotypic_project_rejects_bad_shape(s3_spectral, s3):
