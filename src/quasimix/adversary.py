@@ -12,7 +12,18 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .harmonic import BoundCheck, ConstraintError, GroupFunction, Harmonic, sample_disc
+from ._numutil import abs2
+from .harmonic import (
+    BoundCheck,
+    ConstraintError,
+    GroupFunction,
+    Harmonic,
+    _corollary_observed,
+    _lemma_observed,
+    _step1_observed,
+    _theorem_observed,
+    sample_disc,
+)
 from .report import CHECK_ORDER, CHECKS
 from .spectra import isotypic_project
 
@@ -72,12 +83,15 @@ def _disc_clip(vals: np.ndarray) -> np.ndarray:
     return vals / scale
 
 
+def _unit_norm(vals: np.ndarray) -> float:
+    """The L²(μ) norm that _unit_sphere divides by: 1 for a vector too short to rescale."""
+    norm = float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+    return norm if norm >= 1e-12 else 1.0
+
+
 def _unit_sphere(vals: np.ndarray) -> np.ndarray:
     """Projection onto the unit sphere of L²(μ); leaves the zero vector alone."""
-    norm = float(np.sqrt(np.mean(np.abs(vals) ** 2)))
-    if norm < 1e-12:
-        return vals
-    return vals / norm
+    return vals / _unit_norm(vals)
 
 
 def evaluate_inputs(
@@ -140,8 +154,140 @@ def _structured_start(
     return _random_start(harmonic, objective, rng)
 
 
-def _project(kind: str, vals: np.ndarray) -> np.ndarray:
-    return _disc_clip(vals) if kind == "disc" else _unit_sphere(vals)
+class _TripleState:
+    """theorem or step1 at one point, as inner[g] = (1/n) Σ_x first(x)·f2(gx)·f3(xg).
+
+    ``first`` is f1 for theorem and f1 − mean(f1) for step1.  A move changes
+    one entry p of one input by δ, and that entry enters inner[g] in one term
+    per g: at x = p for f1, x = g⁻¹p for f2 and x = pg⁻¹ for f3.  theorem
+    also keeps mean(f1), E(f2|Φ) and E(f3|Φ) for its structured term; step1
+    keeps q[g] = (1/n) Σ_x f2(gx)·f3(xg), because moving f1 by δ shifts first
+    by −δ/n everywhere, which adds −(δ/n)·q[g].  The disc clip may also
+    re-round other entries that sit on the unit circle up to rounding; those
+    changes are left to the drift that the next full evaluation resets.
+    """
+
+    def __init__(self, harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
+        self.h = harmonic
+        self.step1 = objective == "step1"
+        self.inputs = [np.array(a, dtype=np.complex128) for a in inputs]
+        f1, f2, f3 = self.inputs
+        if self.step1:
+            self.first = f1 - f1.mean()
+            ones = np.ones(harmonic.n, dtype=np.complex128)
+            self.inner, self.q = harmonic._triple_inner(np.stack([self.first, ones]), f2, f3)
+        else:
+            self.first = f1
+            self.inner = harmonic._triple_inner(f1, f2, f3)
+            self.terms = [f1.mean(), harmonic._class_average(f2), harmonic._class_average(f3)]
+        self._pending = None
+
+    def propose(self, slot: int, pos: int, step: complex) -> float:
+        """The objective after adding step to input ``slot`` at pos and clipping to the disc."""
+        h = self.h
+        vals = self.inputs[slot].copy()
+        vals[pos] += step
+        vals = _disc_clip(vals)
+        delta = (vals[pos] - self.inputs[slot][pos]) / h.n
+        f2, f3 = self.inputs[1:]
+        if slot == 0:
+            pair = f2.take(h.mul[:, pos]) * f3.take(h.mul[pos])  # f2(gp)·f3(pg)
+            inner = self.inner + delta * pair
+        else:
+            if slot == 1:  # x = g⁻¹p, xg = g⁻¹pg
+                x, pair = h.mul[h.inv, pos], f3.take(h.conj[h.inv, pos])
+            else:  # x = pg⁻¹, gx = gpg⁻¹
+                x, pair = h.mul[pos, h.inv], f2.take(h.conj[:, pos])
+            inner = self.inner + delta * self.first.take(x) * pair
+        if self.step1:
+            if slot == 0:
+                inner -= delta * self.q
+                extra = self.q
+            else:
+                extra = self.q + delta * pair
+            value = _step1_observed(inner)
+        else:
+            extra = list(self.terms)
+            extra[slot] = vals.mean() if slot == 0 else h._class_average(vals)
+            value = _theorem_observed(inner, h._structured(*extra))
+        self._pending = (slot, vals, inner, extra)
+        return value
+
+    def accept(self) -> None:
+        """Move to the point of the last propose."""
+        slot, vals, self.inner, extra = self._pending
+        if self.step1:
+            self.q = extra
+        else:
+            self.terms = extra
+        self.inputs[slot] = vals
+        if slot == 0:
+            self.first = vals - vals.mean() if self.step1 else vals
+
+
+class _ConjState:
+    """lemma or corollary at one point, as centered conjugation coefficients.
+
+    With a₀ = a − E(a|Φ) and c(a, b)[g] = (1/n) Σ_x a(x)·conj b(gxg⁻¹), lemma
+    keeps c(u₀,u₀) and c(v₀,v₀), corollary keeps c(u₀,v₀).  Moving u by δ at
+    y shifts u₀ by Δ = δ·(e_y − 1_C/|C|) on y's class C.  Every centered function
+    sums to 0 over each class, so the constant part drops out of the cross
+    terms, and for every b₀
+      c(u₀ + Δ, b₀)[g] = c(u₀, b₀)[g] + (δ/n)·conj b₀(gyg⁻¹),
+      c(b₀, u₀ + Δ)[g] = c(b₀, u₀)[g] + (conj δ/n)·b₀(g⁻¹yg),
+      c(Δ, Δ)[g] = (|δ|²/n)·([g centralizes y] − 1/|C|).
+    Renormalizing to the unit sphere divides each coefficient by the norm
+    once per factor that moved.
+    """
+
+    def __init__(self, harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
+        self.h = harmonic
+        self.lemma = objective == "lemma"
+        self.inputs = [np.array(a, dtype=np.complex128) for a in inputs]
+        self.centered = [a - harmonic._class_average(a) for a in self.inputs]
+        if self.lemma:
+            self.coeffs = [harmonic._coefficients(a, a, "gxg^-1") for a in self.centered]
+        else:
+            self.coeffs = [harmonic._coefficients(*self.centered, "gxg^-1")]
+        self._pending = None
+
+    def propose(self, slot: int, pos: int, step: complex) -> float:
+        """The objective after adding step to input ``slot`` at pos and renormalizing."""
+        h = self.h
+        vals = self.inputs[slot].copy()
+        vals[pos] += step
+        norm = _unit_norm(vals)
+        delta = (vals[pos] - self.inputs[slot][pos]) / h.n
+        moved = h.conj[:, pos]  # gyg⁻¹ for every g
+        coeffs = list(self.coeffs)
+        if self.lemma:
+            a0 = self.centered[slot]
+            size = h.spectral.classes.class_sizes[h.spectral.classes.class_of[pos]]
+            square = (abs2(delta) * h.n) * ((moved == pos) - 1.0 / size)
+            cross = delta * np.conj(a0.take(moved)) + np.conj(delta) * a0.take(moved[h.inv])
+            coeffs[slot] = (coeffs[slot] + cross + square) / norm**2
+            value = _lemma_observed(*coeffs, h.group.identity)
+        else:
+            if slot == 0:
+                cross = delta * np.conj(self.centered[1].take(moved))
+            else:
+                cross = np.conj(delta) * self.centered[0].take(moved[h.inv])
+            coeffs[0] = (coeffs[0] + cross) / norm
+            value = _corollary_observed(coeffs[0])
+        self._pending = (slot, vals, norm, coeffs)
+        return value
+
+    def accept(self) -> None:
+        """Move to the point of the last propose."""
+        slot, vals, norm, self.coeffs = self._pending
+        self.inputs[slot] = vals / norm
+        self.centered[slot] = self.inputs[slot] - self.h._class_average(self.inputs[slot])
+
+
+def _seeded(harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
+    """A full evaluation of inputs, and the incremental state seeded at the same point."""
+    state = _TripleState if CHECKS[objective].kind == "disc" else _ConjState
+    return evaluate_inputs(harmonic, objective, inputs), state(harmonic, objective, inputs)
 
 
 def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
@@ -154,6 +300,12 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
     restart's evaluation budget; projection keeps every iterate feasible and
     only strict improvements are kept.  A zero budget evaluates the restart-0
     initial point and returns it.
+
+    Each move is judged on an incremental per-g state (_TripleState or
+    _ConjState) in O(n).  Every restart's initial point, and every accepted
+    point that beats the best so far, is evaluated in full by evaluate_inputs
+    and the state is re-seeded there, so best_value, best_check and the trace
+    are full evaluations and rounding drift never outlives a new best.
     """
     if config.budget == 0:
         restarts_run, per_restart = 1, 1
@@ -163,7 +315,6 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
         restarts_run, per_restart = config.restarts, config.budget // config.restarts
 
     hi, lo = config.step_schedule
-    kind = CHECKS[config.objective].kind
     best_value = -1.0
     best_inputs: Optional[List[np.ndarray]] = None
     best_check: Optional[BoundCheck] = None
@@ -173,33 +324,34 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
     for restart in range(restarts_run):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
         if restart % 2 == 0:
-            current = _random_start(harmonic, config.objective, rng)
+            start = _random_start(harmonic, config.objective, rng)
         else:
-            current = _structured_start(harmonic, config.objective, rng)
-        check = evaluate_inputs(harmonic, config.objective, current)
+            start = _structured_start(harmonic, config.objective, rng)
+        check, state = _seeded(harmonic, config.objective, start)
         value = check.observed
         evaluations += 1
         if value > best_value:
             best_value, best_check = value, check
-            best_inputs = [a.copy() for a in current]
+            best_inputs = [a.copy() for a in state.inputs]
         trace.append(best_value)
 
         for step_idx in range(per_restart - 1):
             frac = step_idx / max(per_restart - 2, 1)
             magnitude = hi + (lo - hi) * frac
-            slot = int(rng.integers(len(current)))
+            slot = int(rng.integers(len(state.inputs)))
             pos = int(rng.integers(harmonic.n))
-            candidate = [a.copy() for a in current]
             bump = complex(rng.standard_normal(), rng.standard_normal())
-            candidate[slot][pos] += magnitude * bump
-            candidate[slot] = _project(kind, candidate[slot])
-            cand_check = evaluate_inputs(harmonic, config.objective, candidate)
+            cand_value = state.propose(slot, pos, magnitude * bump)
             evaluations += 1
-            if cand_check.observed > value:
-                current, value, check = candidate, cand_check.observed, cand_check
-            if value > best_value:
-                best_value, best_check = value, cand_check
-                best_inputs = [a.copy() for a in current]
+            if cand_value > value:
+                state.accept()
+                value = cand_value
+                if value > best_value:
+                    check, state = _seeded(harmonic, config.objective, state.inputs)
+                    value = check.observed
+                    if value > best_value:
+                        best_value, best_check = value, check
+                        best_inputs = [a.copy() for a in state.inputs]
             trace.append(best_value)
 
     assert best_inputs is not None and best_check is not None

@@ -57,7 +57,9 @@ class GroupFunction:
     two_disc_valued: bool = False
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.complex128)
+        # a private copy: the caller's array stays writeable, and writes to it
+        # can neither fail nor bypass the flags checked here
+        vals = np.array(self.values, dtype=np.complex128, order="C")
         if vals.ndim != 1 or len(vals) == 0:
             raise ConstraintError(f"values must be a nonempty vector, got shape {vals.shape}")
         if self.disc_valued:
@@ -174,6 +176,38 @@ def _real_nonnegative(value: complex, what: str, scale: float = 1.0) -> float:
             raise RuntimeError(f"{what}: negative value {real} for a nonnegative quantity")
         real = 0.0
     return float(real)
+
+
+def _theorem_observed(inner: np.ndarray, structured: complex) -> float:
+    """theorem's value from inner[g] and the structured product term; at most 2 for disc inputs.
+
+    A value above the ceiling is an implementation bug and raised unconditionally.
+    """
+    observed = float(np.mean(np.abs(inner - structured)))
+    if observed > 2.0 + 1e-9:
+        raise RuntimeError(f"triple correlation deviation {observed} exceeds the ceiling 2")
+    return observed
+
+
+def _step1_observed(inner: np.ndarray) -> float:
+    """step1's value from inner[g] of the centered first input."""
+    return float(np.mean(np.abs(inner)))
+
+
+def _lemma_observed(cu: np.ndarray, cv: np.ndarray, identity: int) -> float:
+    """lemma's value sqrt(mean_g c(u₀,u₀)[g]·c(v₀,v₀)[g]).
+
+    The guard's scale is ‖u₀‖₂²‖v₀‖₂² = |c(u₀,u₀)[e]·c(v₀,v₀)[e]|, so its
+    tolerance is relative and an input of any norm never raises spuriously.
+    """
+    scale = abs(complex(cu[identity] * cv[identity]))
+    total = complex(np.mean(cu * cv))
+    return float(np.sqrt(_real_nonnegative(total, "lemma_gap", scale)))
+
+
+def _corollary_observed(cuv: np.ndarray) -> float:
+    """corollary's value mean_g |c(u₀,v₀)[g]|²."""
+    return float(np.mean(abs2(cuv)))
 
 
 @dataclass(eq=False)
@@ -325,9 +359,8 @@ class Harmonic:
         u0 = u.values - self._class_average(u.values)
         v0 = v.values - self._class_average(v.values)
         cu = self._coefficients(u0, u0, "gxg^-1")
-        total = np.mean(cu * self._coefficients(v0, v0, "gxg^-1"))
-        scale = float(np.mean(abs2(u0)) * np.mean(abs2(v0)))
-        observed = float(np.sqrt(_real_nonnegative(complex(total), "lemma_gap", scale)))
+        cv = self._coefficients(v0, v0, "gxg^-1")
+        observed = _lemma_observed(cu, cv, self.group.identity)
         bound = self.degree_power(-0.5) * u.norm2 * v.norm2
         return self._check("lemma", observed, bound)
 
@@ -344,27 +377,35 @@ class Harmonic:
         self._require(v, "v")
         u0 = u.values - self._class_average(u.values)
         v0 = v.values - self._class_average(v.values)
-        observed = float(np.mean(abs2(self._coefficients(u0, v0, "gxg^-1"))))
+        observed = _corollary_observed(self._coefficients(u0, v0, "gxg^-1"))
         scale = u.norm2**2 * v.norm2**2
         published = self._check("corollary", observed, self.degree_power(-0.5) * scale)
         sharp = self._check("corollary_sharp", observed, self.degree_power(-1.0) * scale)
         return published, sharp
 
-    def _triple_inner(
-        self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction
-    ) -> np.ndarray:
-        """inner[g] = (1/n) Σ_x f1(x)·f2(gx)·f3(xg).
+    def _triple_inner(self, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
+        """inner[g] = (1/n) Σ_x f1(x)·f2(gx)·f3(xg); f1 may stack several first factors as rows.
 
         Reduced with an elementwise triple product and a mean rather than a
-        matrix-vector product; theorem_lhs evaluates its structured term
+        matrix-vector product; _structured evaluates theorem's structured term
         through this same kernel shape so the two cancel exactly (not just to
-        rounding) on the one-element group.
+        rounding) on the one-element group.  Stacked rows share one gather.
         """
-        chunks = [
-            np.mean(a * b * f1.values[None, :], axis=1)
-            for _, (a, b) in self._gathered((f2.values, "gx"), (f3.values, "xg"))
-        ]
-        return np.concatenate(chunks)
+        firsts = np.atleast_2d(f1)
+        inner = np.empty((len(firsts), self.n), dtype=np.complex128)
+        for rows, (a, b) in self._gathered((f2, "gx"), (f3, "xg")):
+            for out, first in zip(inner, firsts):
+                out[rows] = np.mean(a * b * first[None, :], axis=1)
+        return inner.reshape(np.shape(f1))
+
+    def _structured(self, m1: complex, e2: np.ndarray, e3: np.ndarray) -> complex:
+        """theorem's structured term m1·(1/n) Σ_x e2(x)·e3(x), e_i = E(f_i|Φ), m1 = mean(f1).
+
+        Same elementwise product-then-mean kernel as _triple_inner (the
+        vectorized multiply may fuse differently from scalar arithmetic), so
+        the deviation cancels bitwise on the one-element group.
+        """
+        return complex(np.mean(e2 * e3 * np.full(self.n, m1)))
 
     def theorem_lhs(
         self,
@@ -381,17 +422,11 @@ class Harmonic:
         """
         for f, name in ((f1, "f1"), (f2, "f2"), (f3, "f3")):
             self._require(f, name, disc=True)
-        inner = self._triple_inner(f1, f2, f3)
-        e2 = self._class_average(f2.values)
-        e3 = self._class_average(f3.values)
-        # Same elementwise product-then-mean kernel as _triple_inner (the
-        # vectorized multiply may fuse differently from scalar arithmetic), so
-        # the deviation cancels bitwise on the one-element group.
-        m1 = np.full(self.n, f1.values.mean())
-        structured = complex(np.mean(e2 * e3 * m1))
-        observed = float(np.mean(np.abs(inner - structured)))
-        if observed > 2.0 + 1e-9:
-            raise RuntimeError(f"triple correlation deviation {observed} exceeds the ceiling 2")
+        inner = self._triple_inner(f1.values, f2.values, f3.values)
+        structured = self._structured(
+            f1.values.mean(), self._class_average(f2.values), self._class_average(f3.values)
+        )
+        observed = _theorem_observed(inner, structured)
         bound = 4.0 * self.degree_power(-0.125)
         return self._check("theorem", observed, bound)
 
@@ -409,8 +444,7 @@ class Harmonic:
         self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
         self._require(f3, "f3", disc=True)
-        inner = self._triple_inner(f1, f2, f3)
-        observed = float(np.mean(np.abs(inner)))
+        observed = _step1_observed(self._triple_inner(f1.values, f2.values, f3.values))
         bound = 3.0 * self.degree_power(-0.125)
         return self._check("step1", observed, bound)
 

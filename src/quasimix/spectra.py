@@ -413,10 +413,10 @@ def _irreducible_frame(
     for _ in range(DEFAULT_ATTEMPTS):
         c = _gaussian(rng, n)
         c = (c + np.conj(c[group.inv])) / 2
-        turned = np.empty_like(frame)
+        # herm = frame* R frame, summed over row chunks of R[x, y] = c(x^-1 y)
+        herm = np.zeros((d * d, d * d), dtype=np.complex128)
         for rows in row_chunks(n, n):
-            turned[rows] = c[group.mul[group.inv[rows]]] @ frame
-        herm = frame.conj().T @ turned
+            herm += frame[rows].conj().T @ (c[group.mul[group.inv[rows]]] @ frame)
         evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
         scale = float(np.abs(evals).max())
         if evals[d - 1] - evals[0] > BASIS_TOL * scale:

@@ -11,7 +11,16 @@ from itertools import permutations
 
 import numpy as np
 
+from quasimix.adversary import (
+    SearchResult,
+    _disc_clip,
+    _random_start,
+    _structured_start,
+    _unit_sphere,
+    evaluate_inputs,
+)
 from quasimix.groups import group_from_table
+from quasimix.report import CHECKS
 
 
 def brute_conjugacy_partition(group):
@@ -423,3 +432,66 @@ def loop_sl2_table(p, projective=False):
     for i in range(n):
         mul[i] = lookup[_sl2_codes(_matmul_mod(mats[i], mats, p), p)]
     return group_from_table(mul, name=f"{'psl2' if projective else 'sl2'}:{p}")
+
+
+def full_maximize(harmonic, config):
+    """maximize with a full evaluate_inputs call per move: O(n²) per move, no incremental state.
+
+    The same restarts, random draws and strict-improvement rule as
+    quasimix.adversary.maximize; every candidate is copied, projected and
+    evaluated from scratch.
+    """
+    if config.budget == 0:
+        restarts_run, per_restart = 1, 1
+    elif config.budget < config.restarts:
+        restarts_run, per_restart = config.budget, 1
+    else:
+        restarts_run, per_restart = config.restarts, config.budget // config.restarts
+
+    hi, lo = config.step_schedule
+    kind = CHECKS[config.objective].kind
+    best_value = -1.0
+    best_inputs = best_check = None
+    trace = []
+    evaluations = 0
+
+    for restart in range(restarts_run):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
+        if restart % 2 == 0:
+            current = _random_start(harmonic, config.objective, rng)
+        else:
+            current = _structured_start(harmonic, config.objective, rng)
+        check = evaluate_inputs(harmonic, config.objective, current)
+        value = check.observed
+        evaluations += 1
+        if value > best_value:
+            best_value, best_check = value, check
+            best_inputs = [a.copy() for a in current]
+        trace.append(best_value)
+
+        for step_idx in range(per_restart - 1):
+            frac = step_idx / max(per_restart - 2, 1)
+            magnitude = hi + (lo - hi) * frac
+            slot = int(rng.integers(len(current)))
+            pos = int(rng.integers(harmonic.n))
+            candidate = [a.copy() for a in current]
+            bump = complex(rng.standard_normal(), rng.standard_normal())
+            candidate[slot][pos] += magnitude * bump
+            project = _disc_clip if kind == "disc" else _unit_sphere
+            candidate[slot] = project(candidate[slot])
+            cand_check = evaluate_inputs(harmonic, config.objective, candidate)
+            evaluations += 1
+            if cand_check.observed > value:
+                current, value, check = candidate, cand_check.observed, cand_check
+            if value > best_value:
+                best_value, best_check = value, cand_check
+                best_inputs = [a.copy() for a in current]
+            trace.append(best_value)
+
+    return SearchResult(
+        best_value=best_value,
+        best_inputs=tuple(best_inputs),
+        best_check=best_check,
+        evaluations_used=evaluations,
+        trace=trace,
+    )

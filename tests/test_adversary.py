@@ -3,12 +3,20 @@
 import numpy as np
 import pytest
 
+from oracles import full_maximize
 from quasimix.adversary import (
+    OBJECTIVES,
     SearchConfig,
+    _disc_clip,
+    _random_start,
+    _seeded,
+    _structured_start,
+    _unit_sphere,
     evaluate_inputs,
     maximize,
     witness_abelian_character,
 )
+from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic, build_sl2
 from quasimix.harmonic import ConstraintError, harmonic_for, sample_disc, sample_unit
 from quasimix.report import CHECK_ORDER, CHECKS, run_verification
@@ -87,7 +95,8 @@ def test_best_inputs_reevaluate_to_best_value(s3_harmonic):
     for objective in ("theorem", "step1", "lemma", "corollary"):
         res = maximize(s3_harmonic, SearchConfig(objective, budget=40, seed=5))
         again = evaluate_inputs(s3_harmonic, objective, res.best_inputs)
-        assert abs(again.observed - res.best_value) < 1e-12, objective
+        assert again.observed == res.best_value, objective
+        assert again == res.best_check, objective
 
 
 # (seed tag, sampler, arity) of verify's trial streams; tags must never change.
@@ -168,3 +177,61 @@ def test_theorem_search_trend_across_degrees(sl2_5_harmonic, sl2_7_harmonic):
         best[p] = maximize(h, SearchConfig("theorem", budget=200, seed=2)).best_value
     assert best[5] >= best[7] - 0.02
     assert best[7] >= best[11] - 0.02
+
+
+# -- the incremental search state against full evaluation --------------------
+
+_STATE_GROUPS = ("s:3", "a:5", "sl2:5", "z:60")
+
+
+@pytest.fixture(scope="module")
+def state_harmonics():
+    return {token: harmonic_for(resolve_group(token)) for token in _STATE_GROUPS}
+
+
+@pytest.mark.parametrize("token", _STATE_GROUPS)
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_incremental_value_matches_full_evaluation_after_every_move(
+    state_harmonics, token, objective
+):
+    # moves as maximize draws them, from a random and a structured start; the
+    # state is never re-seeded, so drift accumulates over the whole walk, and
+    # every third move is taken even when it is worse
+    h = state_harmonics[token]
+    project = _disc_clip if CHECKS[objective].kind == "disc" else _unit_sphere
+    abelian_zero = token == "z:60" and objective in ("lemma", "corollary")
+    for start in (_random_start, _structured_start):
+        rng = np.random.default_rng(np.random.SeedSequence((17, len(token))))
+        check, state = _seeded(h, objective, start(h, objective, rng))
+        value = check.observed
+        for move in range(60):
+            slot = int(rng.integers(len(state.inputs)))
+            pos = int(rng.integers(h.n))
+            step = 0.4 * complex(rng.standard_normal(), rng.standard_normal())
+            cand_value = state.propose(slot, pos, step)
+            candidate = list(state.inputs)
+            vals = candidate[slot].copy()
+            vals[pos] += step
+            candidate[slot] = project(vals)
+            full = evaluate_inputs(h, objective, candidate).observed
+            assert abs(cand_value - full) <= 1e-12 * max(1.0, full), (move, cand_value, full)
+            if abelian_zero:
+                assert cand_value == 0.0 and full == 0.0
+            if cand_value > value or move % 3 == 0:
+                state.accept()
+                value = cand_value
+                for got, want in zip(state.inputs, candidate):
+                    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("token", _STATE_GROUPS)
+def test_maximize_agrees_with_full_reevaluation_oracle(state_harmonics, token):
+    h = state_harmonics[token]
+    for objective in OBJECTIVES:
+        cfg = SearchConfig(objective, budget=80, seed=3)
+        fast, full = maximize(h, cfg), full_maximize(h, cfg)
+        assert fast.evaluations_used == full.evaluations_used == 80
+        assert abs(fast.best_value - full.best_value) <= 1e-12, objective
+        if token == "z:60" and objective in ("lemma", "corollary"):
+            assert fast.best_value == full.best_value == 0.0
+            assert fast.trace == full.trace == [0.0] * 80

@@ -65,6 +65,18 @@ def test_values_are_read_only():
         f.values[0] = 1.0
 
 
+def test_values_are_a_private_copy():
+    # the caller's array stays writeable, and writing it cannot change the
+    # values whose flags were checked at construction
+    x = np.ones(4, dtype=complex)
+    f = GroupFunction(x, disc_valued=True)
+    assert f.values is not x
+    assert x.flags.writeable
+    x[0] = 5.0
+    assert f.values[0] == 1.0
+    assert np.abs(f.values).max() <= 1.0
+
+
 def test_centered_properties():
     f = _rand_disc(12, 0)
     g = centered(f)
