@@ -22,6 +22,7 @@ from .harmonic import (
     _lemma_observed,
     _step1_observed,
     _theorem_observed,
+    centered,
     sample_disc,
 )
 from .report import CHECK_ORDER, CHECKS
@@ -85,7 +86,8 @@ def _disc_clip(vals: np.ndarray) -> np.ndarray:
 
 def _unit_norm(vals: np.ndarray) -> float:
     """The L²(μ) norm that _unit_sphere divides by: 1 for a vector too short to rescale."""
-    norm = float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+    squares = np.abs(vals) ** 2
+    norm = float(np.sqrt(squares.sum() / squares.size))
     return norm if norm >= 1e-12 else 1.0
 
 
@@ -99,8 +101,9 @@ def evaluate_inputs(
 ) -> BoundCheck:
     """Run any check in CHECKS on raw input vectors; corollary gives its published record.
 
-    This is the evaluator verify uses and the code path the search uses for
-    every iterate, which makes a dumped input tuple exactly reproducible.
+    This is the evaluator verify uses.  The search evaluates each restart's
+    initial point and each new best through the same Harmonic code (see
+    maximize), so a dumped input tuple reproduces its value exactly.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {CHECK_ORDER}")
@@ -165,21 +168,24 @@ class _TripleState:
     by −δ/n everywhere, which adds −(δ/n)·q[g].  The disc clip may also
     re-round other entries that sit on the unit circle up to rounding; those
     changes are left to the drift that the next full evaluation resets.
+    Construction is that full evaluation: ``check`` is the BoundCheck of
+    theorem_lhs or step1_reduced_lhs, reduced from the arrays the state keeps.
     """
 
     def __init__(self, harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
         self.h = harmonic
         self.step1 = objective == "step1"
-        self.inputs = [np.array(a, dtype=np.complex128) for a in inputs]
-        f1, f2, f3 = self.inputs
+        f1, f2, f3 = (GroupFunction(a, disc_valued=True) for a in inputs)
+        self.inputs = [f.values for f in (f1, f2, f3)]
         if self.step1:
-            self.first = f1 - f1.mean()
-            ones = np.ones(harmonic.n, dtype=np.complex128)
-            self.inner, self.q = harmonic._triple_inner(np.stack([self.first, ones]), f2, f3)
+            first = centered(f1)
+            self.inner, self.q = harmonic._step1_parts(first, f2, f3, pair_sums=True)
+            self.check = harmonic._step1_check(self.inner)
         else:
-            self.first = f1
-            self.inner = harmonic._triple_inner(f1, f2, f3)
-            self.terms = [f1.mean(), harmonic._class_average(f2), harmonic._class_average(f3)]
+            first = f1
+            self.inner, self.terms = harmonic._theorem_parts(f1, f2, f3)
+            self.check = harmonic._theorem_check(self.inner, self.terms)
+        self.first = first.values
         self._pending = None
 
     def propose(self, slot: int, pos: int, step: complex) -> float:
@@ -237,18 +243,22 @@ class _ConjState:
       c(b₀, u₀ + Δ)[g] = c(b₀, u₀)[g] + (conj δ/n)·b₀(g⁻¹yg),
       c(Δ, Δ)[g] = (|δ|²/n)·([g centralizes y] − 1/|C|).
     Renormalizing to the unit sphere divides each coefficient by the norm
-    once per factor that moved.
+    once per factor that moved.  Construction is a full evaluation: ``check``
+    is the BoundCheck of lemma_gap or corollary_lhs (its published record),
+    reduced from the coefficients the state keeps.
     """
 
     def __init__(self, harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
         self.h = harmonic
         self.lemma = objective == "lemma"
-        self.inputs = [np.array(a, dtype=np.complex128) for a in inputs]
-        self.centered = [a - harmonic._class_average(a) for a in self.inputs]
+        u, v = (GroupFunction(a) for a in inputs)
+        self.inputs = [u.values, v.values]
         if self.lemma:
-            self.coeffs = [harmonic._coefficients(a, a, "gxg^-1") for a in self.centered]
+            self.centered, self.coeffs = harmonic._lemma_parts(u, v)
+            self.check = harmonic._lemma_check(u, v, self.coeffs)
         else:
-            self.coeffs = [harmonic._coefficients(*self.centered, "gxg^-1")]
+            self.centered, self.coeffs = harmonic._corollary_parts(u, v)
+            self.check = harmonic._corollary_checks(u, v, self.coeffs)[0]
         self._pending = None
 
     def propose(self, slot: int, pos: int, step: complex) -> float:
@@ -285,9 +295,10 @@ class _ConjState:
 
 
 def _seeded(harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
-    """A full evaluation of inputs, and the incremental state seeded at the same point."""
+    """A full evaluation of inputs, and the incremental state seeded from its per-g arrays."""
     state = _TripleState if CHECKS[objective].kind == "disc" else _ConjState
-    return evaluate_inputs(harmonic, objective, inputs), state(harmonic, objective, inputs)
+    seeded = state(harmonic, objective, inputs)
+    return seeded.check, seeded
 
 
 def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
@@ -303,9 +314,12 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
 
     Each move is judged on an incremental per-g state (_TripleState or
     _ConjState) in O(n).  Every restart's initial point, and every accepted
-    point that beats the best so far, is evaluated in full by evaluate_inputs
-    and the state is re-seeded there, so best_value, best_check and the trace
-    are full evaluations and rounding drift never outlives a new best.
+    point that beats the best so far, is evaluated in full, in one O(n²) pass
+    through the Harmonic code that evaluate_inputs runs, and the state is
+    re-seeded from that evaluation's own per-g arrays.  So best_value,
+    best_check and the trace are full evaluations (best_check equals
+    evaluate_inputs of best_inputs), and rounding drift never outlives a new
+    best.
     """
     if config.budget == 0:
         restarts_run, per_restart = 1, 1

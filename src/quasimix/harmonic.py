@@ -182,8 +182,11 @@ def _theorem_observed(inner: np.ndarray, structured: complex) -> float:
     """theorem's value from inner[g] and the structured product term; at most 2 for disc inputs.
 
     A value above the ceiling is an implementation bug and raised unconditionally.
+    This and the next three reductions take a sum and one division: np.mean's
+    numbers without its per-call overhead, which the search pays on every move.
     """
-    observed = float(np.mean(np.abs(inner - structured)))
+    deviation = np.abs(inner - structured)
+    observed = float(deviation.sum() / deviation.size)
     if observed > 2.0 + 1e-9:
         raise RuntimeError(f"triple correlation deviation {observed} exceeds the ceiling 2")
     return observed
@@ -191,7 +194,7 @@ def _theorem_observed(inner: np.ndarray, structured: complex) -> float:
 
 def _step1_observed(inner: np.ndarray) -> float:
     """step1's value from inner[g] of the centered first input."""
-    return float(np.mean(np.abs(inner)))
+    return float(np.abs(inner).sum() / inner.size)
 
 
 def _lemma_observed(cu: np.ndarray, cv: np.ndarray, identity: int) -> float:
@@ -201,13 +204,13 @@ def _lemma_observed(cu: np.ndarray, cv: np.ndarray, identity: int) -> float:
     tolerance is relative and an input of any norm never raises spuriously.
     """
     scale = abs(complex(cu[identity] * cv[identity]))
-    total = complex(np.mean(cu * cv))
+    total = complex((cu * cv).sum() / cu.size)
     return float(np.sqrt(_real_nonnegative(total, "lemma_gap", scale)))
 
 
 def _corollary_observed(cuv: np.ndarray) -> float:
     """corollary's value mean_g |c(u₀,v₀)[g]|²."""
-    return float(np.mean(abs2(cuv)))
+    return float(abs2(cuv).sum() / cuv.size)
 
 
 @dataclass(eq=False)
@@ -354,13 +357,22 @@ class Harmonic:
         idempotent, hence observed² = ⟨P°(u₀⊗v₀), u₀⊗v₀⟩ =
         mean_g c(u₀,u₀)[g]·c(v₀,v₀)[g], two O(n²) gathers and no pair function.
         """
+        _, coeffs = self._lemma_parts(u, v)
+        return self._lemma_check(u, v, coeffs)
+
+    def _centered_pair(self, u: GroupFunction, v: GroupFunction):
+        """Validate u and v and return u₀ = u − E(u|Φ), v₀ = v − E(v|Φ)."""
         self._require(u, "u")
         self._require(v, "v")
-        u0 = u.values - self._class_average(u.values)
-        v0 = v.values - self._class_average(v.values)
-        cu = self._coefficients(u0, u0, "gxg^-1")
-        cv = self._coefficients(v0, v0, "gxg^-1")
-        observed = _lemma_observed(cu, cv, self.group.identity)
+        return [f.values - self._class_average(f.values) for f in (u, v)]
+
+    def _lemma_parts(self, u: GroupFunction, v: GroupFunction):
+        """lemma_gap's per-g arrays: [u₀, v₀] and [c(u₀,u₀), c(v₀,v₀)]."""
+        centered = self._centered_pair(u, v)
+        return centered, [self._coefficients(a, a, "gxg^-1") for a in centered]
+
+    def _lemma_check(self, u: GroupFunction, v: GroupFunction, coeffs) -> BoundCheck:
+        observed = _lemma_observed(*coeffs, self.group.identity)
         bound = self.degree_power(-0.5) * u.norm2 * v.norm2
         return self._check("lemma", observed, bound)
 
@@ -373,39 +385,56 @@ class Harmonic:
         observed = mean_g |c(u₀,v₀)[g]|².  Two checks are returned for the same
         observed value: the D^(-1/2)·‖u‖₂²‖v‖₂² bound and the sharper D^(-1) one.
         """
-        self._require(u, "u")
-        self._require(v, "v")
-        u0 = u.values - self._class_average(u.values)
-        v0 = v.values - self._class_average(v.values)
-        observed = _corollary_observed(self._coefficients(u0, v0, "gxg^-1"))
+        _, coeffs = self._corollary_parts(u, v)
+        return self._corollary_checks(u, v, coeffs)
+
+    def _corollary_parts(self, u: GroupFunction, v: GroupFunction):
+        """corollary_lhs's per-g arrays: [u₀, v₀] and [c(u₀,v₀)]."""
+        centered = self._centered_pair(u, v)
+        return centered, [self._coefficients(*centered, "gxg^-1")]
+
+    def _corollary_checks(
+        self, u: GroupFunction, v: GroupFunction, coeffs
+    ) -> Tuple[BoundCheck, BoundCheck]:
+        observed = _corollary_observed(*coeffs)
         scale = u.norm2**2 * v.norm2**2
         published = self._check("corollary", observed, self.degree_power(-0.5) * scale)
         sharp = self._check("corollary_sharp", observed, self.degree_power(-1.0) * scale)
         return published, sharp
 
-    def _triple_inner(self, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
-        """inner[g] = (1/n) Σ_x f1(x)·f2(gx)·f3(xg); f1 may stack several first factors as rows.
+    def _triple_inner(
+        self, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, pair_sums: bool = False
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """inner[g] = (1/n) Σ_x f1(x)·f2(gx)·f3(xg), and q[g] = (1/n) Σ_x f2(gx)·f3(xg) or None.
 
         Reduced with an elementwise triple product and a mean rather than a
-        matrix-vector product; _structured evaluates theorem's structured term
-        through this same kernel shape so the two cancel exactly (not just to
-        rounding) on the one-element group.  Stacked rows share one gather.
+        matrix-vector product, multiplying each gathered block in place;
+        _structured evaluates theorem's structured term with the same in-place
+        products so the two cancel exactly (not just to rounding) on the
+        one-element group.  q, computed only with pair_sums, comes from the
+        same gather between the two products.
         """
-        firsts = np.atleast_2d(f1)
-        inner = np.empty((len(firsts), self.n), dtype=np.complex128)
+        inner = np.empty(self.n, dtype=np.complex128)
+        q = np.empty(self.n, dtype=np.complex128) if pair_sums else None
         for rows, (a, b) in self._gathered((f2, "gx"), (f3, "xg")):
-            for out, first in zip(inner, firsts):
-                out[rows] = np.mean(a * b * first[None, :], axis=1)
-        return inner.reshape(np.shape(f1))
+            a *= b
+            if q is not None:
+                q[rows] = a.sum(axis=1) / self.n
+            a *= f1
+            inner[rows] = a.sum(axis=1) / self.n
+        return inner, q
 
     def _structured(self, m1: complex, e2: np.ndarray, e3: np.ndarray) -> complex:
         """theorem's structured term m1·(1/n) Σ_x e2(x)·e3(x), e_i = E(f_i|Φ), m1 = mean(f1).
 
-        Same elementwise product-then-mean kernel as _triple_inner (the
-        vectorized multiply may fuse differently from scalar arithmetic), so
-        the deviation cancels bitwise on the one-element group.
+        The same in-place products as _triple_inner: numpy's in-place and
+        out-of-place multiplies may round a one-element array differently, and
+        the deviation must cancel bitwise on the one-element group.
         """
-        return complex(np.mean(e2 * e3 * np.full(self.n, m1)))
+        p = np.array(e2)
+        p *= e3
+        p *= np.full(self.n, m1)
+        return complex(p.sum() / p.size)
 
     def theorem_lhs(
         self,
@@ -420,13 +449,18 @@ class Harmonic:
         bound = 4·D^(-1/8).  Disc-valued inputs force observed ≤ 2, which is
         asserted unconditionally (a violation is an implementation bug).
         """
+        return self._theorem_check(*self._theorem_parts(f1, f2, f3))
+
+    def _theorem_parts(self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction):
+        """theorem_lhs's per-g arrays: inner[g], and [mean(f1), E(f2|Φ), E(f3|Φ)]."""
         for f, name in ((f1, "f1"), (f2, "f2"), (f3, "f3")):
             self._require(f, name, disc=True)
-        inner = self._triple_inner(f1.values, f2.values, f3.values)
-        structured = self._structured(
-            f1.values.mean(), self._class_average(f2.values), self._class_average(f3.values)
-        )
-        observed = _theorem_observed(inner, structured)
+        inner, _ = self._triple_inner(f1.values, f2.values, f3.values)
+        terms = [f1.values.mean(), self._class_average(f2.values), self._class_average(f3.values)]
+        return inner, terms
+
+    def _theorem_check(self, inner: np.ndarray, terms) -> BoundCheck:
+        observed = _theorem_observed(inner, self._structured(*terms))
         bound = 4.0 * self.degree_power(-0.125)
         return self._check("theorem", observed, bound)
 
@@ -441,10 +475,20 @@ class Harmonic:
         observed = (1/n) Σ_g |(1/n) Σ_x f1(x)f2(gx)f3(xg)| with f1 in the
         radius-2 disc, mean-zero, ‖f1‖₂ ≤ 1; bound = 3·D^(-1/8).
         """
+        inner, _ = self._step1_parts(f1, f2, f3)
+        return self._step1_check(inner)
+
+    def _step1_parts(
+        self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction, pair_sums: bool = False
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """step1_reduced_lhs's per-g arrays: inner[g], and q[g] with pair_sums (_triple_inner)."""
         self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
         self._require(f3, "f3", disc=True)
-        observed = _step1_observed(self._triple_inner(f1.values, f2.values, f3.values))
+        return self._triple_inner(f1.values, f2.values, f3.values, pair_sums)
+
+    def _step1_check(self, inner: np.ndarray) -> BoundCheck:
+        observed = _step1_observed(inner)
         bound = 3.0 * self.degree_power(-0.125)
         return self._check("step1", observed, bound)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import quasimix.adversary as adversary
 from oracles import full_maximize
 from quasimix.adversary import (
     OBJECTIVES,
@@ -18,7 +19,7 @@ from quasimix.adversary import (
 )
 from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic, build_sl2
-from quasimix.harmonic import ConstraintError, harmonic_for, sample_disc, sample_unit
+from quasimix.harmonic import ConstraintError, Harmonic, harmonic_for, sample_disc, sample_unit
 from quasimix.report import CHECK_ORDER, CHECKS, run_verification
 
 
@@ -151,10 +152,13 @@ def test_z3_search_recovers_no_decay():
 
 
 def test_trivial_group_search_is_all_zero():
+    # exact zeros: on one element the triple kernel and theorem's structured
+    # term must round identically, and every centered input vanishes
     h = harmonic_for(build_cyclic(1))
-    res = maximize(h, SearchConfig("theorem", budget=10, seed=0))
-    assert res.best_value == 0.0
-    assert res.best_check.bound == 0.0
+    for objective in OBJECTIVES:
+        res = maximize(h, SearchConfig(objective, budget=10, seed=0))
+        assert res.best_value == 0.0, objective
+        assert res.best_check.bound == 0.0, objective
 
 
 def test_sl2_5_corollary_search_respects_sharp_cap(sl2_5_harmonic):
@@ -235,3 +239,36 @@ def test_maximize_agrees_with_full_reevaluation_oracle(state_harmonics, token):
         if token == "z:60" and objective in ("lemma", "corollary"):
             assert fast.best_value == full.best_value == 0.0
             assert fast.trace == full.trace == [0.0] * 80
+
+
+# O(n²) kernel calls of one full evaluation of each objective
+_KERNEL_CALLS = {"theorem": 1, "step1": 1, "lemma": 2, "corollary": 1}
+
+
+@pytest.mark.parametrize("token", ("s:3", "a:5"))
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_one_kernel_pass_per_full_evaluation(monkeypatch, state_harmonics, token, objective):
+    # the state is seeded from the full evaluation's own per-g arrays, so a
+    # search runs the gather kernels once per restart and re-evaluated new best
+    calls = {"kernel": 0, "seeds": 0}
+    for name in ("_triple_inner", "_coefficients"):
+        def counted(self, *args, _kernel=getattr(Harmonic, name), **kwargs):
+            calls["kernel"] += 1
+            return _kernel(self, *args, **kwargs)
+
+        monkeypatch.setattr(Harmonic, name, counted)
+
+    def counted_seed(*args, _seeded=adversary._seeded):
+        calls["seeds"] += 1
+        return _seeded(*args)
+
+    monkeypatch.setattr(adversary, "_seeded", counted_seed)
+    h = state_harmonics[token]
+    start = _random_start(h, objective, np.random.default_rng(0))
+    evaluate_inputs(h, objective, start)
+    assert calls["kernel"] == _KERNEL_CALLS[objective]
+    calls["kernel"] = 0
+    cfg = SearchConfig(objective, budget=200, seed=3)
+    maximize(h, cfg)
+    assert calls["seeds"] > cfg.restarts  # new bests were re-evaluated, not only starts
+    assert calls["kernel"] == calls["seeds"] * _KERNEL_CALLS[objective]

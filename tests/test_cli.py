@@ -204,10 +204,15 @@ def test_bound_failure_exits_two_and_dumps_reproducer(tmp_path, monkeypatch):
 def test_search_violation_exits_two_and_dumps_reproducer(
     tmp_path, monkeypatch, capsys, objective
 ):
-    def failing_evaluator(harmonic, check, inputs):
-        return BoundCheck(quantity_name=check, observed=3.0, bound=1.0, margin=-2.0)
+    # maximize takes each full evaluation from the state's seed (_seeded), so a
+    # failing check is injected there, with the real state for the moves
+    seeded = quasimix.adversary._seeded
 
-    monkeypatch.setattr(quasimix.adversary, "evaluate_inputs", failing_evaluator)
+    def failing_seed(harmonic, check, inputs):
+        _, state = seeded(harmonic, check, inputs)
+        return BoundCheck(quantity_name=check, observed=3.0, bound=1.0, margin=-2.0), state
+
+    monkeypatch.setattr(quasimix.adversary, "_seeded", failing_seed)
     out = tmp_path / "search.json"
     argv = ["search", "--group", "z:4", "--objective", objective,
             "--budget", "8", "--seed", "11", "--out", str(out)]
