@@ -26,7 +26,6 @@ from .spectra import (
     character_table,
     class_algebra,
     conjugation_multiplicity,
-    is_multiplicity_free,
     isotypic_project,
     quasirandomness_degree,
     spectral_data,
@@ -37,7 +36,6 @@ from .harmonic import (
     GroupFunction,
     Harmonic,
     centered,
-    harmonic_for,
     sample_disc,
     sample_unit,
 )
@@ -46,7 +44,6 @@ from .adversary import (
     SearchResult,
     evaluate_inputs,
     maximize,
-    witness_abelian_character,
 )
 from .report import (
     CHECK_ORDER,

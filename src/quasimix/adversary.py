@@ -15,7 +15,6 @@ import numpy as np
 from ._numutil import abs2
 from .harmonic import (
     BoundCheck,
-    ConstraintError,
     GroupFunction,
     Harmonic,
     _corollary_observed,
@@ -34,7 +33,6 @@ __all__ = [
     "OBJECTIVES",
     "evaluate_inputs",
     "maximize",
-    "witness_abelian_character",
 ]
 
 OBJECTIVES = ("theorem", "step1", "lemma", "corollary")
@@ -377,29 +375,3 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
         trace=trace,
     )
 
-
-def witness_abelian_character(n: int, exponents: Tuple[int, int, int]) -> Tuple[
-    GroupFunction, GroupFunction, GroupFunction
-]:
-    """Closed-form cyclic-group triple f_i(x) = ω^(e_i·x) with ω = e^(2πi/n).
-
-    Requires e₁+e₂+e₃ ≡ 0 (mod n) and not all exponents ≡ 0.  The triple
-    correlation then has unit modulus at every g while the structured product
-    term is δ(e₁ ≡ 0), so the theorem deviation equals 1 exactly when
-    e₁ ≢ 0 (mod n) — no decay without quasi-randomness.
-    """
-    if n < 2:
-        raise ValueError(f"cyclic order must be >= 2, got {n}")
-    e1, e2, e3 = (int(e) % n for e in exponents)
-    if (e1 + e2 + e3) % n != 0:
-        raise ConstraintError(
-            f"exponents {exponents} do not sum to 0 mod {n}"
-        )
-    if e1 == e2 == e3 == 0:
-        raise ConstraintError("all exponents vanish mod n; the witness is constant")
-    x = np.arange(n)
-    omega = np.exp(2j * np.pi / n)
-    triple = tuple(
-        GroupFunction(omega ** (e * x), disc_valued=True) for e in (e1, e2, e3)
-    )
-    return triple

@@ -234,7 +234,7 @@ def build_parser() -> _Parser:
                 "--tolerance-orthogonality",
                 type=float,
                 default=1e-8,
-                help="character-table orthogonality tolerance (default 1e-8)",
+                help="character-table orthogonality tolerance, finite and > 0 (default 1e-8)",
             )
 
     analyze = sub.add_parser("analyze", help="spectral report: degrees and quasi-randomness")
@@ -251,7 +251,7 @@ def build_parser() -> _Parser:
     )
     verify.add_argument("--trials", type=int, default=200, help="trials per check (default 200)")
     verify.add_argument("--seed", type=int, default=0, help="trial seed (default 0)")
-    verify.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    verify.add_argument("--threads", type=int, default=1, help="worker threads >= 1 (default 1)")
     verify.add_argument("--csv", default=None, help="also write per-trial rows to this CSV file")
     verify.add_argument(
         "--timings", action="store_true", help="record wall-clock runtimes (breaks byte-stability)"

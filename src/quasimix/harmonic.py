@@ -1,4 +1,4 @@
-"""Group actions, conditional expectations, conjugation coefficients, and the bound calculus.
+"""Conditional expectations, conjugation coefficients, and the bound calculus.
 
 All integrals over the group use the uniform probability weight 1/n, and the
 L² norm is always the probability-weighted one.  The quantities computed by
@@ -18,14 +18,13 @@ import numpy as np
 
 from ._numutil import abs2, l2mu, row_chunks
 from .groups import FiniteGroup
-from .spectra import FourierBasis, SpectralData, fourier_basis, spectral_data
+from .spectra import FourierBasis, SpectralData, fourier_basis
 
 __all__ = [
     "GroupFunction",
     "BoundCheck",
     "ConstraintError",
     "Harmonic",
-    "harmonic_for",
     "centered",
     "sample_disc",
     "sample_unit",
@@ -81,10 +80,6 @@ class GroupFunction:
         return len(self.values)
 
     @property
-    def mean(self) -> complex:
-        return complex(self.values.mean())
-
-    @property
     def norm2(self) -> float:
         """L² norm under the uniform probability weight."""
         return l2mu(self.values)
@@ -121,19 +116,9 @@ def centered(f: GroupFunction) -> GroupFunction:
     return GroupFunction(vals, two_disc_valued=True, mean_zero=True)
 
 
-def sample_disc(n: int, rng: np.random.Generator, mode: str = "phase") -> GroupFunction:
-    """Random disc-valued function: unit phases by default, or uniform in the disc.
-
-    Phase mode puts every value on the boundary — the extreme points of the
-    constraint set, which stress the inequalities hardest.
-    """
-    if mode == "phase":
-        vals = np.exp(2j * np.pi * rng.random(n))
-    elif mode == "disc":
-        vals = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    return GroupFunction(vals, disc_valued=True)
+def sample_disc(n: int, rng: np.random.Generator) -> GroupFunction:
+    """Random unit phases: disc-valued extreme points, which stress the inequalities hardest."""
+    return GroupFunction(np.exp(2j * np.pi * rng.random(n)), disc_valued=True)
 
 
 def sample_unit(n: int, rng: np.random.Generator) -> GroupFunction:
@@ -217,10 +202,9 @@ def _corollary_observed(cuv: np.ndarray) -> float:
 class Harmonic:
     """Bound calculus over one group's spectral data.
 
-    Wraps a SpectralData bundle and exposes the actions, conditional
-    expectations and inequality left-hand sides as methods.  All methods are
-    pure; results depend only on the inputs.  The group's Fourier basis is
-    built on the first call that needs it and kept with this object.
+    Wraps a SpectralData bundle and exposes the inequality left-hand sides as
+    methods, all pure: results depend only on the inputs.  The group's Fourier
+    basis is built on the first call that needs it and kept with this object.
     """
 
     spectral: SpectralData
@@ -276,35 +260,6 @@ class Harmonic:
         if flags.get("unit_l2") and f.norm2 > 1.0 + DISC_TOL:
             raise ConstraintError(f"{name} must have L2 norm <= 1, got {f.norm2}")
 
-    # -- actions ---------------------------------------------------------------
-
-    def _element(self, g: int) -> int:
-        g = int(g)
-        if not 0 <= g < self.n:
-            raise ConstraintError(f"element index {g} outside 0..{self.n - 1}")
-        return g
-
-    def act_s(self, g: int, f: GroupFunction) -> GroupFunction:
-        """Compose with left translation: returns x ↦ f(gx)."""
-        return self._permuted(f, self.mul[self._element(g)])
-
-    def act_t(self, g: int, f: GroupFunction) -> GroupFunction:
-        """Compose with right translation: returns x ↦ f(xg⁻¹)."""
-        return self._permuted(f, self.mul[:, self.inv[self._element(g)]])
-
-    def conj_action(self, g: int, f: GroupFunction) -> GroupFunction:
-        """Compose with conjugation: returns x ↦ f(gxg⁻¹)."""
-        return self._permuted(f, self.conj[self._element(g)])
-
-    def _permuted(self, f: GroupFunction, perm: np.ndarray) -> GroupFunction:
-        self._require(f, "f")
-        return GroupFunction(
-            f.values[perm],
-            disc_valued=f.disc_valued,
-            mean_zero=f.mean_zero,
-            two_disc_valued=f.two_disc_valued,
-        )
-
     # -- conditional expectations ------------------------------------------
 
     def _class_average(self, vals: np.ndarray) -> np.ndarray:
@@ -314,16 +269,6 @@ class Harmonic:
             cls, weights=vals.imag, minlength=k
         )
         return (sums / self.spectral.classes.class_sizes)[cls]
-
-    def cond_exp_conj(self, f: GroupFunction) -> GroupFunction:
-        """Projection onto conjugation-invariant functions: average over each class."""
-        self._require(f, "f")
-        return GroupFunction(
-            self._class_average(f.values),
-            disc_valued=f.disc_valued,
-            mean_zero=f.mean_zero,
-            two_disc_valued=f.two_disc_valued,
-        )
 
     def _points(self, point: str, rows: slice) -> np.ndarray:
         """Element indices of the point p(g, x) for g in rows: "gx", "xg", "gxg^-1" or "xg^-1"."""
@@ -570,25 +515,14 @@ class Harmonic:
         bound = self.degree_power(-0.5)
         return self._check("step4", observed, bound)
 
-    def step4_lemma_substitution(self, f2: GroupFunction, h: int) -> BoundCheck:
-        """Distance of the twisted diagonal expectation from its scalar mean.
-
-        observed = ‖E(F2·conj(F2)S̃^hT̃^h | Δ) − |(1/n) Σ f2·conj(f2(h·h⁻¹))|²‖
-        in L²(μ⊗μ); bound = D^(-1/2), for the single element h.
-        """
-        self._require(f2, "f2", disc=True)
-        f2_conj = self.conj_action(h, f2).values[None, :]  # validates h
-        observed = float(self._substitution_distances(f2, f2_conj)[0])
-        bound = self.degree_power(-0.5)
-        return self._check("step4_lemma_substitution", observed, bound)
-
     def _substitution_distances(self, f2: GroupFunction, f2_conj: np.ndarray) -> np.ndarray:
         """The step-4 substitution distance at every h of the rows f2_conj[h, x] = f2(hxh⁻¹).
 
-        E(·|Δ) reduces the pair function to the profile
-        φ_h(z) = (1/n) Σ_x a_h(x)·conj(a_h(xz)), and subtracting the scalar
-        removes exactly its trivial Fourier component, so by Plancherel
-        observed_h² = Σ_{ρ≠1} d_ρ·‖V_h*V_h‖²_F / n⁴.
+        observed_h = ‖E(F2·conj(F2)S̃^hT̃^h | Δ) − |(1/n) Σ f2·conj(f2(h·h⁻¹))|²‖ in L²(μ⊗μ),
+        the twisted diagonal expectation's distance from its scalar mean.  E(·|Δ)
+        reduces the pair function to the profile φ_h(z) = (1/n) Σ_x a_h(x)·conj(a_h(xz)),
+        and subtracting the scalar removes exactly its trivial Fourier component,
+        so by Plancherel observed_h² = Σ_{ρ≠1} d_ρ·‖V_h*V_h‖²_F / n⁴.
         """
         basis = self.fourier()
         coeffs = (np.conj(f2.values) * f2_conj) @ basis.matrix
@@ -599,7 +533,7 @@ class Harmonic:
         return np.sqrt(total) / self.n**2
 
     def step4_substitution_sweep(self, f2: GroupFunction) -> BoundCheck:
-        """Worst case of step4_lemma_substitution over every h in the group."""
+        """The worst over every h in the group of _substitution_distances; bound = D^(-1/2)."""
         self._require(f2, "f2", disc=True)
         worst = max(
             float(self._substitution_distances(f2, f2_conj).max())
@@ -608,7 +542,3 @@ class Harmonic:
         bound = self.degree_power(-0.5)
         return self._check("step4_lemma_substitution", worst, bound)
 
-
-def harmonic_for(group: FiniteGroup, *, seed: int = 0) -> Harmonic:
-    """Build the full spectral bundle for a group and wrap it for bound checks."""
-    return Harmonic(spectral_data(group, seed=seed))

@@ -155,6 +155,8 @@ def run_verification(
             raise ValueError(f"unknown check {check!r}; choose from {CHECK_ORDER}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     plan = [c for c in CHECK_ORDER if c in set(checks)]
 
     rows: List[TrialRow] = []

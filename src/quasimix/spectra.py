@@ -31,7 +31,6 @@ __all__ = [
     "spectral_data",
     "isotypic_project",
     "conjugation_multiplicity",
-    "is_multiplicity_free",
 ]
 
 DEFAULT_ORTHO_TOL = 1e-8
@@ -151,6 +150,8 @@ def character_table(
     matrix.  Attempts with colliding eigenvalues are retried with fresh
     weights up to DEFAULT_ATTEMPTS times before DegenerateSpectrumError is raised.
     """
+    if not 0.0 < ortho_tol < np.inf:  # also catches nan, which would disable every residue test
+        raise ValueError(f"orthogonality tolerance must be finite and > 0, got {ortho_tol}")
     _check_class_constancy(group, classes)
     n = group.order
     k = classes.num_classes
@@ -302,35 +303,6 @@ def conjugation_multiplicity(table: CharacterTable, row: int) -> int:
     if m < 0:
         raise SpectralInconsistencyError(f"negative multiplicity {m} for row {row}")
     return m
-
-
-def is_multiplicity_free(
-    group: FiniteGroup,
-    classes: ConjugacyStructure,
-    table: CharacterTable,
-    row: int,
-    rng: np.random.Generator,
-) -> bool:
-    """Detect multiplicity one via the rank of the isotypic projection.
-
-    The projection rank equals multiplicity * degree, so probing with
-    3*degree + 4 random vectors distinguishes rank == degree from any larger
-    rank.  The result is cross-checked against the character-sum formula.
-    """
-    degree = int(table.degrees[row])
-    probes = min(group.order, 3 * degree + 4)
-    mat = np.empty((probes, group.order), dtype=np.complex128)
-    for t in range(probes):
-        probe = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-        mat[t] = isotypic_project(group, classes, table, probe, row)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    rank = 0 if svals[0] < 1e-9 else int((svals > 1e-6 * svals[0]).sum())
-    free = rank == degree
-    if free != (conjugation_multiplicity(table, row) == 1):
-        raise SpectralInconsistencyError(
-            f"rank-based multiplicity detection disagrees with the character sum on row {row}"
-        )
-    return free
 
 
 @dataclass(eq=False)

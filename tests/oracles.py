@@ -20,7 +20,14 @@ from quasimix.adversary import (
     evaluate_inputs,
 )
 from quasimix.groups import group_from_table
+from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic
 from quasimix.report import CHECKS
+from quasimix.spectra import (
+    SpectralInconsistencyError,
+    conjugation_multiplicity,
+    isotypic_project,
+    spectral_data,
+)
 
 
 def brute_conjugacy_partition(group):
@@ -311,8 +318,8 @@ def proj_fixed_tensor(h, u, v):
 def dense_lemma_gap(h, u, v):
     """lemma's observed value from P°(u⊗v) minus P°(E(u|Φ)⊗E(v|Φ)): two dense GEMMs."""
     projected = proj_fixed_tensor(h, u, v)
-    cu = h.cond_exp_conj(u).values
-    cv = h.cond_exp_conj(v).values
+    cu = cond_exp_conj(h, u).values
+    cv = cond_exp_conj(h, v).values
     fixed = (cu[h.conj].T @ cv[h.conj]) / h.n
     return float(np.sqrt(np.mean(np.abs(projected - fixed) ** 2)))
 
@@ -320,8 +327,8 @@ def dense_lemma_gap(h, u, v):
 def dense_corollary_lhs(h, u, v):
     """corollary's observed value from ⟨u, π^g v⟩ − ⟨E(u|Φ), E(v|Φ)⟩, uncentered, unchunked."""
     inner = (np.conj(v.values)[h.conj] @ u.values) / h.n
-    cu = h.cond_exp_conj(u).values
-    cv = h.cond_exp_conj(v).values
+    cu = cond_exp_conj(h, u).values
+    cv = cond_exp_conj(h, v).values
     fixed_term = (np.conj(cv)[h.conj] @ cu) / h.n
     return float(np.mean(np.abs(inner - fixed_term) ** 2))
 
@@ -359,6 +366,81 @@ def loop_substitution_distance(group, f2, h):
     phi = (a @ np.conj(a)[group.mul]) / n
     scalar = np.abs(a.mean()) ** 2
     return float(np.sqrt(np.mean(np.abs(phi - scalar) ** 2)))
+
+
+# -- test inputs and test-only wrappers around the package -----------------------
+
+
+def harmonic_for(group, *, seed=0):
+    """Build the full spectral bundle for a group and wrap it for bound checks."""
+    return Harmonic(spectral_data(group, seed=seed))
+
+
+def cond_exp_conj(h, f):
+    """E(f|Φ), the projection onto class functions, with f's range flags kept.
+
+    Harmonic's own class average, so that exact-zero tests see the package's rounding.
+    """
+    return GroupFunction(
+        h._class_average(f.values),
+        disc_valued=f.disc_valued,
+        mean_zero=f.mean_zero,
+        two_disc_valued=f.two_disc_valued,
+    )
+
+
+def substitution_distance(h, f2, g):
+    """step4's substitution distance at the single element g, through the sweep's own kernel."""
+    return float(h._substitution_distances(f2, f2.values[h.conj[g]][None, :])[0])
+
+
+def sample_interior_disc(n, rng):
+    """Random disc-valued function uniform in the disc: radii drawn first, then phases."""
+    vals = np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    return GroupFunction(vals, disc_valued=True)
+
+
+def witness_abelian_character(n, exponents):
+    """Closed-form cyclic-group triple f_i(x) = ω^(e_i·x) with ω = e^(2πi/n).
+
+    Requires e₁+e₂+e₃ ≡ 0 (mod n) and not all exponents ≡ 0.  The triple
+    correlation then has unit modulus at every g while the structured product
+    term is δ(e₁ ≡ 0), so the theorem deviation equals 1 exactly when
+    e₁ ≢ 0 (mod n) — no decay without quasi-randomness.
+    """
+    if n < 2:
+        raise ValueError(f"cyclic order must be >= 2, got {n}")
+    e1, e2, e3 = (int(e) % n for e in exponents)
+    if (e1 + e2 + e3) % n != 0:
+        raise ConstraintError(f"exponents {exponents} do not sum to 0 mod {n}")
+    if e1 == e2 == e3 == 0:
+        raise ConstraintError("all exponents vanish mod n; the witness is constant")
+    x = np.arange(n)
+    omega = np.exp(2j * np.pi / n)
+    return tuple(GroupFunction(omega ** (e * x), disc_valued=True) for e in (e1, e2, e3))
+
+
+def is_multiplicity_free(group, classes, table, row, rng):
+    """Detect multiplicity one via the rank of the isotypic projection.
+
+    The projection rank equals multiplicity * degree, so probing with
+    3*degree + 4 random vectors distinguishes rank == degree from any larger
+    rank.  The result is cross-checked against the character-sum formula.
+    """
+    degree = int(table.degrees[row])
+    probes = min(group.order, 3 * degree + 4)
+    mat = np.empty((probes, group.order), dtype=np.complex128)
+    for t in range(probes):
+        probe = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+        mat[t] = isotypic_project(group, classes, table, probe, row)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    rank = 0 if svals[0] < 1e-9 else int((svals > 1e-6 * svals[0]).sum())
+    free = rank == degree
+    if free != (conjugation_multiplicity(table, row) == 1):
+        raise SpectralInconsistencyError(
+            f"rank-based multiplicity detection disagrees with the character sum on row {row}"
+        )
+    return free
 
 
 def all_pairs_commutator_subgroup(group):

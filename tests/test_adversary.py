@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quasimix.adversary as adversary
-from oracles import full_maximize
+from oracles import full_maximize, harmonic_for, witness_abelian_character
 from quasimix.adversary import (
     OBJECTIVES,
     SearchConfig,
@@ -15,11 +15,10 @@ from quasimix.adversary import (
     _unit_sphere,
     evaluate_inputs,
     maximize,
-    witness_abelian_character,
 )
 from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic, build_sl2
-from quasimix.harmonic import ConstraintError, Harmonic, harmonic_for, sample_disc, sample_unit
+from quasimix.harmonic import ConstraintError, Harmonic, sample_disc, sample_unit
 from quasimix.report import CHECK_ORDER, CHECKS, run_verification
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import quasimix.adversary
 import quasimix.harmonic
+import quasimix.spectra
 from quasimix.cli import main, resolve_group
 from quasimix.groups import build_symmetric
 from quasimix.harmonic import BoundCheck, Harmonic
@@ -294,9 +295,32 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["verify"]) == 1
     assert main(["analyze", "--group", "file:/does/not/exist.txt"]) == 1
     assert main(["verify", "--group", "z:6", "--trials", "0"]) == 1
+    for threads in ("0", "-4"):
+        out = tmp_path / f"threads{threads}.json"
+        assert main(["verify", "--group", "z:6", "--threads", threads, "--out", str(out)]) == 1
+        assert not out.exists()
     assert main(["search", "--group", "z:6", "--objective", "bogus"]) == 1
     assert main(["nonsense"]) == 1
     capsys.readouterr()  # swallow the usage noise
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["verify", "--check", "step3", "--trials", "1"],
+     ["search", "--objective", "lemma", "--budget", "1"]],
+    ids=["analyze", "verify", "search"],
+)
+def test_bad_orthogonality_tolerance_exits_one_before_class_algebra(
+    monkeypatch, capsys, command, tolerance
+):
+    # nan and inf would switch every residue test off; 0 and -1 fail every attempt
+    calls = []
+    monkeypatch.setattr(quasimix.spectra, "class_algebra", lambda *args: calls.append(args))
+    argv = command[:1] + ["--group", "a:5", "--tolerance-orthogonality", tolerance] + command[1:]
+    assert main(argv) == 1
+    assert "orthogonality tolerance must be finite and > 0" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_help_exits_zero(capsys):
@@ -313,6 +337,8 @@ def test_run_verification_rejects_bad_plan(s3_spectral):
         run_verification(h, ["lemma", "stepX"], trials=1)
     with pytest.raises(ValueError, match="trials"):
         run_verification(h, ["lemma"], trials=0)
+    with pytest.raises(ValueError, match="threads"):
+        run_verification(h, ["lemma"], trials=1, threads=0)
 
 
 def test_run_verification_plan_order(s3_spectral):

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import quasimix.harmonic
-from oracles import loop_step3_intermediate, loop_substitution_distance
+from oracles import (
+    cond_exp_conj,
+    loop_step3_intermediate,
+    loop_substitution_distance,
+    sample_interior_disc,
+    substitution_distance,
+)
 from quasimix.cli import resolve_group
 from quasimix.harmonic import GroupFunction, Harmonic, centered, sample_disc
 from quasimix.spectra import (
@@ -114,10 +120,10 @@ def _inputs(harmonic, seed):
     n = harmonic.n
     rng = np.random.default_rng(seed)
     phase1, phase2 = sample_disc(n, rng), sample_disc(n, rng)
-    inner1, inner2 = sample_disc(n, rng, mode="disc"), sample_disc(n, rng, mode="disc")
+    inner1, inner2 = sample_interior_disc(n, rng), sample_interior_disc(n, rng)
     yield "phase", centered(phase1), phase2
     yield "disc", centered(inner1), inner2
-    yield "class", centered(harmonic.cond_exp_conj(phase1)), harmonic.cond_exp_conj(phase2)
+    yield "class", centered(cond_exp_conj(harmonic, phase1)), cond_exp_conj(harmonic, phase2)
     yield "flat", centered(inner1), GroupFunction(np.ones(n), disc_valued=True)
 
 
@@ -140,7 +146,7 @@ def test_substitution_matches_loop_oracle(kernel_harmonic):
     for name, _, f2 in _inputs(kernel_harmonic, 4):
         refs = [loop_substitution_distance(group, f2.values, h) for h in hs]
         for h, ref in zip(hs, refs):
-            got = kernel_harmonic.step4_lemma_substitution(f2, h).observed
+            got = substitution_distance(kernel_harmonic, f2, h)
             assert _agree(got, ref), (name, h, got, ref)
         everywhere = max(loop_substitution_distance(group, f2.values, h) for h in group.elements())
         assert _agree(kernel_harmonic.step4_substitution_sweep(f2).observed, everywhere), name

@@ -1,4 +1,4 @@
-"""Actions, conditional expectations, and the inequality chain left-hand sides."""
+"""Function containers, conditional expectations, and the inequality chain left-hand sides."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,14 @@ from oracles import (
     brute_step3_second_moment,
     brute_step4_final,
     brute_theorem_lhs,
+    cond_exp_conj,
     dense_corollary_lhs,
     dense_lemma_gap,
     dense_step4_final,
+    harmonic_for,
     proj_fixed_tensor,
+    sample_interior_disc,
+    substitution_distance,
 )
 from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic
@@ -27,7 +31,6 @@ from quasimix.harmonic import (
     GroupFunction,
     _real_nonnegative,
     centered,
-    harmonic_for,
     sample_disc,
     sample_unit,
 )
@@ -81,7 +84,7 @@ def test_centered_properties():
     f = _rand_disc(12, 0)
     g = centered(f)
     assert g.two_disc_valued and g.mean_zero
-    assert abs(g.mean) < 1e-12
+    assert abs(g.values.mean()) < 1e-12
     assert g.norm2 <= 1.0 + 1e-12
     with pytest.raises(ConstraintError, match="disc_valued"):
         centered(GroupFunction(np.ones(4) * 3.0))
@@ -91,11 +94,9 @@ def test_sampling_modes():
     rng = np.random.default_rng(1)
     phases = sample_disc(50, rng)
     assert np.allclose(np.abs(phases.values), 1.0)
-    interior = sample_disc(50, rng, mode="disc")
+    interior = sample_interior_disc(50, rng)
     assert np.abs(interior.values).max() <= 1.0 + 1e-12
     assert interior.disc_valued
-    with pytest.raises(ValueError, match="unknown sampling mode"):
-        sample_disc(5, rng, mode="ball")
     unit = sample_unit(50, rng)
     assert abs(unit.norm2 - 1.0) < 1e-12
 
@@ -109,64 +110,14 @@ def test_real_nonnegative_guard():
         _real_nonnegative(-1e-3 + 0j, "q")
 
 
-# -- actions -----------------------------------------------------------------
-
-
-def test_actions_match_scalar_definitions(s3_harmonic, s3):
-    f = _rand_free(6, 2)
-    for g in range(6):
-        fs = s3_harmonic.act_s(g, f)
-        ft = s3_harmonic.act_t(g, f)
-        fc = s3_harmonic.conj_action(g, f)
-        for x in range(6):
-            assert fs.values[x] == f.values[s3.product(g, x)]
-            assert ft.values[x] == f.values[s3.product(x, s3.inverse(g))]
-            assert fc.values[x] == f.values[s3.conjugate(g, x)]
-
-
-def test_action_composition_laws(s3_harmonic, s3):
-    f = _rand_free(6, 3)
-    for g in range(6):
-        for h in range(6):
-            # act_s composes contravariantly: S^g S^h = S^(hg)
-            lhs = s3_harmonic.act_s(g, s3_harmonic.act_s(h, f))
-            rhs = s3_harmonic.act_s(s3.product(h, g), f)
-            assert np.array_equal(lhs.values, rhs.values)
-            # act_t composes the same way: x(g⁻¹h⁻¹) = x·(hg)⁻¹
-            lhs_t = s3_harmonic.act_t(g, s3_harmonic.act_t(h, f))
-            rhs_t = s3_harmonic.act_t(s3.product(h, g), f)
-            assert np.array_equal(lhs_t.values, rhs_t.values)
-
-
-def test_conjugation_moves_point_masses(s3_harmonic, s3):
-    for x in range(6):
-        delta = np.zeros(6)
-        delta[x] = 1.0
-        for g in range(6):
-            moved = s3_harmonic.conj_action(g, GroupFunction(delta))
-            target = s3.conjugate(s3.inverse(g), x)
-            assert moved.values[target] == 1.0
-            assert moved.values.sum() == 1.0
-
-
-def test_actions_preserve_flags(s3_harmonic):
-    f = centered(_rand_disc(6, 4))
-    moved = s3_harmonic.act_t(2, f)
-    assert moved.two_disc_valued and moved.mean_zero
-    with pytest.raises(ConstraintError, match="outside"):
-        s3_harmonic.act_s(6, f)
-    with pytest.raises(ConstraintError, match="length"):
-        s3_harmonic.act_s(0, _rand_disc(5, 5))
-
-
 # -- conditional expectations ------------------------------------------------
 
 
 def test_cond_exp_conj_is_class_average(s3_harmonic, s3):
     f = _rand_free(6, 6)
-    e = s3_harmonic.cond_exp_conj(f)
+    e = cond_exp_conj(s3_harmonic, f)
     assert np.abs(e.values - brute_class_average(s3, f.values)).max() < 1e-13
-    again = s3_harmonic.cond_exp_conj(e)
+    again = cond_exp_conj(s3_harmonic, e)
     assert np.abs(again.values - e.values).max() < 1e-13
 
 
@@ -189,6 +140,25 @@ def test_theorem_lhs_matches_brute(s3_harmonic, s3):
     assert check.quantity_name == "theorem"
     assert check.bound == 4.0  # D = 1 for S_3
     assert check.margin == check.bound - check.observed
+
+
+def test_checks_reject_inputs_of_the_wrong_length(s3_harmonic):
+    # a 5-vector on the 6-element S_3, in one argument of each check
+    h, short, disc = s3_harmonic, _rand_disc(5, 5), _rand_disc(6, 14)
+    c1 = centered(disc)
+    calls = [
+        lambda: h.lemma_gap(short, disc),
+        lambda: h.corollary_lhs(disc, short),
+        lambda: h.theorem_lhs(disc, disc, short),
+        lambda: h.step1_reduced_lhs(c1, short, disc),
+        lambda: h.step2_squared(c1, disc, short),
+        lambda: h.step3_intermediate(c1, short),
+        lambda: h.step4_final(centered(short), disc),
+        lambda: h.step4_substitution_sweep(short),
+    ]
+    for call in calls:
+        with pytest.raises(ConstraintError, match="has length 5, group order is 6"):
+            call()
 
 
 def test_theorem_requires_disc_inputs(s3_harmonic):
@@ -264,20 +234,18 @@ def test_step4_with_flat_f2_is_translation_corollary(s3_harmonic, s3):
 def test_step4_substitution_matches_brute(s3_harmonic, s3):
     f2 = _rand_disc(6, 30)
     for h in range(6):
-        check = s3_harmonic.step4_lemma_substitution(f2, h)
+        observed = substitution_distance(s3_harmonic, f2, h)
         a = f2.values * np.conj(f2.values[[s3.conjugate(h, x) for x in range(6)]])
         diag = brute_cond_exp_diag(s3, np.outer(a, np.conj(a)))
         scalar = abs(a.mean()) ** 2
         expect = float(np.sqrt(np.mean(np.abs(diag - scalar) ** 2)))
-        assert abs(check.observed - expect) < 1e-13
+        assert abs(observed - expect) < 1e-13
 
 
 def test_substitution_sweep_is_worst_single_h(s3_harmonic):
     f2 = _rand_disc(6, 31)
     sweep = s3_harmonic.step4_substitution_sweep(f2)
-    singles = [
-        s3_harmonic.step4_lemma_substitution(f2, h).observed for h in range(6)
-    ]
+    singles = [substitution_distance(s3_harmonic, f2, h) for h in range(6)]
     assert abs(sweep.observed - max(singles)) < 1e-15
 
 
@@ -341,11 +309,11 @@ def test_conjugation_kernels_match_dense_oracles(kernel_harmonics, token):
         pub, sharp = h.corollary_lhs(u, v)
         assert pub.observed == sharp.observed
         assert _close(pub.observed, dense_corollary_lhs(h, u, v))
-        f1, f2 = centered(sample_disc(h.n, rng)), sample_disc(h.n, rng, mode="disc")
+        f1, f2 = centered(sample_disc(h.n, rng)), sample_interior_disc(h.n, rng)
         assert _close(h.step4_final(f1, f2).observed, dense_step4_final(h, f1, f2))
     # mixed inputs: one argument a class function, the other not
     u = sample_unit(h.n, rng)
-    v = h.cond_exp_conj(sample_unit(h.n, rng))
+    v = cond_exp_conj(h, sample_unit(h.n, rng))
     assert _close(h.lemma_gap(u, v).observed, dense_lemma_gap(h, u, v))
     assert _close(h.corollary_lhs(v, u)[0].observed, dense_corollary_lhs(h, v, u))
 
@@ -355,7 +323,7 @@ def test_lemma_vanishes_when_one_input_is_a_class_function(kernel_harmonics, tok
     h = kernel_harmonics[token]
     rng = np.random.default_rng(43)
     u = sample_unit(h.n, rng)
-    v = h.cond_exp_conj(sample_unit(h.n, rng))
+    v = cond_exp_conj(h, sample_unit(h.n, rng))
     assert h.lemma_gap(u, v).observed <= 1e-14
     assert h.lemma_gap(v, u).observed <= 1e-14
 
@@ -382,8 +350,9 @@ def test_lemma_and_corollary_above_the_old_pair_cap(subprocess_peak_mb):
         "import numpy as np\n"
         "from quasimix.adversary import _structured_start\n"
         "from quasimix.groups import build_sl2\n"
-        "from quasimix.harmonic import GroupFunction, harmonic_for, sample_unit\n"
-        "h = harmonic_for(build_sl2(13))\n"
+        "from quasimix.harmonic import GroupFunction, Harmonic, sample_unit\n"
+        "from quasimix.spectra import spectral_data\n"
+        "h = Harmonic(spectral_data(build_sl2(13)))\n"
         "rng = np.random.default_rng(0)\n"
         "u, v = sample_unit(h.n, rng), sample_unit(h.n, rng)\n"
         "lemma = h.lemma_gap(u, v)\n"
@@ -420,8 +389,9 @@ def test_chain_kernels_stay_small_on_alternating_7(subprocess_peak_mb):
     script = (
         "import numpy as np\n"
         "from quasimix.groups import build_alternating\n"
-        "from quasimix.harmonic import centered, harmonic_for, sample_disc\n"
-        "h = harmonic_for(build_alternating(7))\n"
+        "from quasimix.harmonic import Harmonic, centered, sample_disc\n"
+        "from quasimix.spectra import spectral_data\n"
+        "h = Harmonic(spectral_data(build_alternating(7)))\n"
         "rng = np.random.default_rng(0)\n"
         "f1, f2, f3 = (sample_disc(h.n, rng) for _ in range(3))\n"
         "c1 = centered(f1)\n"
@@ -450,7 +420,6 @@ def test_trivial_group_everything_exactly_zero():
         h.step2_squared(zero, one, one),
         h.step3_intermediate(zero, one),
         h.step4_final(unit_zero, one),
-        h.step4_lemma_substitution(one, 0),
         h.step4_substitution_sweep(one),
     ]
     for check in checks:
@@ -474,7 +443,7 @@ def test_abelian_conjugation_deviations_exactly_zero(z6):
 
 def test_class_function_inputs_are_exactly_fixed(s3_harmonic):
     # conjugation-invariant inputs make the deviation vanish exactly
-    f = s3_harmonic.cond_exp_conj(_rand_free(6, 37))
+    f = cond_exp_conj(s3_harmonic, _rand_free(6, 37))
     assert s3_harmonic.lemma_gap(f, f).observed == 0.0
     pub, _ = s3_harmonic.corollary_lhs(f, f)
     assert pub.observed == 0.0

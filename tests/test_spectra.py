@@ -9,6 +9,7 @@ from oracles import (
     brute_class_constant,
     class_structure_constants,
     dense_isotypic_project,
+    is_multiplicity_free,
     regular_degrees,
     tensor_class_combination,
 )
@@ -26,7 +27,6 @@ from quasimix.spectra import (
     character_table,
     class_algebra,
     conjugation_multiplicity,
-    is_multiplicity_free,
     isotypic_project,
     quasirandomness_degree,
     spectral_data,
