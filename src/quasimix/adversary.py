@@ -8,19 +8,18 @@ for demonstrating that the deviations simply do not decay on abelian controls.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._numutil import abs2
 from .harmonic import (
     BoundCheck,
     GroupFunction,
     Harmonic,
-    _corollary_observed,
-    _lemma_observed,
-    _step1_observed,
-    _theorem_observed,
+    _ConjState,
+    _disc_clip,
+    _TripleState,
+    _unit_norm,
     centered,
     sample_disc,
 )
@@ -45,8 +44,9 @@ class SearchConfig:
     objective: str
     budget: int = 2000
     restarts: int = 4
-    step_schedule: Tuple[float, float] = (0.5, 0.05)
     seed: int = 0
+    step_schedule: ClassVar[Tuple[float, float]] = (0.5, 0.05)
+    """Step magnitude at the first and the last move of each restart, linear in between."""
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -57,11 +57,8 @@ class SearchConfig:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        hi, lo = self.step_schedule
-        if not (hi > 0 and lo > 0 and hi >= lo):
-            raise ValueError(
-                f"step schedule must be positive and non-increasing, got {self.step_schedule}"
-            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -75,20 +72,6 @@ class SearchResult:
     trace: List[float] = field(default_factory=list)
 
 
-def _disc_clip(vals: np.ndarray) -> np.ndarray:
-    """Radial projection onto the closed unit disc."""
-    mags = np.abs(vals)
-    scale = np.where(mags > 1.0, mags, 1.0)
-    return vals / scale
-
-
-def _unit_norm(vals: np.ndarray) -> float:
-    """The L²(μ) norm that _unit_sphere divides by: 1 for a vector too short to rescale."""
-    squares = np.abs(vals) ** 2
-    norm = float(np.sqrt(squares.sum() / squares.size))
-    return norm if norm >= 1e-12 else 1.0
-
-
 def _unit_sphere(vals: np.ndarray) -> np.ndarray:
     """Projection onto the unit sphere of L²(μ); leaves the zero vector alone."""
     return vals / _unit_norm(vals)
@@ -99,9 +82,9 @@ def evaluate_inputs(
 ) -> BoundCheck:
     """Run any check in CHECKS on raw input vectors; corollary gives its published record.
 
-    This is the evaluator verify uses.  The search evaluates each restart's
-    initial point and each new best through the same Harmonic code (see
-    maximize), so a dumped input tuple reproduces its value exactly.
+    It calls CHECKS[check].evaluate, as each verify trial does, and for a search
+    objective that builds the state maximize seeds from, so a dumped trial or
+    search input tuple reproduces its value exactly.
     """
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {CHECK_ORDER}")
@@ -155,148 +138,15 @@ def _structured_start(
     return _random_start(harmonic, objective, rng)
 
 
-class _TripleState:
-    """theorem or step1 at one point, as inner[g] = (1/n) Σ_x first(x)·f2(gx)·f3(xg).
-
-    ``first`` is f1 for theorem and f1 − mean(f1) for step1.  A move changes
-    one entry p of one input by δ, and that entry enters inner[g] in one term
-    per g: at x = p for f1, x = g⁻¹p for f2 and x = pg⁻¹ for f3.  theorem
-    also keeps mean(f1), E(f2|Φ) and E(f3|Φ) for its structured term; step1
-    keeps q[g] = (1/n) Σ_x f2(gx)·f3(xg), because moving f1 by δ shifts first
-    by −δ/n everywhere, which adds −(δ/n)·q[g].  The disc clip may also
-    re-round other entries that sit on the unit circle up to rounding; those
-    changes are left to the drift that the next full evaluation resets.
-    Construction is that full evaluation: ``check`` is the BoundCheck of
-    theorem_lhs or step1_reduced_lhs, reduced from the arrays the state keeps.
-    """
-
-    def __init__(self, harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
-        self.h = harmonic
-        self.step1 = objective == "step1"
-        f1, f2, f3 = (GroupFunction(a, disc_valued=True) for a in inputs)
-        self.inputs = [f.values for f in (f1, f2, f3)]
-        if self.step1:
-            first = centered(f1)
-            self.inner, self.q = harmonic._step1_parts(first, f2, f3, pair_sums=True)
-            self.check = harmonic._step1_check(self.inner)
-        else:
-            first = f1
-            self.inner, self.terms = harmonic._theorem_parts(f1, f2, f3)
-            self.check = harmonic._theorem_check(self.inner, self.terms)
-        self.first = first.values
-        self._pending = None
-
-    def propose(self, slot: int, pos: int, step: complex) -> float:
-        """The objective after adding step to input ``slot`` at pos and clipping to the disc."""
-        h = self.h
-        vals = self.inputs[slot].copy()
-        vals[pos] += step
-        vals = _disc_clip(vals)
-        delta = (vals[pos] - self.inputs[slot][pos]) / h.n
-        f2, f3 = self.inputs[1:]
-        if slot == 0:
-            pair = f2.take(h.mul[:, pos]) * f3.take(h.mul[pos])  # f2(gp)·f3(pg)
-            inner = self.inner + delta * pair
-        else:
-            if slot == 1:  # x = g⁻¹p, xg = g⁻¹pg
-                x, pair = h.mul[h.inv, pos], f3.take(h.conj[h.inv, pos])
-            else:  # x = pg⁻¹, gx = gpg⁻¹
-                x, pair = h.mul[pos, h.inv], f2.take(h.conj[:, pos])
-            inner = self.inner + delta * self.first.take(x) * pair
-        if self.step1:
-            if slot == 0:
-                inner -= delta * self.q
-                extra = self.q
-            else:
-                extra = self.q + delta * pair
-            value = _step1_observed(inner)
-        else:
-            extra = list(self.terms)
-            extra[slot] = vals.mean() if slot == 0 else h._class_average(vals)
-            value = _theorem_observed(inner, h._structured(*extra))
-        self._pending = (slot, vals, inner, extra)
-        return value
-
-    def accept(self) -> None:
-        """Move to the point of the last propose."""
-        slot, vals, self.inner, extra = self._pending
-        if self.step1:
-            self.q = extra
-        else:
-            self.terms = extra
-        self.inputs[slot] = vals
-        if slot == 0:
-            self.first = vals - vals.mean() if self.step1 else vals
-
-
-class _ConjState:
-    """lemma or corollary at one point, as centered conjugation coefficients.
-
-    With a₀ = a − E(a|Φ) and c(a, b)[g] = (1/n) Σ_x a(x)·conj b(gxg⁻¹), lemma
-    keeps c(u₀,u₀) and c(v₀,v₀), corollary keeps c(u₀,v₀).  Moving u by δ at
-    y shifts u₀ by Δ = δ·(e_y − 1_C/|C|) on y's class C.  Every centered function
-    sums to 0 over each class, so the constant part drops out of the cross
-    terms, and for every b₀
-      c(u₀ + Δ, b₀)[g] = c(u₀, b₀)[g] + (δ/n)·conj b₀(gyg⁻¹),
-      c(b₀, u₀ + Δ)[g] = c(b₀, u₀)[g] + (conj δ/n)·b₀(g⁻¹yg),
-      c(Δ, Δ)[g] = (|δ|²/n)·([g centralizes y] − 1/|C|).
-    Renormalizing to the unit sphere divides each coefficient by the norm
-    once per factor that moved.  Construction is a full evaluation: ``check``
-    is the BoundCheck of lemma_gap or corollary_lhs (its published record),
-    reduced from the coefficients the state keeps.
-    """
-
-    def __init__(self, harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
-        self.h = harmonic
-        self.lemma = objective == "lemma"
-        u, v = (GroupFunction(a) for a in inputs)
-        self.inputs = [u.values, v.values]
-        if self.lemma:
-            self.centered, self.coeffs = harmonic._lemma_parts(u, v)
-            self.check = harmonic._lemma_check(u, v, self.coeffs)
-        else:
-            self.centered, self.coeffs = harmonic._corollary_parts(u, v)
-            self.check = harmonic._corollary_checks(u, v, self.coeffs)[0]
-        self._pending = None
-
-    def propose(self, slot: int, pos: int, step: complex) -> float:
-        """The objective after adding step to input ``slot`` at pos and renormalizing."""
-        h = self.h
-        vals = self.inputs[slot].copy()
-        vals[pos] += step
-        norm = _unit_norm(vals)
-        delta = (vals[pos] - self.inputs[slot][pos]) / h.n
-        moved = h.conj[:, pos]  # gyg⁻¹ for every g
-        coeffs = list(self.coeffs)
-        if self.lemma:
-            a0 = self.centered[slot]
-            size = h.spectral.classes.class_sizes[h.spectral.classes.class_of[pos]]
-            square = (abs2(delta) * h.n) * ((moved == pos) - 1.0 / size)
-            cross = delta * np.conj(a0.take(moved)) + np.conj(delta) * a0.take(moved[h.inv])
-            coeffs[slot] = (coeffs[slot] + cross + square) / norm**2
-            value = _lemma_observed(*coeffs, h.group.identity)
-        else:
-            if slot == 0:
-                cross = delta * np.conj(self.centered[1].take(moved))
-            else:
-                cross = np.conj(delta) * self.centered[0].take(moved[h.inv])
-            coeffs[0] = (coeffs[0] + cross) / norm
-            value = _corollary_observed(coeffs[0])
-        self._pending = (slot, vals, norm, coeffs)
-        return value
-
-    def accept(self) -> None:
-        """Move to the point of the last propose."""
-        slot, vals, norm, self.coeffs = self._pending
-        self.inputs[slot] = vals / norm
-        self.centered[slot] = self.inputs[slot] - self.h._class_average(self.inputs[slot])
-
-
 def _seeded(harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
-    """A full evaluation of inputs, and the incremental state seeded from its per-g arrays."""
-    state = _TripleState if CHECKS[objective].kind == "disc" else _ConjState
-    seeded = state(harmonic, objective, inputs)
-    return seeded.check, seeded
+    """A full evaluation of inputs, and the incremental state it leaves behind."""
+    if CHECKS[objective].kind == "unit":
+        state = _ConjState(harmonic, objective, *(GroupFunction(a) for a in inputs))
+    else:
+        f1, f2, f3 = (GroupFunction(a, disc_valued=True) for a in inputs)
+        first = centered(f1) if objective == "step1" else f1
+        state = _TripleState(harmonic, objective, first, f2, f3, moved=f1)
+    return state.check, state
 
 
 def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
@@ -310,14 +160,13 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
     only strict improvements are kept.  A zero budget evaluates the restart-0
     initial point and returns it.
 
-    Each move is judged on an incremental per-g state (_TripleState or
-    _ConjState) in O(n).  Every restart's initial point, and every accepted
-    point that beats the best so far, is evaluated in full, in one O(n²) pass
-    through the Harmonic code that evaluate_inputs runs, and the state is
-    re-seeded from that evaluation's own per-g arrays.  So best_value,
-    best_check and the trace are full evaluations (best_check equals
-    evaluate_inputs of best_inputs), and rounding drift never outlives a new
-    best.
+    Each move is judged in O(n) on a per-g state of harmonic's (_TripleState
+    or _ConjState).  Every restart's initial point, and every accepted point
+    that beats the best so far, is evaluated in full by building a new state:
+    the one O(n²) pass evaluate_inputs runs, whose arrays the climb moves on.
+    So best_value, best_check and the trace are full evaluations (best_check
+    equals evaluate_inputs of best_inputs), and rounding drift never outlives
+    a new best.
     """
     if config.budget == 0:
         restarts_run, per_restart = 1, 1

@@ -85,6 +85,17 @@ def resolve_group(token: str) -> FiniteGroup:
     return builders[family](value)
 
 
+def _seed(raw: str) -> int:
+    """The --seed type: numpy seeds only from integers >= 0, so check before any group work."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _write_text(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -239,7 +250,7 @@ def build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="spectral report: degrees and quasi-randomness")
     common(analyze)
-    analyze.add_argument("--seed", type=int, default=0, help="character-table weight seed")
+    analyze.add_argument("--seed", type=_seed, default=0, help="character-table weight seed >= 0")
     analyze.set_defaults(func=_cmd_analyze)
 
     verify = sub.add_parser("verify", help="run bound checks over seeded random trials")
@@ -250,7 +261,7 @@ def build_parser() -> _Parser:
         help=f"comma-separated subset of {','.join(CHECK_ORDER)} (default all)",
     )
     verify.add_argument("--trials", type=int, default=200, help="trials per check (default 200)")
-    verify.add_argument("--seed", type=int, default=0, help="trial seed (default 0)")
+    verify.add_argument("--seed", type=_seed, default=0, help="trial seed >= 0 (default 0)")
     verify.add_argument("--threads", type=int, default=1, help="worker threads >= 1 (default 1)")
     verify.add_argument("--csv", default=None, help="also write per-trial rows to this CSV file")
     verify.add_argument(
@@ -263,7 +274,7 @@ def build_parser() -> _Parser:
     search.add_argument("--objective", required=True, choices=OBJECTIVES)
     search.add_argument("--budget", type=int, default=2000, help="evaluation budget (default 2000)")
     search.add_argument("--restarts", type=int, default=4, help="restart count (default 4)")
-    search.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
+    search.add_argument("--seed", type=_seed, default=0, help="search seed >= 0 (default 0)")
     search.set_defaults(func=_cmd_search)
 
     export = sub.add_parser("export-cayley", help="write the multiplication table as text")

@@ -163,39 +163,18 @@ def _real_nonnegative(value: complex, what: str, scale: float = 1.0) -> float:
     return float(real)
 
 
-def _theorem_observed(inner: np.ndarray, structured: complex) -> float:
-    """theorem's value from inner[g] and the structured product term; at most 2 for disc inputs.
-
-    A value above the ceiling is an implementation bug and raised unconditionally.
-    This and the next three reductions take a sum and one division: np.mean's
-    numbers without its per-call overhead, which the search pays on every move.
-    """
-    deviation = np.abs(inner - structured)
-    observed = float(deviation.sum() / deviation.size)
-    if observed > 2.0 + 1e-9:
-        raise RuntimeError(f"triple correlation deviation {observed} exceeds the ceiling 2")
-    return observed
+def _disc_clip(vals: np.ndarray) -> np.ndarray:
+    """Radial projection onto the closed unit disc."""
+    mags = np.abs(vals)
+    scale = np.where(mags > 1.0, mags, 1.0)
+    return vals / scale
 
 
-def _step1_observed(inner: np.ndarray) -> float:
-    """step1's value from inner[g] of the centered first input."""
-    return float(np.abs(inner).sum() / inner.size)
-
-
-def _lemma_observed(cu: np.ndarray, cv: np.ndarray, identity: int) -> float:
-    """lemma's value sqrt(mean_g c(u₀,u₀)[g]·c(v₀,v₀)[g]).
-
-    The guard's scale is ‖u₀‖₂²‖v₀‖₂² = |c(u₀,u₀)[e]·c(v₀,v₀)[e]|, so its
-    tolerance is relative and an input of any norm never raises spuriously.
-    """
-    scale = abs(complex(cu[identity] * cv[identity]))
-    total = complex((cu * cv).sum() / cu.size)
-    return float(np.sqrt(_real_nonnegative(total, "lemma_gap", scale)))
-
-
-def _corollary_observed(cuv: np.ndarray) -> float:
-    """corollary's value mean_g |c(u₀,v₀)[g]|²."""
-    return float(abs2(cuv).sum() / cuv.size)
+def _unit_norm(vals: np.ndarray) -> float:
+    """The L²(μ) norm a projection onto the unit sphere divides by: 1 for a vector too short to rescale."""
+    squares = np.abs(vals) ** 2
+    norm = float(np.sqrt(squares.sum() / squares.size))
+    return norm if norm >= 1e-12 else 1.0
 
 
 @dataclass(eq=False)
@@ -302,24 +281,7 @@ class Harmonic:
         idempotent, hence observed² = ⟨P°(u₀⊗v₀), u₀⊗v₀⟩ =
         mean_g c(u₀,u₀)[g]·c(v₀,v₀)[g], two O(n²) gathers and no pair function.
         """
-        _, coeffs = self._lemma_parts(u, v)
-        return self._lemma_check(u, v, coeffs)
-
-    def _centered_pair(self, u: GroupFunction, v: GroupFunction):
-        """Validate u and v and return u₀ = u − E(u|Φ), v₀ = v − E(v|Φ)."""
-        self._require(u, "u")
-        self._require(v, "v")
-        return [f.values - self._class_average(f.values) for f in (u, v)]
-
-    def _lemma_parts(self, u: GroupFunction, v: GroupFunction):
-        """lemma_gap's per-g arrays: [u₀, v₀] and [c(u₀,u₀), c(v₀,v₀)]."""
-        centered = self._centered_pair(u, v)
-        return centered, [self._coefficients(a, a, "gxg^-1") for a in centered]
-
-    def _lemma_check(self, u: GroupFunction, v: GroupFunction, coeffs) -> BoundCheck:
-        observed = _lemma_observed(*coeffs, self.group.identity)
-        bound = self.degree_power(-0.5) * u.norm2 * v.norm2
-        return self._check("lemma", observed, bound)
+        return _ConjState(self, "lemma", u, v).check
 
     def corollary_lhs(self, u: GroupFunction, v: GroupFunction) -> Tuple[BoundCheck, BoundCheck]:
         """Mean-square deviation of the conjugation matrix coefficient.
@@ -330,22 +292,7 @@ class Harmonic:
         observed = mean_g |c(u₀,v₀)[g]|².  Two checks are returned for the same
         observed value: the D^(-1/2)·‖u‖₂²‖v‖₂² bound and the sharper D^(-1) one.
         """
-        _, coeffs = self._corollary_parts(u, v)
-        return self._corollary_checks(u, v, coeffs)
-
-    def _corollary_parts(self, u: GroupFunction, v: GroupFunction):
-        """corollary_lhs's per-g arrays: [u₀, v₀] and [c(u₀,v₀)]."""
-        centered = self._centered_pair(u, v)
-        return centered, [self._coefficients(*centered, "gxg^-1")]
-
-    def _corollary_checks(
-        self, u: GroupFunction, v: GroupFunction, coeffs
-    ) -> Tuple[BoundCheck, BoundCheck]:
-        observed = _corollary_observed(*coeffs)
-        scale = u.norm2**2 * v.norm2**2
-        published = self._check("corollary", observed, self.degree_power(-0.5) * scale)
-        sharp = self._check("corollary_sharp", observed, self.degree_power(-1.0) * scale)
-        return published, sharp
+        return _ConjState(self, "corollary", u, v).checks
 
     def _triple_inner(
         self, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, pair_sums: bool = False
@@ -394,20 +341,7 @@ class Harmonic:
         bound = 4·D^(-1/8).  Disc-valued inputs force observed ≤ 2, which is
         asserted unconditionally (a violation is an implementation bug).
         """
-        return self._theorem_check(*self._theorem_parts(f1, f2, f3))
-
-    def _theorem_parts(self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction):
-        """theorem_lhs's per-g arrays: inner[g], and [mean(f1), E(f2|Φ), E(f3|Φ)]."""
-        for f, name in ((f1, "f1"), (f2, "f2"), (f3, "f3")):
-            self._require(f, name, disc=True)
-        inner, _ = self._triple_inner(f1.values, f2.values, f3.values)
-        terms = [f1.values.mean(), self._class_average(f2.values), self._class_average(f3.values)]
-        return inner, terms
-
-    def _theorem_check(self, inner: np.ndarray, terms) -> BoundCheck:
-        observed = _theorem_observed(inner, self._structured(*terms))
-        bound = 4.0 * self.degree_power(-0.125)
-        return self._check("theorem", observed, bound)
+        return _TripleState(self, "theorem", f1, f2, f3).check
 
     def step1_reduced_lhs(
         self,
@@ -420,22 +354,7 @@ class Harmonic:
         observed = (1/n) Σ_g |(1/n) Σ_x f1(x)f2(gx)f3(xg)| with f1 in the
         radius-2 disc, mean-zero, ‖f1‖₂ ≤ 1; bound = 3·D^(-1/8).
         """
-        inner, _ = self._step1_parts(f1, f2, f3)
-        return self._step1_check(inner)
-
-    def _step1_parts(
-        self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction, pair_sums: bool = False
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """step1_reduced_lhs's per-g arrays: inner[g], and q[g] with pair_sums (_triple_inner)."""
-        self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
-        self._require(f2, "f2", disc=True)
-        self._require(f3, "f3", disc=True)
-        return self._triple_inner(f1.values, f2.values, f3.values, pair_sums)
-
-    def _step1_check(self, inner: np.ndarray) -> BoundCheck:
-        observed = _step1_observed(inner)
-        bound = 3.0 * self.degree_power(-0.125)
-        return self._check("step1", observed, bound)
+        return _TripleState(self, "step1", f1, f2, f3).check
 
     def step2_squared(
         self,
@@ -542,3 +461,185 @@ class Harmonic:
         bound = self.degree_power(-0.5)
         return self._check("step4_lemma_substitution", worst, bound)
 
+
+class _TripleState:
+    """theorem or step1 at one point, as inner[g] = (1/n) Σ_x first(x)·f2(gx)·f3(xg).
+
+    Construction is the one evaluation of theorem_lhs and step1_reduced_lhs:
+    the input checks, one gather of inner[g] and its reduction to ``check``.
+    ``first`` is the f1 received, which step1 takes centered.  A search also
+    passes ``moved``, the disc-valued f1 its O(n) moves change.
+
+    A move changes one entry p of one input by δ, and that entry enters
+    inner[g] in one term per g: at x = p for f1, x = g⁻¹p for f2 and x = pg⁻¹
+    for f3.  theorem also keeps mean(f1), E(f2|Φ) and E(f3|Φ) for its
+    structured term; a step1 search keeps q[g] = (1/n) Σ_x f2(gx)·f3(xg),
+    because moving f1 by δ shifts first by −δ/n everywhere, which adds
+    −(δ/n)·q[g].  The disc clip may also re-round other entries that sit on
+    the unit circle up to rounding; those changes are left to the drift that
+    the next full evaluation resets.
+    """
+
+    def __init__(
+        self, harmonic: Harmonic, objective: str, f1: GroupFunction, f2: GroupFunction,
+        f3: GroupFunction, moved: Optional[GroupFunction] = None,
+    ):
+        self.h = harmonic
+        self.step1 = objective == "step1"
+        if self.step1:
+            harmonic._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
+        else:
+            harmonic._require(f1, "f1", disc=True)
+        harmonic._require(f2, "f2", disc=True)
+        harmonic._require(f3, "f3", disc=True)
+        self.first = f1.values
+        self.inputs = [(f1 if moved is None else moved).values, f2.values, f3.values]
+        pair_sums = self.step1 and moved is not None
+        self.inner, self.extra = harmonic._triple_inner(f1.values, f2.values, f3.values, pair_sums)
+        if not self.step1:
+            self.extra = [f1.values.mean()] + [harmonic._class_average(f.values) for f in (f2, f3)]
+        bound = (3.0 if self.step1 else 4.0) * harmonic.degree_power(-0.125)
+        self.check = harmonic._check(objective, self._observed(self.inner, self.extra), bound)
+        self._pending = None
+
+    def _observed(self, inner: np.ndarray, extra) -> float:
+        """The objective from inner[g] and, for theorem, the structured term's parts.
+
+        theorem's value is at most 2 for disc inputs; a value above that is an
+        implementation bug and raised unconditionally.  Both reductions take a
+        sum and one division: np.mean's numbers without its per-call overhead,
+        which the search pays on every move.
+        """
+        if self.step1:
+            return float(np.abs(inner).sum() / inner.size)
+        deviation = np.abs(inner - self.h._structured(*extra))
+        observed = float(deviation.sum() / deviation.size)
+        if observed > 2.0 + 1e-9:
+            raise RuntimeError(f"triple correlation deviation {observed} exceeds the ceiling 2")
+        return observed
+
+    def propose(self, slot: int, pos: int, step: complex) -> float:
+        """The objective after adding step to input ``slot`` at pos and clipping to the disc."""
+        h = self.h
+        vals = self.inputs[slot].copy()
+        vals[pos] += step
+        vals = _disc_clip(vals)
+        delta = (vals[pos] - self.inputs[slot][pos]) / h.n
+        f2, f3 = self.inputs[1:]
+        if slot == 0:
+            pair = f2.take(h.mul[:, pos]) * f3.take(h.mul[pos])  # f2(gp)·f3(pg)
+            inner = self.inner + delta * pair
+        else:
+            if slot == 1:  # x = g⁻¹p, xg = g⁻¹pg
+                x, pair = h.mul[h.inv, pos], f3.take(h.conj[h.inv, pos])
+            else:  # x = pg⁻¹, gx = gpg⁻¹
+                x, pair = h.mul[pos, h.inv], f2.take(h.conj[:, pos])
+            inner = self.inner + delta * self.first.take(x) * pair
+        if self.step1:
+            if slot == 0:
+                inner -= delta * self.extra
+                extra = self.extra
+            else:
+                extra = self.extra + delta * pair
+        else:
+            extra = list(self.extra)
+            extra[slot] = vals.mean() if slot == 0 else h._class_average(vals)
+        value = self._observed(inner, extra)
+        self._pending = (slot, vals, inner, extra)
+        return value
+
+    def accept(self) -> None:
+        """Move to the point of the last propose."""
+        slot, vals, self.inner, self.extra = self._pending
+        self.inputs[slot] = vals
+        if slot == 0:
+            self.first = vals - vals.mean() if self.step1 else vals
+
+
+class _ConjState:
+    """lemma or corollary at one point, as centered conjugation coefficients.
+
+    Construction is the one evaluation of lemma_gap and corollary_lhs: the
+    input checks, the centering, one gather per coefficient and the reduction
+    to ``checks`` (corollary's published and sharp records, or lemma's one),
+    whose first is ``check``.  A search then moves the point in O(n) per move.
+
+    With a₀ = a − E(a|Φ) and c(a, b)[g] = (1/n) Σ_x a(x)·conj b(gxg⁻¹), lemma
+    keeps c(u₀,u₀) and c(v₀,v₀), corollary keeps c(u₀,v₀).  Moving u by δ at
+    y shifts u₀ by Δ = δ·(e_y − 1_C/|C|) on y's class C.  Every centered function
+    sums to 0 over each class, so the constant part drops out of the cross
+    terms, and for every b₀
+      c(u₀ + Δ, b₀)[g] = c(u₀, b₀)[g] + (δ/n)·conj b₀(gyg⁻¹),
+      c(b₀, u₀ + Δ)[g] = c(b₀, u₀)[g] + (conj δ/n)·b₀(g⁻¹yg),
+      c(Δ, Δ)[g] = (|δ|²/n)·([g centralizes y] − 1/|C|).
+    Renormalizing to the unit sphere divides each coefficient by the norm
+    once per factor that moved.
+    """
+
+    def __init__(self, harmonic: Harmonic, objective: str, u: GroupFunction, v: GroupFunction):
+        self.h = harmonic
+        self.lemma = objective == "lemma"
+        harmonic._require(u, "u")
+        harmonic._require(v, "v")
+        self.inputs = [u.values, v.values]
+        self.centered = [f.values - harmonic._class_average(f.values) for f in (u, v)]
+        if self.lemma:
+            self.coeffs = [harmonic._coefficients(a, a, "gxg^-1") for a in self.centered]
+            bound = harmonic.degree_power(-0.5) * u.norm2 * v.norm2
+            self.checks = (harmonic._check("lemma", self._observed(self.coeffs), bound),)
+        else:
+            self.coeffs = [harmonic._coefficients(*self.centered, "gxg^-1")]
+            observed = self._observed(self.coeffs)
+            scale = u.norm2**2 * v.norm2**2
+            self.checks = (
+                harmonic._check("corollary", observed, harmonic.degree_power(-0.5) * scale),
+                harmonic._check("corollary_sharp", observed, harmonic.degree_power(-1.0) * scale),
+            )
+        self.check = self.checks[0]
+        self._pending = None
+
+    def _observed(self, coeffs) -> float:
+        """lemma's sqrt(mean_g c(u₀,u₀)[g]·c(v₀,v₀)[g]), or corollary's mean_g |c(u₀,v₀)[g]|².
+
+        lemma's guard has the scale ‖u₀‖₂²‖v₀‖₂² = |c(u₀,u₀)[e]·c(v₀,v₀)[e]|,
+        so its tolerance is relative and an input of any norm never raises
+        spuriously.
+        """
+        if not self.lemma:
+            return float(abs2(coeffs[0]).sum() / coeffs[0].size)
+        cu, cv = coeffs
+        identity = self.h.group.identity
+        scale = abs(complex(cu[identity] * cv[identity]))
+        total = complex((cu * cv).sum() / cu.size)
+        return float(np.sqrt(_real_nonnegative(total, "lemma_gap", scale)))
+
+    def propose(self, slot: int, pos: int, step: complex) -> float:
+        """The objective after adding step to input ``slot`` at pos and renormalizing."""
+        h = self.h
+        vals = self.inputs[slot].copy()
+        vals[pos] += step
+        norm = _unit_norm(vals)
+        delta = (vals[pos] - self.inputs[slot][pos]) / h.n
+        moved = h.conj[:, pos]  # gyg⁻¹ for every g
+        coeffs = list(self.coeffs)
+        if self.lemma:
+            a0 = self.centered[slot]
+            size = h.spectral.classes.class_sizes[h.spectral.classes.class_of[pos]]
+            square = (abs2(delta) * h.n) * ((moved == pos) - 1.0 / size)
+            cross = delta * np.conj(a0.take(moved)) + np.conj(delta) * a0.take(moved[h.inv])
+            coeffs[slot] = (coeffs[slot] + cross + square) / norm**2
+        else:
+            if slot == 0:
+                cross = delta * np.conj(self.centered[1].take(moved))
+            else:
+                cross = np.conj(delta) * self.centered[0].take(moved[h.inv])
+            coeffs[0] = (coeffs[0] + cross) / norm
+        value = self._observed(coeffs)
+        self._pending = (slot, vals, norm, coeffs)
+        return value
+
+    def accept(self) -> None:
+        """Move to the point of the last propose."""
+        slot, vals, norm, self.coeffs = self._pending
+        self.inputs[slot] = vals / norm
+        self.centered[slot] = self.inputs[slot] - self.h._class_average(self.inputs[slot])

@@ -157,6 +157,8 @@ def run_verification(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     plan = [c for c in CHECK_ORDER if c in set(checks)]
 
     rows: List[TrialRow] = []

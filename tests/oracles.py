@@ -13,14 +13,13 @@ import numpy as np
 
 from quasimix.adversary import (
     SearchResult,
-    _disc_clip,
     _random_start,
     _structured_start,
     _unit_sphere,
     evaluate_inputs,
 )
 from quasimix.groups import group_from_table
-from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic
+from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic, _disc_clip
 from quasimix.report import CHECKS
 from quasimix.spectra import (
     SpectralInconsistencyError,

@@ -8,7 +8,6 @@ from oracles import full_maximize, harmonic_for, witness_abelian_character
 from quasimix.adversary import (
     OBJECTIVES,
     SearchConfig,
-    _disc_clip,
     _random_start,
     _seeded,
     _structured_start,
@@ -18,7 +17,7 @@ from quasimix.adversary import (
 )
 from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic, build_sl2
-from quasimix.harmonic import ConstraintError, Harmonic, sample_disc, sample_unit
+from quasimix.harmonic import ConstraintError, Harmonic, _disc_clip, sample_disc, sample_unit
 from quasimix.report import CHECK_ORDER, CHECKS, run_verification
 
 
@@ -60,8 +59,8 @@ def test_config_validation():
         SearchConfig("theorem", budget=-1)
     with pytest.raises(ValueError, match="restarts"):
         SearchConfig("theorem", restarts=0)
-    with pytest.raises(ValueError, match="non-increasing"):
-        SearchConfig("theorem", step_schedule=(0.1, 0.5))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SearchConfig("theorem", seed=-1)
 
 
 def test_budget_zero_evaluates_initial_point(s3_harmonic):
@@ -185,14 +184,15 @@ def test_theorem_search_trend_across_degrees(sl2_5_harmonic, sl2_7_harmonic):
 # -- the incremental search state against full evaluation --------------------
 
 _STATE_GROUPS = ("s:3", "a:5", "sl2:5", "z:60")
+_MOVE_GROUPS = _STATE_GROUPS + ("sl2:7",)  # n = 336: each gather spans two row chunks
 
 
 @pytest.fixture(scope="module")
 def state_harmonics():
-    return {token: harmonic_for(resolve_group(token)) for token in _STATE_GROUPS}
+    return {token: harmonic_for(resolve_group(token)) for token in _MOVE_GROUPS}
 
 
-@pytest.mark.parametrize("token", _STATE_GROUPS)
+@pytest.mark.parametrize("token", _MOVE_GROUPS)
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_incremental_value_matches_full_evaluation_after_every_move(
     state_harmonics, token, objective
@@ -271,3 +271,23 @@ def test_one_kernel_pass_per_full_evaluation(monkeypatch, state_harmonics, token
     maximize(h, cfg)
     assert calls["seeds"] > cfg.restarts  # new bests were re-evaluated, not only starts
     assert calls["kernel"] == calls["seeds"] * _KERNEL_CALLS[objective]
+
+
+def test_full_step1_evaluation_gathers_no_pair_sums(monkeypatch, state_harmonics):
+    # q[g] serves only the search's f1 moves: verify's step1 and evaluate_inputs
+    # leave it out of the gather, and only a search seed asks for it
+    pair_sums = []
+
+    def recorded(self, *args, _kernel=Harmonic._triple_inner, **kwargs):
+        inner, q = _kernel(self, *args, **kwargs)
+        pair_sums.append(q is not None)
+        return inner, q
+
+    monkeypatch.setattr(Harmonic, "_triple_inner", recorded)
+    h = state_harmonics["a:5"]
+    start = _random_start(h, "step1", np.random.default_rng(0))
+    evaluate_inputs(h, "step1", start)
+    run_verification(h, ["step1"], trials=2, seed=0)
+    assert pair_sums == [False] * 3
+    _seeded(h, "step1", start)
+    assert pair_sums[-1] is True

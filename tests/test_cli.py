@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import quasimix.adversary
+import quasimix.cli
 import quasimix.harmonic
 import quasimix.spectra
 from quasimix.cli import main, resolve_group
@@ -323,6 +324,22 @@ def test_bad_orthogonality_tolerance_exits_one_before_class_algebra(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["analyze"], ["verify", "--check", "lemma", "--trials", "1"],
+     ["search", "--objective", "lemma", "--budget", "1"]],
+    ids=["analyze", "verify", "search"],
+)
+def test_negative_seed_exits_one_before_group_work(monkeypatch, capsys, command):
+    # numpy rejects a negative seed too, but only after the group and spectral set-up
+    calls = []
+    monkeypatch.setattr(quasimix.cli, "resolve_group", lambda token: calls.append(token))
+    argv = command[:1] + ["--group", "s:7", "--seed", "-1"] + command[1:]
+    assert main(argv) == 1
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "verify" in capsys.readouterr().out
@@ -339,6 +356,8 @@ def test_run_verification_rejects_bad_plan(s3_spectral):
         run_verification(h, ["lemma"], trials=0)
     with pytest.raises(ValueError, match="threads"):
         run_verification(h, ["lemma"], trials=1, threads=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run_verification(h, ["lemma"], trials=1, seed=-1)
 
 
 def test_run_verification_plan_order(s3_spectral):
