@@ -85,15 +85,17 @@ def resolve_group(token: str) -> FiniteGroup:
     return builders[family](value)
 
 
-def _seed(raw: str) -> int:
-    """The --seed type: numpy seeds only from integers >= 0, so check before any group work."""
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _at_least(low: int):
+    """An argparse type for integers >= low: a bad count or seed exits before any group work."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _write_text(text: str, out: Optional[str]) -> None:
@@ -250,7 +252,7 @@ def build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="spectral report: degrees and quasi-randomness")
     common(analyze)
-    analyze.add_argument("--seed", type=_seed, default=0, help="character-table weight seed >= 0")
+    analyze.add_argument("--seed", type=_at_least(0), default=0, help="character-table seed >= 0")
     analyze.set_defaults(func=_cmd_analyze)
 
     verify = sub.add_parser("verify", help="run bound checks over seeded random trials")
@@ -260,9 +262,11 @@ def build_parser() -> _Parser:
         default="all",
         help=f"comma-separated subset of {','.join(CHECK_ORDER)} (default all)",
     )
-    verify.add_argument("--trials", type=int, default=200, help="trials per check (default 200)")
-    verify.add_argument("--seed", type=_seed, default=0, help="trial seed >= 0 (default 0)")
-    verify.add_argument("--threads", type=int, default=1, help="worker threads >= 1 (default 1)")
+    verify.add_argument("--trials", type=_at_least(1), default=200,
+                        help="trials per check >= 1 (default 200)")
+    verify.add_argument("--seed", type=_at_least(0), default=0, help="trial seed >= 0 (default 0)")
+    verify.add_argument("--threads", type=_at_least(1), default=1,
+                        help="worker threads >= 1 (default 1)")
     verify.add_argument("--csv", default=None, help="also write per-trial rows to this CSV file")
     verify.add_argument(
         "--timings", action="store_true", help="record wall-clock runtimes (breaks byte-stability)"
@@ -272,9 +276,10 @@ def build_parser() -> _Parser:
     search = sub.add_parser("search", help="hill-climb for worst-case inputs")
     common(search)
     search.add_argument("--objective", required=True, choices=OBJECTIVES)
-    search.add_argument("--budget", type=int, default=2000, help="evaluation budget (default 2000)")
-    search.add_argument("--restarts", type=int, default=4, help="restart count (default 4)")
-    search.add_argument("--seed", type=_seed, default=0, help="search seed >= 0 (default 0)")
+    search.add_argument("--budget", type=_at_least(0), default=2000,
+                        help="evaluation budget >= 0 (default 2000)")
+    search.add_argument("--restarts", type=_at_least(1), default=4, help="restarts >= 1 (default 4)")
+    search.add_argument("--seed", type=_at_least(0), default=0, help="search seed >= 0 (default 0)")
     search.set_defaults(func=_cmd_search)
 
     export = sub.add_parser("export-cayley", help="write the multiplication table as text")

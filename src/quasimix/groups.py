@@ -62,19 +62,6 @@ class FiniteGroup:
         self.inv.setflags(write=False)
         self._conj_table: Optional[np.ndarray] = None
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def product(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return int(self.mul[self.mul[g, x], self.inv[g]])
-
     def conjugation_table(self) -> np.ndarray:
         """(n, n) table with entry [g, x] = g * x * g^-1, cached."""
         if self._conj_table is None:
@@ -312,6 +299,9 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
             raise CayleyTableError(
                 f"line {lineno}: expected {order} entries, got {len(values)}"
             )
+        outside = [v for v in values if not 0 <= v < order]  # np.int64 could overflow on them
+        if outside:
+            raise CayleyTableError(f"line {lineno}: entry {outside[0]} is outside 0..{order - 1}")
         rows.append(values)
         if len(rows) > order:
             raise CayleyTableError(f"line {lineno}: more than {order} table rows")

@@ -47,7 +47,8 @@ class GroupFunction:
 
     ``disc_valued`` asserts |f(x)| ≤ 1 everywhere, ``two_disc_valued`` asserts
     |f(x)| ≤ 2, and ``mean_zero`` asserts the mean vanishes; each flag is
-    checked at construction (tolerance 1e-12) and trusted afterwards.
+    checked at construction (tolerance 1e-12) and trusted afterwards.  Values
+    must be finite even unflagged, since a NaN passes every flag's test.
     """
 
     values: np.ndarray
@@ -61,6 +62,9 @@ class GroupFunction:
         vals = np.array(self.values, dtype=np.complex128, order="C")
         if vals.ndim != 1 or len(vals) == 0:
             raise ConstraintError(f"values must be a nonempty vector, got shape {vals.shape}")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            raise ConstraintError(f"values must be finite, got {vals[bad[0]]} at index {bad[0]}")
         if self.disc_valued:
             worst = float(np.abs(vals).max())
             if worst > 1.0 + DISC_TOL:
@@ -365,31 +369,24 @@ class Harmonic:
         """Second-moment form with the absolute values removed.
 
         observed = (1/n) Σ_g |(1/n) Σ_x f3(x)·f1(xg⁻¹)·f2(gxg⁻¹)|²;
-        bound = 5·D^(-1/4).  For a deterministic sample of g the squared inner
+        bound = 5·D^(-1/4).  After x → xg the inner integral is step1's inner[g]
+        of _TripleState.  For a deterministic sample of g the squared inner
         integral is re-derived from its pair expansion (the integrand times
         its conjugate, summed over X² in row chunks) and must agree to 1e-10
         — the identity that justifies removing the absolute values.
         """
-        self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
-        self._require(f2, "f2", disc=True)
-        self._require(f3, "f3", disc=True)
+        state = _TripleState(self, "step2", f1, f2, f3)
         step = max(1, self.n // 8) if self.n <= 512 else max(1, self.n // 3)
-        inner = np.empty(self.n, dtype=np.complex128)
-        for rows, (t1, c2) in self._gathered((f1.values, "xg^-1"), (f2.values, "gxg^-1")):
-            twisted = t1 * c2  # [g, x] = f1(x·g⁻¹)·f2(g·x·g⁻¹)
-            inner[rows] = (twisted @ f3.values) / self.n
-            for g in range(rows.start + (-rows.start) % step, rows.stop, step):  # g % step == 0
-                row = twisted[g - rows.start] * f3.values  # the change-of-variables integrand
-                pairs = (np.outer(row[p], np.conj(row)).sum() for p in row_chunks(self.n, self.n))
-                expanded = complex(sum(pairs)) / self.n**2
-                if abs(expanded - complex(abs2(inner[g]))) > STEP2_IDENTITY_TOL:
-                    raise RuntimeError(
-                        f"pair-expansion identity failed at g={g}: "
-                        f"|inner|²={abs2(inner[g])} vs expanded={expanded}"
-                    )
-        observed = float(np.mean(abs2(inner)))
-        bound = 5.0 * self.degree_power(-0.25)
-        return self._check("step2", observed, bound)
+        for g in range(0, self.n, step):
+            row = f1.values * f2.values.take(self.mul[g]) * f3.values.take(self.mul[:, g])
+            pairs = (np.outer(row[p], np.conj(row)).sum() for p in row_chunks(self.n, self.n))
+            expanded = complex(sum(pairs)) / self.n**2
+            if abs(expanded - complex(abs2(state.inner[g]))) > STEP2_IDENTITY_TOL:
+                raise RuntimeError(
+                    f"pair-expansion identity failed at g={g}: "
+                    f"|inner|²={abs2(state.inner[g])} vs expanded={expanded}"
+                )
+        return state.check
 
     def step3_intermediate(self, f1: GroupFunction, f2: GroupFunction) -> BoundCheck:
         """Expanded two-variable form driven through the diagonal expectation.
@@ -463,30 +460,33 @@ class Harmonic:
 
 
 class _TripleState:
-    """theorem or step1 at one point, as inner[g] = (1/n) Σ_x first(x)·f2(gx)·f3(xg).
+    """theorem, step1 or step2 at one point, as inner[g] = (1/n) Σ_x first(x)·f2(gx)·f3(xg).
 
-    Construction is the one evaluation of theorem_lhs and step1_reduced_lhs:
-    the input checks, one gather of inner[g] and its reduction to ``check``.
-    ``first`` is the f1 received, which step1 takes centered.  A search also
-    passes ``moved``, the disc-valued f1 its O(n) moves change.
+    Construction is the one evaluation of theorem_lhs, step1_reduced_lhs and
+    step2_squared: the input checks, one gather of inner[g] and its reduction
+    to ``check``.  ``first`` is the f1 received, which step1 and step2 take
+    centered.  A search also passes ``moved``, the f1 its O(n) moves change.
 
     A move changes one entry p of one input by δ, and that entry enters
     inner[g] in one term per g: at x = p for f1, x = g⁻¹p for f2 and x = pg⁻¹
     for f3.  theorem also keeps mean(f1), E(f2|Φ) and E(f3|Φ) for its
-    structured term; a step1 search keeps q[g] = (1/n) Σ_x f2(gx)·f3(xg),
+    structured term; a search on centered f1 keeps q[g] = (1/n) Σ_x f2(gx)·f3(xg),
     because moving f1 by δ shifts first by −δ/n everywhere, which adds
     −(δ/n)·q[g].  The disc clip may also re-round other entries that sit on
     the unit circle up to rounding; those changes are left to the drift that
     the next full evaluation resets.
     """
 
+    BOUNDS = {"theorem": (4.0, -0.125), "step1": (3.0, -0.125), "step2": (5.0, -0.25)}
+
     def __init__(
         self, harmonic: Harmonic, objective: str, f1: GroupFunction, f2: GroupFunction,
         f3: GroupFunction, moved: Optional[GroupFunction] = None,
     ):
         self.h = harmonic
-        self.step1 = objective == "step1"
-        if self.step1:
+        self.objective = objective
+        self.centered_f1 = objective != "theorem"
+        if self.centered_f1:
             harmonic._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         else:
             harmonic._require(f1, "f1", disc=True)
@@ -494,11 +494,12 @@ class _TripleState:
         harmonic._require(f3, "f3", disc=True)
         self.first = f1.values
         self.inputs = [(f1 if moved is None else moved).values, f2.values, f3.values]
-        pair_sums = self.step1 and moved is not None
+        pair_sums = self.centered_f1 and moved is not None
         self.inner, self.extra = harmonic._triple_inner(f1.values, f2.values, f3.values, pair_sums)
-        if not self.step1:
+        if not self.centered_f1:
             self.extra = [f1.values.mean()] + [harmonic._class_average(f.values) for f in (f2, f3)]
-        bound = (3.0 if self.step1 else 4.0) * harmonic.degree_power(-0.125)
+        coefficient, power = self.BOUNDS[objective]
+        bound = coefficient * harmonic.degree_power(power)
         self.check = harmonic._check(objective, self._observed(self.inner, self.extra), bound)
         self._pending = None
 
@@ -506,12 +507,14 @@ class _TripleState:
         """The objective from inner[g] and, for theorem, the structured term's parts.
 
         theorem's value is at most 2 for disc inputs; a value above that is an
-        implementation bug and raised unconditionally.  Both reductions take a
+        implementation bug and raised unconditionally.  Each reduction takes a
         sum and one division: np.mean's numbers without its per-call overhead,
         which the search pays on every move.
         """
-        if self.step1:
+        if self.objective == "step1":
             return float(np.abs(inner).sum() / inner.size)
+        if self.objective == "step2":
+            return float(abs2(inner).sum() / inner.size)
         deviation = np.abs(inner - self.h._structured(*extra))
         observed = float(deviation.sum() / deviation.size)
         if observed > 2.0 + 1e-9:
@@ -535,7 +538,7 @@ class _TripleState:
             else:  # x = pg⁻¹, gx = gpg⁻¹
                 x, pair = h.mul[pos, h.inv], f2.take(h.conj[:, pos])
             inner = self.inner + delta * self.first.take(x) * pair
-        if self.step1:
+        if self.centered_f1:
             if slot == 0:
                 inner -= delta * self.extra
                 extra = self.extra
@@ -553,7 +556,7 @@ class _TripleState:
         slot, vals, self.inner, self.extra = self._pending
         self.inputs[slot] = vals
         if slot == 0:
-            self.first = vals - vals.mean() if self.step1 else vals
+            self.first = vals - vals.mean() if self.centered_f1 else vals
 
 
 class _ConjState:

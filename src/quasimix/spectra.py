@@ -511,6 +511,8 @@ def spectral_data(
     ortho_tol: float = DEFAULT_ORTHO_TOL,
 ) -> SpectralData:
     """Compute classes, character table and quasi-randomness degree."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     classes = conjugacy_classes(group)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SPECTRA_TAG)))
     table = character_table(group, classes, rng=rng, ortho_tol=ortho_tol)

@@ -29,14 +29,28 @@ from quasimix.spectra import (
 )
 
 
+def product(group, a, b):
+    """a * b, read from the multiplication table."""
+    return int(group.mul[a, b])
+
+
+def inverse(group, a):
+    return int(group.inv[a])
+
+
+def conjugate(group, g, x):
+    """g * x * g^-1."""
+    return product(group, product(group, g, x), inverse(group, g))
+
+
 def brute_conjugacy_partition(group):
     """Conjugation orbits as a set of frozensets, via scalar products only."""
     orbits = set()
-    for x in group.elements():
+    for x in range(group.order):
         orbit = set()
-        for g in group.elements():
-            gx = group.product(g, x)
-            orbit.add(group.product(gx, group.inverse(g)))
+        for g in range(group.order):
+            gx = product(group, g, x)
+            orbit.add(product(group, gx, inverse(group, g)))
         orbits.add(frozenset(orbit))
     return orbits
 
@@ -59,7 +73,7 @@ def regular_degrees(group, rng, attempts=8):
 
     inv_class = np.empty(len(partition), dtype=np.int64)
     for idx, cls in enumerate(partition):
-        inv_class[idx] = class_of[group.inverse(min(cls))]
+        inv_class[idx] = class_of[inverse(group, min(cls))]
 
     for _ in range(attempts):
         raw = rng.standard_normal(len(partition)) + 1j * rng.standard_normal(len(partition))
@@ -68,7 +82,7 @@ def regular_degrees(group, rng, attempts=8):
         Z = np.empty((n, n), dtype=np.complex128)
         for x in range(n):
             for y in range(n):
-                Z[x, y] = c[group.product(x, group.inverse(y))]
+                Z[x, y] = c[product(group, x, inverse(group, y))]
         evals = np.sort(np.linalg.eigvalsh(Z))
         scale = max(1.0, float(np.abs(evals).max()))
         clusters = []
@@ -95,7 +109,7 @@ def brute_class_constant(group, class_i, class_j, target_z):
     count = 0
     for x in class_i:
         for y in class_j:
-            if group.product(x, y) == target_z:
+            if product(group, x, y) == target_z:
                 count += 1
     return count
 
@@ -119,7 +133,7 @@ def brute_cond_exp_diag(group, dense):
         for y in range(n):
             s = 0.0 + 0.0j
             for g in range(n):
-                s += dense[group.product(g, x), group.product(g, y)]
+                s += dense[product(group, g, x), product(group, g, y)]
             out[x, y] = s / n
     return out
 
@@ -132,7 +146,7 @@ def brute_fixed_tensor(group, u, v):
         for y in range(n):
             s = 0.0 + 0.0j
             for g in range(n):
-                s += u[group.conjugate(g, x)] * v[group.conjugate(g, y)]
+                s += u[conjugate(group, g, x)] * v[conjugate(group, g, y)]
             out[x, y] = s / n
     return out
 
@@ -146,7 +160,7 @@ def brute_theorem_lhs(group, f1, f2, f3):
     total = 0.0
     for g in range(n):
         inner = sum(
-            f1[x] * f2[group.product(g, x)] * f3[group.product(x, g)] for x in range(n)
+            f1[x] * f2[product(group, g, x)] * f3[product(group, x, g)] for x in range(n)
         ) / n
         total += abs(inner - structured)
     return total / n
@@ -157,7 +171,7 @@ def brute_step1_lhs(group, f1, f2, f3):
     total = 0.0
     for g in range(n):
         inner = sum(
-            f1[x] * f2[group.product(g, x)] * f3[group.product(x, g)] for x in range(n)
+            f1[x] * f2[product(group, g, x)] * f3[product(group, x, g)] for x in range(n)
         ) / n
         total += abs(inner)
     return total / n
@@ -168,10 +182,10 @@ def brute_step2_squared(group, f1, f2, f3):
     n = group.order
     total = 0.0
     for g in range(n):
-        ginv = group.inverse(g)
+        ginv = inverse(group, g)
         inner = 0.0 + 0.0j
         for x in range(n):
-            inner += f3[x] * f1[group.product(x, ginv)] * f2[group.conjugate(g, x)]
+            inner += f3[x] * f1[product(group, x, ginv)] * f2[conjugate(group, g, x)]
         inner /= n
         total += abs(inner) ** 2
     return total / n
@@ -190,14 +204,14 @@ def brute_step2_pair_expansion(group, f1, f2, f3):
 
     total = 0.0 + 0.0j
     for g in range(n):
-        ginv = group.inverse(g)
+        ginv = inverse(group, g)
         s = 0.0 + 0.0j
         for x in range(n):
             for y in range(n):
                 s += (
                     F(f3, x, y)
-                    * F(f1, group.product(x, ginv), group.product(y, ginv))
-                    * F(f2, group.conjugate(g, x), group.conjugate(g, y))
+                    * F(f1, product(group, x, ginv), product(group, y, ginv))
+                    * F(f2, conjugate(group, g, x), conjugate(group, g, y))
                 )
         total += s / n**2
     return total / n
@@ -217,16 +231,16 @@ def brute_step3_quadruple(group, f1, f2):
     total = 0.0 + 0.0j
     for g in range(n):
         for h in range(n):
-            hg = group.product(h, g)
-            ginv, hginv = group.inverse(g), group.inverse(hg)
+            hg = product(group, h, g)
+            ginv, hginv = inverse(group, g), inverse(group, hg)
             s = 0.0 + 0.0j
             for x in range(n):
                 for y in range(n):
                     s += (
-                        F(f1, group.product(x, ginv), group.product(y, ginv))
-                        * np.conj(F(f1, group.product(x, hginv), group.product(y, hginv)))
-                        * F(f2, group.conjugate(g, x), group.conjugate(g, y))
-                        * np.conj(F(f2, group.conjugate(hg, x), group.conjugate(hg, y)))
+                        F(f1, product(group, x, ginv), product(group, y, ginv))
+                        * np.conj(F(f1, product(group, x, hginv), product(group, y, hginv)))
+                        * F(f2, conjugate(group, g, x), conjugate(group, g, y))
+                        * np.conj(F(f2, conjugate(group, hg, x), conjugate(group, hg, y)))
                     )
             total += s / n**2
     return total / n**2
@@ -244,9 +258,9 @@ def brute_step3_second_moment(group, f1, f2):
         for y in range(n):
             inner = 0.0 + 0.0j
             for g in range(n):
-                ginv = group.inverse(g)
-                inner += F(f1, group.product(x, ginv), group.product(y, ginv)) * F(
-                    f2, group.conjugate(g, x), group.conjugate(g, y)
+                ginv = inverse(group, g)
+                inner += F(f1, product(group, x, ginv), product(group, y, ginv)) * F(
+                    f2, conjugate(group, g, x), conjugate(group, g, y)
                 )
             total += abs(inner / n) ** 2
     return total / n**2
@@ -256,9 +270,9 @@ def brute_step4_final(group, f1, f2):
     n = group.order
     total = 0.0
     for h in range(n):
-        hinv = group.inverse(h)
-        it = sum(f1[x] * np.conj(f1[group.product(x, hinv)]) for x in range(n)) / n
-        ic = sum(f2[x] * np.conj(f2[group.conjugate(h, x)]) for x in range(n)) / n
+        hinv = inverse(group, h)
+        it = sum(f1[x] * np.conj(f1[product(group, x, hinv)]) for x in range(n)) / n
+        ic = sum(f2[x] * np.conj(f2[conjugate(group, h, x)]) for x in range(n)) / n
         total += abs(it) ** 2 * abs(ic) ** 2
     return total / n
 
@@ -268,8 +282,8 @@ def brute_right_translation_corollary(group, f1):
     n = group.order
     total = 0.0
     for h in range(n):
-        hinv = group.inverse(h)
-        ip = sum(f1[x] * np.conj(f1[group.product(x, hinv)]) for x in range(n)) / n
+        hinv = inverse(group, h)
+        ip = sum(f1[x] * np.conj(f1[product(group, x, hinv)]) for x in range(n)) / n
         total += abs(ip) ** 2
     return total / n
 
@@ -337,6 +351,18 @@ def dense_step4_final(h, f1, f2):
     inner_t = (f1.values @ np.conj(f1.values)[h.mul[:, h.inv]]) / h.n
     inner_c = (np.conj(f2.values)[h.conj] @ f2.values) / h.n
     return float(np.mean(np.abs(inner_t) ** 2 * np.abs(inner_c) ** 2))
+
+
+def twisted_step2_squared(h, f1, f2, f3):
+    """step2's observed value from its own twisted gather, one matvec per row chunk of g.
+
+    inner[g] = (1/n) Σ_x f3(x)·f1(xg⁻¹)·f2(gxg⁻¹) as rows f1(xg⁻¹)·f2(gxg⁻¹) times
+    f3: the route step2_squared took before it read step1's triple state.
+    """
+    inner = np.empty(h.n, dtype=np.complex128)
+    for rows, (t1, c2) in h._gathered((f1.values, "xg^-1"), (f2.values, "gxg^-1")):
+        inner[rows] = ((t1 * c2) @ f3.values) / h.n
+    return float(np.mean(np.abs(inner) ** 2))
 
 
 def loop_step3_intermediate(group, f1, f2):

@@ -274,8 +274,8 @@ def test_one_kernel_pass_per_full_evaluation(monkeypatch, state_harmonics, token
 
 
 def test_full_step1_evaluation_gathers_no_pair_sums(monkeypatch, state_harmonics):
-    # q[g] serves only the search's f1 moves: verify's step1 and evaluate_inputs
-    # leave it out of the gather, and only a search seed asks for it
+    # q[g] serves only the search's f1 moves: verify's step1 and step2 and
+    # evaluate_inputs leave it out of the gather, and only a search seed asks for it
     pair_sums = []
 
     def recorded(self, *args, _kernel=Harmonic._triple_inner, **kwargs):
@@ -287,7 +287,7 @@ def test_full_step1_evaluation_gathers_no_pair_sums(monkeypatch, state_harmonics
     h = state_harmonics["a:5"]
     start = _random_start(h, "step1", np.random.default_rng(0))
     evaluate_inputs(h, "step1", start)
-    run_verification(h, ["step1"], trials=2, seed=0)
-    assert pair_sums == [False] * 3
+    run_verification(h, ["step1", "step2"], trials=2, seed=0)
+    assert pair_sums == [False] * 5
     _seeded(h, "step1", start)
     assert pair_sums[-1] is True

@@ -275,6 +275,17 @@ def test_export_round_trips_identical_tables(tmp_path):
     assert np.array_equal(loaded.mul, build_symmetric(4).mul)
 
 
+@pytest.mark.parametrize("entry", ["100000000000000000000000", "-100000000000000000000000"])
+@pytest.mark.parametrize("command", ["analyze", "export-cayley"])
+def test_huge_cayley_entry_exits_one_naming_the_line(tmp_path, capsys, command, entry):
+    # no int64 holds ±10²³: the loader must reject it before building the array
+    path = tmp_path / "table.txt"
+    path.write_text(f"# z:2\n2\n0 1\n1 {entry}\n")
+    assert main([command, "--group", f"file:{path}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"quasimix: error: line 4: entry {int(entry)} is outside 0..1\n"
+
+
 def test_search_cli_is_deterministic(tmp_path):
     base = ["search", "--group", "z:3", "--objective", "theorem",
             "--budget", "200", "--seed", "4"]
@@ -331,12 +342,16 @@ def test_bad_orthogonality_tolerance_exits_one_before_class_algebra(
     ids=["analyze", "verify", "search"],
 )
 def test_negative_seed_exits_one_before_group_work(monkeypatch, capsys, command):
-    # numpy rejects a negative seed too, but only after the group and spectral set-up
+    # numpy rejects a negative seed too, and the library a bad count, but only
+    # after the group and spectral set-up
     calls = []
     monkeypatch.setattr(quasimix.cli, "resolve_group", lambda token: calls.append(token))
-    argv = command[:1] + ["--group", "s:7", "--seed", "-1"] + command[1:]
-    assert main(argv) == 1
-    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    bad = {"analyze": [], "verify": [("--trials", 0, 1), ("--threads", 0, 1)],
+           "search": [("--budget", -1, 0), ("--restarts", 0, 1)]}[command[0]]
+    for flag, value, low in [("--seed", -1, 0)] + bad:
+        argv = command[:1] + ["--group", "s:7", flag, str(value)] + command[1:]
+        assert main(argv) == 1
+        assert f"argument {flag}: must be >= {low}, got {value}" in capsys.readouterr().err
     assert calls == []
 
 

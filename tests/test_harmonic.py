@@ -16,6 +16,7 @@ from oracles import (
     brute_step4_final,
     brute_theorem_lhs,
     cond_exp_conj,
+    conjugate,
     dense_corollary_lhs,
     dense_lemma_gap,
     dense_step4_final,
@@ -23,6 +24,7 @@ from oracles import (
     proj_fixed_tensor,
     sample_interior_disc,
     substitution_distance,
+    twisted_step2_squared,
 )
 from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic
@@ -60,6 +62,16 @@ def test_flag_validation():
         GroupFunction(np.array([]))
     # boundary values are allowed
     GroupFunction(np.array([1.0, -1.0]), disc_valued=True, mean_zero=True)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("flag", [None, "disc_valued", "two_disc_valued", "mean_zero"])
+def test_non_finite_values_are_rejected(flag, value):
+    # a NaN passes every flag's comparison, so it would reach the checks as nan
+    vals = np.zeros(4, dtype=np.complex128)
+    vals[2] = value
+    with pytest.raises(ConstraintError, match="finite, got .* at index 2"):
+        GroupFunction(vals, **({flag: True} if flag else {}))
 
 
 def test_values_are_read_only():
@@ -235,7 +247,7 @@ def test_step4_substitution_matches_brute(s3_harmonic, s3):
     f2 = _rand_disc(6, 30)
     for h in range(6):
         observed = substitution_distance(s3_harmonic, f2, h)
-        a = f2.values * np.conj(f2.values[[s3.conjugate(h, x) for x in range(6)]])
+        a = f2.values * np.conj(f2.values[[conjugate(s3, h, x) for x in range(6)]])
         diag = brute_cond_exp_diag(s3, np.outer(a, np.conj(a)))
         scalar = abs(a.mean()) ** 2
         expect = float(np.sqrt(np.mean(np.abs(diag - scalar) ** 2)))
@@ -272,7 +284,7 @@ def test_corollary_matches_brute(s3_harmonic, s3):
     total = 0.0
     for g in range(6):
         inner = sum(
-            u.values[x] * np.conj(v.values[s3.conjugate(g, x)]) for x in range(6)
+            u.values[x] * np.conj(v.values[conjugate(s3, g, x)]) for x in range(6)
         ) / 6
         total += abs(inner - fixed) ** 2
     expect = total / 6
@@ -382,6 +394,21 @@ def test_chain_kernels_match_brute_across_row_chunks(kernel_harmonics, token):
     assert _close(step2, brute_step2_squared(group, c1.values, f2.values, f3.values))
     step4 = h.step4_final(c1, f2).observed
     assert _close(step4, brute_step4_final(group, c1.values, f2.values))
+
+
+@pytest.mark.parametrize("token", ["z:1", "s:3", "a:5", "z:12", "sl2:7", "psl2:11"])
+def test_step2_matches_its_twisted_gather_oracle(kernel_harmonics, token):
+    # step2 reads step1's triple state, whose inner[g] is step2's twisted
+    # integral after x → xg; the oracle gathers sl2:7 in 2 row chunks
+    h = kernel_harmonics.get(token) or harmonic_for(resolve_group(token))
+    rng = np.random.default_rng(46)
+    for _ in range(3):
+        f1, f2, f3 = centered(sample_disc(h.n, rng)), sample_disc(h.n, rng), sample_disc(h.n, rng)
+        got = h.step2_squared(f1, f2, f3).observed
+        expect = twisted_step2_squared(h, f1, f2, f3)
+        assert _close(got, expect)
+        if h.n == 1:
+            assert got == expect == 0.0
 
 
 def test_chain_kernels_stay_small_on_alternating_7(subprocess_peak_mb):

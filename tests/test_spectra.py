@@ -193,6 +193,14 @@ def test_row_and_column_orthogonality(s4, sl2_5):
         assert np.abs(col - np.diag(group.order / cc.class_sizes)).max() < 1e-10
 
 
+def test_spectral_data_rejects_negative_seed_before_class_work(monkeypatch, s3):
+    calls = []
+    monkeypatch.setattr(quasimix.spectra, "conjugacy_classes", lambda group: calls.append(group))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        spectral_data(s3, seed=-1)
+    assert calls == []
+
+
 def test_spectral_data_is_deterministic(s3):
     one = spectral_data(s3)
     two = spectral_data(s3)

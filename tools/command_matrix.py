@@ -15,7 +15,8 @@ receives stdout.txt, stderr.txt, exit_code.txt and every file the command
 wrote (report, CSV, reproducers).  Messages that name a written file carry
 its absolute path, so the run directory is replaced by "<rundir>" in the
 captured streams.  Two checkouts run into two OUTDIRs then compare with
-``diff -r OUTDIR_A OUTDIR_B``.
+``diff -r OUTDIR_A OUTDIR_B``.  The script exits 1 when any command exited
+non-zero, so a matrix that no longer runs cannot pass as an empty diff.
 """
 
 import os
@@ -71,6 +72,7 @@ def run(outdir):
         failures += proc.returncode != 0
         print(f"{proc.returncode}  {name}")
     print(f"{failures} command(s) exited non-zero")
+    return failures
 
 
 def main(argv):
@@ -81,8 +83,7 @@ def main(argv):
     if os.path.exists(outdir) and os.listdir(outdir):
         sys.stderr.write(f"command_matrix: {outdir} exists and is not empty\n")
         return 1
-    run(outdir)
-    return 0
+    return 1 if run(outdir) else 0
 
 
 if __name__ == "__main__":
