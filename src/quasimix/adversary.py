@@ -24,7 +24,7 @@ from .harmonic import (
     sample_disc,
 )
 from .report import CHECK_ORDER, CHECKS
-from .spectra import isotypic_project
+from .spectra import conjugation_multiplicity, isotypic_project
 
 __all__ = [
     "SearchConfig",
@@ -111,31 +111,25 @@ def _structured_start(
     harmonic: Harmonic, objective: str, rng: np.random.Generator
 ) -> List[np.ndarray]:
     """Character-flavored initial points that sit near known extremizers."""
-    spectral = harmonic.spectral
+    spectral, table = harmonic.spectral, harmonic.spectral.table
     witness = spectral.quasirandomness.witness_row
     if witness is None:
         return _random_start(harmonic, objective, rng)
     if CHECKS[objective].kind == "disc":
-        chi = spectral.table.values[witness][spectral.classes.class_of]
-        base = chi / max(float(spectral.table.degrees[witness]), 1.0)
+        chi = table.values[witness][spectral.classes.class_of]
+        base = chi / max(float(table.degrees[witness]), 1.0)
         third = np.conj(base * base)
         return [base.copy(), base.copy(), _disc_clip(third)]
-    # unit pairs: a unit vector inside the lowest-degree nontrivial
-    # isotypic component that the conjugation action actually contains
-    order = sorted(
-        (r for r in range(spectral.classes.num_classes) if r != spectral.table.trivial_row),
-        key=lambda r: int(spectral.table.degrees[r]),
-    )
+    # unit pairs: a unit vector inside the lowest-degree nontrivial isotypic
+    # component that the conjugation action contains; table rows run in degree order
+    rows = (r for r in range(len(table.degrees)) if r != table.trivial_row)
+    row = next((r for r in rows if conjugation_multiplicity(table, r) > 0), None)
+    # drawn before the fallback too, so an abelian group's restarts keep their random stream
     raw = rng.standard_normal(harmonic.n) + 1j * rng.standard_normal(harmonic.n)
-    for row in order:
-        proj = isotypic_project(
-            spectral.group, spectral.classes, spectral.table, raw, row
-        )
-        norm = float(np.sqrt(np.mean(np.abs(proj) ** 2)))
-        if norm > 1e-9:
-            unit = proj / norm
-            return [unit.copy(), unit.copy()]
-    return _random_start(harmonic, objective, rng)
+    if row is None:
+        return _random_start(harmonic, objective, rng)
+    unit = _unit_sphere(isotypic_project(spectral.group, spectral.classes, table, raw, row))
+    return [unit.copy(), unit.copy()]
 
 
 def _seeded(harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
@@ -168,12 +162,8 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
     equals evaluate_inputs of best_inputs), and rounding drift never outlives
     a new best.
     """
-    if config.budget == 0:
-        restarts_run, per_restart = 1, 1
-    elif config.budget < config.restarts:
-        restarts_run, per_restart = config.budget, 1
-    else:
-        restarts_run, per_restart = config.restarts, config.budget // config.restarts
+    restarts_run = max(1, min(config.restarts, config.budget))
+    per_restart = max(1, config.budget // restarts_run)
 
     hi, lo = config.step_schedule
     best_value = -1.0
@@ -184,11 +174,8 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
 
     for restart in range(restarts_run):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
-        if restart % 2 == 0:
-            start = _random_start(harmonic, config.objective, rng)
-        else:
-            start = _structured_start(harmonic, config.objective, rng)
-        check, state = _seeded(harmonic, config.objective, start)
+        start = _structured_start if restart % 2 else _random_start
+        check, state = _seeded(harmonic, config.objective, start(harmonic, config.objective, rng))
         value = check.observed
         evaluations += 1
         if value > best_value:

@@ -13,6 +13,7 @@ from typing import List, Optional
 from .adversary import OBJECTIVES, SearchConfig, maximize
 from .groups import (
     MAX_ORDER,
+    _SL2_PRIMES,
     FiniteGroup,
     build_alternating,
     build_cyclic,
@@ -35,13 +36,14 @@ from .report import (
 from .spectra import spectral_data
 from . import __version__
 
+_PRIMES = "{" + ", ".join(map(str, _SL2_PRIMES)) + "}"
 _CATALOG = f"""\
 group tokens:
   z:<n>       cyclic of order n (1 <= n <= {MAX_ORDER})
   s:<m>       symmetric group on m symbols (2 <= m <= 7)
   a:<m>       alternating group on m symbols (2 <= m <= 7)
-  sl2:<p>     SL(2, p), p prime in {{3, 5, 7, 11, 13}}
-  psl2:<p>    PSL(2, p), p prime in {{3, 5, 7, 11, 13}}
+  sl2:<p>     SL(2, p), p prime in {_PRIMES}
+  psl2:<p>    PSL(2, p), p prime in {_PRIMES}
   file:<path> Cayley-table text file (same format as export-cayley)
 
 showcase groups:

@@ -85,8 +85,9 @@ class GroupFunction:
 
     @property
     def norm2(self) -> float:
-        """L² norm under the uniform probability weight."""
-        return l2mu(self.values)
+        """L² norm under the uniform probability weight; inf where float64 overflows."""
+        with np.errstate(over="ignore"):
+            return l2mu(self.values)
 
 
 @dataclass(frozen=True)
@@ -582,23 +583,33 @@ class _ConjState:
     def __init__(self, harmonic: Harmonic, objective: str, u: GroupFunction, v: GroupFunction):
         self.h = harmonic
         self.lemma = objective == "lemma"
-        harmonic._require(u, "u")
-        harmonic._require(v, "v")
+        for name, f in (("u", u), ("v", v)):
+            harmonic._require(f, name)
+            if not np.isfinite(f.norm2):
+                raise ConstraintError(f"{name} is too large: its L2 norm overflows float64")
         self.inputs = [u.values, v.values]
         self.centered = [f.values - harmonic._class_average(f.values) for f in (u, v)]
         if self.lemma:
             self.coeffs = [harmonic._coefficients(a, a, "gxg^-1") for a in self.centered]
-            bound = harmonic.degree_power(-0.5) * u.norm2 * v.norm2
-            self.checks = (harmonic._check("lemma", self._observed(self.coeffs), bound),)
         else:
             self.coeffs = [harmonic._coefficients(*self.centered, "gxg^-1")]
-            observed = self._observed(self.coeffs)
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                observed = self._observed(self.coeffs)
+            except FloatingPointError:  # finite norms whose product overflows, raised below
+                observed = np.inf
+        if self.lemma:
+            bound = harmonic.degree_power(-0.5) * u.norm2 * v.norm2
+            self.checks = (harmonic._check("lemma", observed, bound),)
+        else:
             scale = u.norm2**2 * v.norm2**2
             self.checks = (
                 harmonic._check("corollary", observed, harmonic.degree_power(-0.5) * scale),
                 harmonic._check("corollary_sharp", observed, harmonic.degree_power(-1.0) * scale),
             )
         self.check = self.checks[0]
+        if not np.isfinite(self.check.margin):
+            raise ConstraintError(f"u and v are too large together: {objective} overflows float64")
         self._pending = None
 
     def _observed(self, coeffs) -> float:

@@ -13,12 +13,14 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
 from .harmonic import BoundCheck, GroupFunction, Harmonic, centered, sample_disc, sample_unit
+from .harmonic import _TripleState
 
 __all__ = [
     "CHECKS",
@@ -110,7 +112,8 @@ def _run_one_trial(
 
 def theorem_vacuity_note(harmonic: Harmonic) -> Optional[str]:
     """The headline bound is weaker than the trivial ceiling at desk-scale D."""
-    bound = 4.0 * harmonic.degree_power(-0.125)
+    coefficient, power = _TripleState.BOUNDS["theorem"]
+    bound = coefficient * harmonic.degree_power(power)
     if bound <= 2.0:
         return None
     degree = harmonic.degree
@@ -167,15 +170,12 @@ def run_verification(
 
     for check in plan:
         started = time.perf_counter()
+        trial_of = partial(_run_one_trial, harmonic, check, seed)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(_run_one_trial, harmonic, check, seed, t)
-                    for t in range(trials)
-                ]
-                results = [f.result() for f in futures]
+                results = list(pool.map(trial_of, range(trials)))
         else:
-            results = [_run_one_trial(harmonic, check, seed, t) for t in range(trials)]
+            results = [trial_of(t) for t in range(trials)]
         elapsed = time.perf_counter() - started
 
         # corollary expands to two named records; group the flat list back up

@@ -468,6 +468,26 @@ def is_multiplicity_free(group, classes, table, row, rng):
     return free
 
 
+def probed_isotypic_row(harmonic, raw):
+    """The search's structured-start row found by probing, or None: no multiplicities used.
+
+    Projects raw onto every nontrivial row in degree order, one O(n²)
+    isotypic_project pass each, and returns the first row whose projection
+    has L²(μ) norm above 1e-9, i.e. the least-degree component that the
+    conjugation action visibly contains.  Ties go to table order.
+    """
+    spectral = harmonic.spectral
+    order = sorted(
+        (r for r in range(spectral.classes.num_classes) if r != spectral.table.trivial_row),
+        key=lambda r: int(spectral.table.degrees[r]),
+    )
+    for row in order:
+        proj = isotypic_project(spectral.group, spectral.classes, spectral.table, raw, row)
+        if float(np.sqrt(np.mean(np.abs(proj) ** 2))) > 1e-9:
+            return row
+    return None
+
+
 def all_pairs_commutator_subgroup(group):
     """The commutator subgroup from all n² commutators [a, b], closed under products."""
     mul, inv = group.mul, group.inv

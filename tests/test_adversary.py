@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import quasimix.adversary as adversary
-from oracles import full_maximize, harmonic_for, witness_abelian_character
+from oracles import full_maximize, harmonic_for, probed_isotypic_row, witness_abelian_character
 from quasimix.adversary import (
     OBJECTIVES,
     SearchConfig,
@@ -19,6 +19,7 @@ from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic, build_sl2
 from quasimix.harmonic import ConstraintError, Harmonic, _disc_clip, sample_disc, sample_unit
 from quasimix.report import CHECK_ORDER, CHECKS, run_verification
+from quasimix.spectra import isotypic_project
 
 
 def test_witness_attains_one_on_z3():
@@ -291,3 +292,54 @@ def test_full_step1_evaluation_gathers_no_pair_sums(monkeypatch, state_harmonics
     assert pair_sums == [False] * 5
     _seeded(h, "step1", start)
     assert pair_sums[-1] is True
+
+
+# -- the structured start's isotypic row --------------------------------------
+
+
+def _projected_rows(monkeypatch):
+    """Record the row of every adversary.isotypic_project call."""
+    rows = []
+
+    def recorded(group, classes, table, values, row, _project=adversary.isotypic_project):
+        rows.append(row)
+        return _project(group, classes, table, values, row)
+
+    monkeypatch.setattr(adversary, "isotypic_project", recorded)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "token", ("s:3", "s:4", "a:4", "a:5", "sl2:3", "sl2:5", "sl2:7", "psl2:11", "z:12")
+)
+def test_structured_start_row_matches_projection_probe(monkeypatch, token):
+    # conjugation_multiplicity picks the row the old probe found by projecting
+    # a random vector onto every row; an abelian group has none, and its start
+    # falls back to a random one after the same draw
+    h = harmonic_for(resolve_group(token))
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
+    expect_row = probed_isotypic_row(h, raw)
+    assert (expect_row is None) == (token == "z:12")
+    rows = _projected_rows(monkeypatch)
+    start = _structured_start(h, "lemma", np.random.default_rng(11))
+    assert rows == ([] if expect_row is None else [expect_row])
+    if expect_row is None:
+        expect = _random_start(h, "lemma", rng)
+    else:
+        data = h.spectral
+        unit = _unit_sphere(isotypic_project(h.group, data.classes, data.table, raw, expect_row))
+        expect = [unit, unit]
+    for got, want in zip(start, expect):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("token, projections", [("sl2:5", 1), ("z:60", 0)])
+def test_structured_unit_start_projects_at_most_once(
+    monkeypatch, state_harmonics, token, projections
+):
+    # one O(n²) projection onto the chosen component, and none on an abelian
+    # group, whose conjugation action fixes every function
+    rows = _projected_rows(monkeypatch)
+    _structured_start(state_harmonics[token], "lemma", np.random.default_rng(0))
+    assert len(rows) == projections

@@ -354,6 +354,49 @@ def test_lemma_is_homogeneous_at_any_scale(kernel_harmonics, token):
         assert abs(both.observed - abs(lam) ** 2 * base) <= 1e-12 * abs(lam) ** 2 * base
 
 
+_RAMP = np.arange(1.0, 7.0)  # one value per element of s:3
+
+
+@pytest.mark.parametrize("method", ["lemma_gap", "corollary_lhs"])
+@pytest.mark.parametrize(
+    "u, v, named",
+    [
+        (1e200 * _RAMP, _RAMP - 1.0, "u is too large: its L2 norm overflows"),
+        (_RAMP - 1.0, 1e200 * _RAMP, "v is too large: its L2 norm overflows"),
+        (1e80 * _RAMP, 1e80 * (6.0 - _RAMP), "u and v are too large together"),
+    ],
+    ids=["u-1e200", "v-1e200", "both-1e80"],
+)
+def test_inputs_that_overflow_float64_are_rejected(s3_harmonic, method, u, v, named):
+    # finite inputs once gave nan, inf, or (lemma at 1e80) a false violation;
+    # any numpy warning would fail the test
+    with pytest.raises(ConstraintError, match=named):
+        getattr(s3_harmonic, method)(GroupFunction(u), GroupFunction(v))
+
+
+@pytest.mark.parametrize("scale_u, scale_v", [(1e40, 1e40), (1e150, 1.0), (1.0, 1e150)])
+def test_large_finite_inputs_scale_homogeneously(s3_harmonic, scale_u, scale_v):
+    # lemma's records scale by |λ||μ| and corollary's by |λ|²|μ|², up to rounding
+    h = s3_harmonic
+    u, v = GroupFunction(_RAMP), GroupFunction(_RAMP - 1.0)
+    big_u, big_v = GroupFunction(scale_u * _RAMP), GroupFunction(scale_v * (_RAMP - 1.0))
+    pairs = [(h.lemma_gap(u, v), h.lemma_gap(big_u, big_v), scale_u * scale_v)]
+    for small, big in zip(h.corollary_lhs(u, v), h.corollary_lhs(big_u, big_v)):
+        pairs.append((small, big, (scale_u * scale_v) ** 2))
+    for small, big, factor in pairs:
+        assert big.passed
+        for field in ("observed", "bound", "margin"):
+            want = factor * getattr(small, field)
+            assert abs(getattr(big, field) - want) <= 1e-12 * want, (big, field)
+
+
+def test_an_overflowing_norm_reads_inf_and_fails_unit_l2(s3_harmonic):
+    f1 = GroupFunction(1e200 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]), mean_zero=True)
+    assert f1.norm2 == np.inf
+    with pytest.raises(ConstraintError, match="L2 norm <= 1, got inf"):
+        s3_harmonic.step4_final(f1, GroupFunction(np.ones(6), disc_valued=True))
+
+
 def test_lemma_and_corollary_above_the_old_pair_cap(subprocess_peak_mb):
     # sl2:13 has order 2184, above the 2000 that once capped pair storage; no
     # n×n complex array is built, neither by the kernels nor by the isotypic

@@ -5,8 +5,9 @@ Usage: python tools/command_matrix.py OUTDIR
 The matrix is the invariant a pure refactor must keep byte for byte:
   - verify --check all --trials 3 --seed 7 on z:6, s:4, a:5 and sl2:5,
     once with --csv and once with --threads 2;
-  - search --budget 120 --seed 3 for every objective on z:60, z:12, s:4,
-    a:5, sl2:5, sl2:7, psl2:11 and s:6;
+  - search --budget 120 --seed 3 for every objective in this checkout's
+    quasimix.adversary.OBJECTIVES on z:60, z:12, s:4, a:5, sl2:5, sl2:7,
+    psl2:11 and s:6;
   - analyze and export-cayley on s:4, a:5, sl2:5, sl2:7 and z:12.
 
 Each command runs in a fresh interpreter against this checkout's src/, with
@@ -26,9 +27,12 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 RUN_MAIN = "import sys; from quasimix.cli import main; sys.exit(main(sys.argv[1:]))"
 
+# the searched objectives are the checkout's own, so a new objective joins the matrix
+sys.path.insert(0, SRC)
+from quasimix.adversary import OBJECTIVES  # noqa: E402
+
 VERIFY_GROUPS = ("z:6", "s:4", "a:5", "sl2:5")
 SEARCH_GROUPS = ("z:60", "z:12", "s:4", "a:5", "sl2:5", "sl2:7", "psl2:11", "s:6")
-OBJECTIVES = ("theorem", "step1", "lemma", "corollary")
 SETUP_GROUPS = ("s:4", "a:5", "sl2:5", "sl2:7", "z:12")
 
 
