@@ -151,19 +151,24 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
     structured character-based initial points.  Moves perturb one function at
     one element by a complex step whose magnitude shrinks linearly along the
     restart's evaluation budget; projection keeps every iterate feasible and
-    only strict improvements are kept.  A zero budget evaluates the restart-0
+    only strict improvements are kept.  The budget is split evenly over the
+    restarts, the first budget % restarts of them taking one move more, so
+    evaluations_used equals the budget.  A zero budget evaluates the restart-0
     initial point and returns it.
 
     Each move is judged in O(n) on a per-g state of harmonic's (_TripleState
-    or _ConjState).  Every restart's initial point, and every accepted point
-    that beats the best so far, is evaluated in full by building a new state:
-    the one O(n²) pass evaluate_inputs runs, whose arrays the climb moves on.
-    So best_value, best_check and the trace are full evaluations (best_check
-    equals evaluate_inputs of best_inputs), and rounding drift never outlives
-    a new best.
+    or _ConjState), and only strict improvements are taken, so a restart's
+    best point is where its climb ends.  A restart runs the one O(n²) pass
+    evaluate_inputs runs twice at most: on its initial point, and on its end
+    point if the climb moved.  best_value, best_check and the trace come only
+    from those full evaluations (best_check equals evaluate_inputs of
+    best_inputs), so the trace steps only at a restart's start and end.  The
+    end evaluation also bounds the state's rounding drift: an incremental value
+    off the full one by more than 1e-12 relative (absolute below 1) raises
+    RuntimeError.
     """
     restarts_run = max(1, min(config.restarts, config.budget))
-    per_restart = max(1, config.budget // restarts_run)
+    moves, extra = divmod(config.budget, restarts_run)
 
     hi, lo = config.step_schedule
     best_value = -1.0
@@ -183,6 +188,7 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
             best_inputs = [a.copy() for a in state.inputs]
         trace.append(best_value)
 
+        per_restart = max(1, moves + (restart < extra))
         for step_idx in range(per_restart - 1):
             frac = step_idx / max(per_restart - 2, 1)
             magnitude = hi + (lo - hi) * frac
@@ -194,13 +200,21 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
             if cand_value > value:
                 state.accept()
                 value = cand_value
-                if value > best_value:
-                    check, state = _seeded(harmonic, config.objective, state.inputs)
-                    value = check.observed
-                    if value > best_value:
-                        best_value, best_check = value, check
-                        best_inputs = [a.copy() for a in state.inputs]
             trace.append(best_value)
+
+        if value > check.observed:  # the climb beat its start: evaluate where it ended
+            drifted = value
+            check, state = _seeded(harmonic, config.objective, state.inputs)
+            value = check.observed
+            if abs(drifted - value) > 1e-12 * max(1.0, abs(value)):
+                raise RuntimeError(
+                    f"{config.objective} search, restart {restart}: the incremental value "
+                    f"{drifted!r} drifted from its full evaluation {value!r}"
+                )
+            if value > best_value:
+                best_value, best_check = value, check
+                best_inputs = [a.copy() for a in state.inputs]
+                trace[-1] = best_value
 
     assert best_inputs is not None and best_check is not None
     return SearchResult(
@@ -210,4 +224,3 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
         evaluations_used=evaluations,
         trace=trace,
     )
-

@@ -474,8 +474,9 @@ class _TripleState:
     structured term; a search on centered f1 keeps q[g] = (1/n) Σ_x f2(gx)·f3(xg),
     because moving f1 by δ shifts first by −δ/n everywhere, which adds
     −(δ/n)·q[g].  The disc clip may also re-round other entries that sit on
-    the unit circle up to rounding; those changes are left to the drift that
-    the next full evaluation resets.
+    the unit circle up to rounding; those changes are left to drift, which a
+    search bounds at each restart's end: maximize evaluates the end point in
+    full and raises if the two values part by more than 1e-12 relative.
     """
 
     BOUNDS = {"theorem": (4.0, -0.125), "step1": (3.0, -0.125), "step2": (5.0, -0.25)}

@@ -564,16 +564,17 @@ def loop_sl2_table(p, projective=False):
 def full_maximize(harmonic, config):
     """maximize with a full evaluate_inputs call per move: O(n²) per move, no incremental state.
 
-    The same restarts, random draws and strict-improvement rule as
-    quasimix.adversary.maximize; every candidate is copied, projected and
-    evaluated from scratch.
+    The same restarts, split of the budget, random draws and strict-improvement
+    rule as quasimix.adversary.maximize; every candidate is copied, projected
+    and evaluated from scratch, and the trace steps at every new best.
     """
     if config.budget == 0:
-        restarts_run, per_restart = 1, 1
+        restarts_run, moves, extra = 1, 1, 0
     elif config.budget < config.restarts:
-        restarts_run, per_restart = config.budget, 1
+        restarts_run, moves, extra = config.budget, 1, 0
     else:
-        restarts_run, per_restart = config.restarts, config.budget // config.restarts
+        restarts_run = config.restarts
+        moves, extra = config.budget // config.restarts, config.budget % config.restarts
 
     hi, lo = config.step_schedule
     kind = CHECKS[config.objective].kind
@@ -596,6 +597,7 @@ def full_maximize(harmonic, config):
             best_inputs = [a.copy() for a in current]
         trace.append(best_value)
 
+        per_restart = moves + 1 if restart < extra else moves
         for step_idx in range(per_restart - 1):
             frac = step_idx / max(per_restart - 2, 1)
             magnitude = hi + (lo - hi) * frac

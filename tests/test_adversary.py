@@ -1,5 +1,7 @@
 """Worst-case search: witnesses, determinism, feasibility, and tightness trends."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,15 @@ from quasimix.adversary import (
 )
 from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic, build_sl2
-from quasimix.harmonic import ConstraintError, Harmonic, _disc_clip, sample_disc, sample_unit
+from quasimix.harmonic import (
+    ConstraintError,
+    Harmonic,
+    _ConjState,
+    _disc_clip,
+    _TripleState,
+    sample_disc,
+    sample_unit,
+)
 from quasimix.report import CHECK_ORDER, CHECKS, run_verification
 from quasimix.spectra import isotypic_project
 
@@ -89,14 +99,10 @@ def test_trace_is_nondecreasing_and_counts_evaluations(s3_harmonic):
     res = maximize(s3_harmonic, SearchConfig("lemma", budget=80, seed=4))
     assert len(res.trace) == res.evaluations_used == 80
     assert all(a <= b + 1e-15 for a, b in zip(res.trace, res.trace[1:]))
-
-
-def test_best_inputs_reevaluate_to_best_value(s3_harmonic):
-    for objective in ("theorem", "step1", "lemma", "corollary"):
-        res = maximize(s3_harmonic, SearchConfig(objective, budget=40, seed=5))
-        again = evaluate_inputs(s3_harmonic, objective, res.best_inputs)
-        assert again.observed == res.best_value, objective
-        assert again == res.best_check, objective
+    # full evaluations only: the trace steps at a restart's start or end (20 moves each)
+    rises = {i for i in range(1, 80) if res.trace[i] != res.trace[i - 1]}
+    assert rises and rises <= {19, 20, 39, 40, 59, 60, 79}
+    assert res.trace[-1] == res.best_value
 
 
 # (seed tag, sampler, arity) of verify's trial streams; tags must never change.
@@ -228,6 +234,38 @@ def test_incremental_value_matches_full_evaluation_after_every_move(
                     assert np.array_equal(got, want)
 
 
+def test_best_inputs_reevaluate_to_best_value(state_harmonics):
+    # best_check is a full evaluation of best_inputs, never an incremental value
+    for token in _MOVE_GROUPS:
+        h = state_harmonics[token]
+        for objective in OBJECTIVES:
+            res = maximize(h, SearchConfig(objective, budget=40, seed=5))
+            again = evaluate_inputs(h, objective, res.best_inputs)
+            assert again.observed == res.best_value, (token, objective)
+            assert astuple(again) == astuple(res.best_check), (token, objective)
+
+
+@pytest.mark.parametrize("budget, restarts", [(10, 4), (7, 3), (5, 4), (83, 4), (41, 6)])
+def test_budget_not_divisible_by_restarts_is_spent_whole(s3_harmonic, budget, restarts):
+    # the first budget % restarts restarts take one move more
+    cfg = SearchConfig("lemma", budget=budget, restarts=restarts, seed=2)
+    for res in (maximize(s3_harmonic, cfg), full_maximize(s3_harmonic, cfg)):
+        assert res.evaluations_used == len(res.trace) == budget
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_drift_between_incremental_and_full_value_raises(monkeypatch, state_harmonics, objective):
+    # a state whose moves are off by 1e-9 climbs on values no full evaluation
+    # reproduces; the restart's end evaluation must catch it
+    for state in (_TripleState, _ConjState):
+        def drifting(self, *args, _propose=state.propose):
+            return _propose(self, *args) + 1e-9
+
+        monkeypatch.setattr(state, "propose", drifting)
+    with pytest.raises(RuntimeError, match=f"{objective} search, restart 0: .* drifted"):
+        maximize(state_harmonics["a:5"], SearchConfig(objective, budget=40, seed=0))
+
+
 @pytest.mark.parametrize("token", _STATE_GROUPS)
 def test_maximize_agrees_with_full_reevaluation_oracle(state_harmonics, token):
     h = state_harmonics[token]
@@ -237,6 +275,7 @@ def test_maximize_agrees_with_full_reevaluation_oracle(state_harmonics, token):
         assert fast.evaluations_used == full.evaluations_used == 80
         assert abs(fast.best_value - full.best_value) <= 1e-12, objective
         if token == "z:60" and objective in ("lemma", "corollary"):
+            # every value is exactly 0.0: no move improves, and the drift guard never trips
             assert fast.best_value == full.best_value == 0.0
             assert fast.trace == full.trace == [0.0] * 80
 
@@ -248,8 +287,9 @@ _KERNEL_CALLS = {"theorem": 1, "step1": 1, "lemma": 2, "corollary": 1}
 @pytest.mark.parametrize("token", ("s:3", "a:5"))
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_one_kernel_pass_per_full_evaluation(monkeypatch, state_harmonics, token, objective):
-    # the state is seeded from the full evaluation's own per-g arrays, so a
-    # search runs the gather kernels once per restart and re-evaluated new best
+    # the state is seeded from the full evaluation's own per-g arrays, and a
+    # search evaluates in full only each restart's start and, when its climb
+    # took a move, its end: the kernels run once per such evaluation
     calls = {"kernel": 0, "seeds": 0}
     for name in ("_triple_inner", "_coefficients"):
         def counted(self, *args, _kernel=getattr(Harmonic, name), **kwargs):
@@ -262,6 +302,13 @@ def test_one_kernel_pass_per_full_evaluation(monkeypatch, state_harmonics, token
         calls["seeds"] += 1
         return _seeded(*args)
 
+    climbed = {}  # the states an accepted move changed, held so their ids stay unique
+    for state in (_TripleState, _ConjState):
+        def recorded(self, _accept=state.accept):
+            climbed[id(self)] = self
+            _accept(self)
+
+        monkeypatch.setattr(state, "accept", recorded)
     monkeypatch.setattr(adversary, "_seeded", counted_seed)
     h = state_harmonics[token]
     start = _random_start(h, objective, np.random.default_rng(0))
@@ -270,7 +317,8 @@ def test_one_kernel_pass_per_full_evaluation(monkeypatch, state_harmonics, token
     calls["kernel"] = 0
     cfg = SearchConfig(objective, budget=200, seed=3)
     maximize(h, cfg)
-    assert calls["seeds"] > cfg.restarts  # new bests were re-evaluated, not only starts
+    assert 0 < len(climbed) <= cfg.restarts
+    assert calls["seeds"] == cfg.restarts + len(climbed)
     assert calls["kernel"] == calls["seeds"] * _KERNEL_CALLS[objective]
 
 
