@@ -12,17 +12,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .harmonic import (
-    BoundCheck,
-    GroupFunction,
-    Harmonic,
-    _ConjState,
-    _disc_clip,
-    _TripleState,
-    _unit_norm,
-    centered,
-    sample_disc,
-)
+from .harmonic import BoundCheck, Harmonic, _disc_clip, _unit_norm, sample_disc
 from .report import CHECK_ORDER, CHECKS
 from .spectra import conjugation_multiplicity, isotypic_project
 
@@ -34,7 +24,8 @@ __all__ = [
     "maximize",
 ]
 
-OBJECTIVES = ("theorem", "step1", "lemma", "corollary")
+# the searchable checks are those with a search state, in CHECK_ORDER
+OBJECTIVES = tuple(check for check, spec in CHECKS.items() if spec.state is not None)
 
 
 @dataclass(frozen=True)
@@ -89,21 +80,20 @@ def evaluate_inputs(
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}; choose from {CHECK_ORDER}")
     spec = CHECKS[check]
-    if len(inputs) != spec.arity:
-        raise ValueError(f"{check} takes {spec.arity} input vectors, got {len(inputs)}")
-    return spec.evaluate(harmonic, inputs)[0]
+    if len(inputs) != len(spec.inputs):
+        raise ValueError(f"{check} takes {len(spec.inputs)} input vectors, got {len(inputs)}")
+    return spec.evaluate(harmonic, spec.functions(inputs))[0]
 
 
 def _random_start(
     harmonic: Harmonic, objective: str, rng: np.random.Generator
 ) -> List[np.ndarray]:
-    spec = CHECKS[objective]
     n = harmonic.n
-    if spec.kind == "disc":
-        return [sample_disc(n, rng).values for _ in range(spec.arity)]
     return [
         _unit_sphere(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for _ in range(spec.arity)
+        if constraint == "unit"
+        else sample_disc(n, rng).values
+        for constraint in CHECKS[objective].inputs
     ]
 
 
@@ -115,11 +105,11 @@ def _structured_start(
     witness = spectral.quasirandomness.witness_row
     if witness is None:
         return _random_start(harmonic, objective, rng)
-    if CHECKS[objective].kind == "disc":
+    inputs = CHECKS[objective].inputs
+    if "unit" not in inputs:  # disc checks: f1 = f2 = χ/d and f3 = clip(conj (χ/d)²)
         chi = table.values[witness][spectral.classes.class_of]
         base = chi / max(float(table.degrees[witness]), 1.0)
-        third = np.conj(base * base)
-        return [base.copy(), base.copy(), _disc_clip(third)]
+        return [base.copy(), base.copy(), _disc_clip(np.conj(base * base))][: len(inputs)]
     # unit pairs: a unit vector inside the lowest-degree nontrivial isotypic
     # component that the conjugation action contains; table rows run in degree order
     rows = (r for r in range(len(table.degrees)) if r != table.trivial_row)
@@ -134,12 +124,8 @@ def _structured_start(
 
 def _seeded(harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
     """A full evaluation of inputs, and the incremental state it leaves behind."""
-    if CHECKS[objective].kind == "unit":
-        state = _ConjState(harmonic, objective, *(GroupFunction(a) for a in inputs))
-    else:
-        f1, f2, f3 = (GroupFunction(a, disc_valued=True) for a in inputs)
-        first = centered(f1) if objective == "step1" else f1
-        state = _TripleState(harmonic, objective, first, f2, f3, moved=f1)
+    spec = CHECKS[objective]
+    state = spec.state(harmonic, objective, spec.functions(inputs), moved=inputs)
     return state.check, state
 
 
@@ -156,9 +142,9 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
     evaluations_used equals the budget.  A zero budget evaluates the restart-0
     initial point and returns it.
 
-    Each move is judged in O(n) on a per-g state of harmonic's (_TripleState
-    or _ConjState), and only strict improvements are taken, so a restart's
-    best point is where its climb ends.  A restart runs the one O(n²) pass
+    Each move is judged in O(n) on the objective's per-g search state,
+    CHECKS[objective].state, and only strict improvements are taken, so a
+    restart's best point is where its climb ends.  A restart runs the one O(n²) pass
     evaluate_inputs runs twice at most: on its initial point, and on its end
     point if the climb moved.  best_value, best_check and the trace come only
     from those full evaluations (best_check equals evaluate_inputs of

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -286,7 +286,7 @@ class Harmonic:
         idempotent, hence observed² = ⟨P°(u₀⊗v₀), u₀⊗v₀⟩ =
         mean_g c(u₀,u₀)[g]·c(v₀,v₀)[g], two O(n²) gathers and no pair function.
         """
-        return _ConjState(self, "lemma", u, v).check
+        return _ConjState(self, "lemma", (u, v)).check
 
     def corollary_lhs(self, u: GroupFunction, v: GroupFunction) -> Tuple[BoundCheck, BoundCheck]:
         """Mean-square deviation of the conjugation matrix coefficient.
@@ -297,7 +297,7 @@ class Harmonic:
         observed = mean_g |c(u₀,v₀)[g]|².  Two checks are returned for the same
         observed value: the D^(-1/2)·‖u‖₂²‖v‖₂² bound and the sharper D^(-1) one.
         """
-        return _ConjState(self, "corollary", u, v).checks
+        return _ConjState(self, "corollary", (u, v)).checks
 
     def _triple_inner(
         self, f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, pair_sums: bool = False
@@ -333,12 +333,7 @@ class Harmonic:
         p *= np.full(self.n, m1)
         return complex(p.sum() / p.size)
 
-    def theorem_lhs(
-        self,
-        f1: GroupFunction,
-        f2: GroupFunction,
-        f3: GroupFunction,
-    ) -> BoundCheck:
+    def theorem_lhs(self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction) -> BoundCheck:
         """Averaged deviation of the triple correlation from its structured product.
 
         observed = (1/n) Σ_g |(1/n) Σ_x f1(x)f2(gx)f3(xg)
@@ -346,48 +341,27 @@ class Harmonic:
         bound = 4·D^(-1/8).  Disc-valued inputs force observed ≤ 2, which is
         asserted unconditionally (a violation is an implementation bug).
         """
-        return _TripleState(self, "theorem", f1, f2, f3).check
+        return _TripleState(self, "theorem", (f1, f2, f3)).check
 
     def step1_reduced_lhs(
-        self,
-        f1: GroupFunction,
-        f2: GroupFunction,
-        f3: GroupFunction,
+        self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction
     ) -> BoundCheck:
         """First-moment form after centering f1.
 
         observed = (1/n) Σ_g |(1/n) Σ_x f1(x)f2(gx)f3(xg)| with f1 in the
         radius-2 disc, mean-zero, ‖f1‖₂ ≤ 1; bound = 3·D^(-1/8).
         """
-        return _TripleState(self, "step1", f1, f2, f3).check
+        return _TripleState(self, "step1", (f1, f2, f3)).check
 
-    def step2_squared(
-        self,
-        f1: GroupFunction,
-        f2: GroupFunction,
-        f3: GroupFunction,
-    ) -> BoundCheck:
+    def step2_squared(self, f1: GroupFunction, f2: GroupFunction, f3: GroupFunction) -> BoundCheck:
         """Second-moment form with the absolute values removed.
 
         observed = (1/n) Σ_g |(1/n) Σ_x f3(x)·f1(xg⁻¹)·f2(gxg⁻¹)|²;
         bound = 5·D^(-1/4).  After x → xg the inner integral is step1's inner[g]
-        of _TripleState.  For a deterministic sample of g the squared inner
-        integral is re-derived from its pair expansion (the integrand times
-        its conjugate, summed over X² in row chunks) and must agree to 1e-10
-        — the identity that justifies removing the absolute values.
+        of _TripleState, whose step2 evaluation also checks the pair-expansion
+        identity that justifies removing the absolute values.
         """
-        state = _TripleState(self, "step2", f1, f2, f3)
-        step = max(1, self.n // 8) if self.n <= 512 else max(1, self.n // 3)
-        for g in range(0, self.n, step):
-            row = f1.values * f2.values.take(self.mul[g]) * f3.values.take(self.mul[:, g])
-            pairs = (np.outer(row[p], np.conj(row)).sum() for p in row_chunks(self.n, self.n))
-            expanded = complex(sum(pairs)) / self.n**2
-            if abs(expanded - complex(abs2(state.inner[g]))) > STEP2_IDENTITY_TOL:
-                raise RuntimeError(
-                    f"pair-expansion identity failed at g={g}: "
-                    f"|inner|²={abs2(state.inner[g])} vs expanded={expanded}"
-                )
-        return state.check
+        return _TripleState(self, "step2", (f1, f2, f3)).check
 
     def step3_intermediate(self, f1: GroupFunction, f2: GroupFunction) -> BoundCheck:
         """Expanded two-variable form driven through the diagonal expectation.
@@ -460,13 +434,21 @@ class Harmonic:
         return self._check("step4_lemma_substitution", worst, bound)
 
 
+def _state_inputs(functions, moved) -> list:
+    """What a state's moves change: a private copy of ``moved``, else the functions' values."""
+    if moved is None:
+        return [f.values for f in functions]
+    return [np.array(a, dtype=np.complex128) for a in moved]
+
+
 class _TripleState:
     """theorem, step1 or step2 at one point, as inner[g] = (1/n) Σ_x first(x)·f2(gx)·f3(xg).
 
     Construction is the one evaluation of theorem_lhs, step1_reduced_lhs and
-    step2_squared: the input checks, one gather of inner[g] and its reduction
-    to ``check``.  ``first`` is the f1 received, which step1 and step2 take
-    centered.  A search also passes ``moved``, the f1 its O(n) moves change.
+    step2_squared: the input checks, one gather of inner[g], its reduction to
+    ``check`` and, for step2, the pair-expansion identity check.  ``functions``
+    are (f1, f2, f3) as the check takes them, f1 centered for step1 and step2.
+    A search also passes ``moved``, the raw vectors its O(n) moves change.
 
     A move changes one entry p of one input by δ, and that entry enters
     inner[g] in one term per g: at x = p for f1, x = g⁻¹p for f2 and x = pg⁻¹
@@ -482,12 +464,13 @@ class _TripleState:
     BOUNDS = {"theorem": (4.0, -0.125), "step1": (3.0, -0.125), "step2": (5.0, -0.25)}
 
     def __init__(
-        self, harmonic: Harmonic, objective: str, f1: GroupFunction, f2: GroupFunction,
-        f3: GroupFunction, moved: Optional[GroupFunction] = None,
+        self, harmonic: Harmonic, objective: str, functions: Sequence[GroupFunction],
+        moved: Optional[Sequence[np.ndarray]] = None,
     ):
         self.h = harmonic
         self.objective = objective
         self.centered_f1 = objective != "theorem"
+        f1, f2, f3 = functions
         if self.centered_f1:
             harmonic._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         else:
@@ -495,15 +478,34 @@ class _TripleState:
         harmonic._require(f2, "f2", disc=True)
         harmonic._require(f3, "f3", disc=True)
         self.first = f1.values
-        self.inputs = [(f1 if moved is None else moved).values, f2.values, f3.values]
+        self.inputs = _state_inputs(functions, moved)
         pair_sums = self.centered_f1 and moved is not None
         self.inner, self.extra = harmonic._triple_inner(f1.values, f2.values, f3.values, pair_sums)
         if not self.centered_f1:
             self.extra = [f1.values.mean()] + [harmonic._class_average(f.values) for f in (f2, f3)]
+        if objective == "step2":
+            self._check_pair_expansion(f2.values, f3.values)
         coefficient, power = self.BOUNDS[objective]
         bound = coefficient * harmonic.degree_power(power)
         self.check = harmonic._check(objective, self._observed(self.inner, self.extra), bound)
         self._pending = None
+
+    def _check_pair_expansion(self, f2: np.ndarray, f3: np.ndarray) -> None:
+        """|inner[g]|² on a fixed sample of g must equal its pair expansion to STEP2_IDENTITY_TOL.
+
+        The expansion sums the integrand times its conjugate over X² in row chunks.
+        """
+        h = self.h
+        step = max(1, h.n // 8) if h.n <= 512 else max(1, h.n // 3)
+        for g in range(0, h.n, step):
+            row = self.first * f2.take(h.mul[g]) * f3.take(h.mul[:, g])
+            pairs = (np.outer(row[p], np.conj(row)).sum() for p in row_chunks(h.n, h.n))
+            expanded = complex(sum(pairs)) / h.n**2
+            if abs(expanded - complex(abs2(self.inner[g]))) > STEP2_IDENTITY_TOL:
+                raise RuntimeError(
+                    f"pair-expansion identity failed at g={g}: "
+                    f"|inner|²={abs2(self.inner[g])} vs expanded={expanded}"
+                )
 
     def _observed(self, inner: np.ndarray, extra) -> float:
         """The objective from inner[g] and, for theorem, the structured term's parts.
@@ -567,7 +569,8 @@ class _ConjState:
     Construction is the one evaluation of lemma_gap and corollary_lhs: the
     input checks, the centering, one gather per coefficient and the reduction
     to ``checks`` (corollary's published and sharp records, or lemma's one),
-    whose first is ``check``.  A search then moves the point in O(n) per move.
+    whose first is ``check``.  ``functions`` are (u, v); a search also passes
+    ``moved``, the raw vectors it then moves in O(n) per move, as _TripleState.
 
     With a₀ = a − E(a|Φ) and c(a, b)[g] = (1/n) Σ_x a(x)·conj b(gxg⁻¹), lemma
     keeps c(u₀,u₀) and c(v₀,v₀), corollary keeps c(u₀,v₀).  Moving u by δ at
@@ -581,14 +584,18 @@ class _ConjState:
     once per factor that moved.
     """
 
-    def __init__(self, harmonic: Harmonic, objective: str, u: GroupFunction, v: GroupFunction):
+    def __init__(
+        self, harmonic: Harmonic, objective: str, functions: Sequence[GroupFunction],
+        moved: Optional[Sequence[np.ndarray]] = None,
+    ):
         self.h = harmonic
         self.lemma = objective == "lemma"
+        u, v = functions
         for name, f in (("u", u), ("v", v)):
             harmonic._require(f, name)
             if not np.isfinite(f.norm2):
                 raise ConstraintError(f"{name} is too large: its L2 norm overflows float64")
-        self.inputs = [u.values, v.values]
+        self.inputs = _state_inputs(functions, moved)
         self.centered = [f.values - harmonic._class_average(f.values) for f in (u, v)]
         if self.lemma:
             self.coeffs = [harmonic._coefficients(a, a, "gxg^-1") for a in self.centered]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .harmonic import BoundCheck, GroupFunction, Harmonic, centered, sample_disc, sample_unit
-from .harmonic import _TripleState
+from .harmonic import _ConjState, _TripleState
 
 __all__ = [
     "CHECKS",
@@ -38,43 +38,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """How one certified inequality draws its inputs and evaluates them.
+    """How one certified inequality takes its inputs, evaluates them and is searched.
 
     ``tag`` folds into the trial seeds, so renaming or reordering checks never
-    changes the random streams.  ``kind`` is the input constraint set: "unit"
-    vectors have L²(μ) norm 1 and "disc" vectors have |f| ≤ 1.  ``evaluate``
-    maps ``arity`` raw vectors to BoundCheck records; corollary yields two.
+    changes the random streams.  ``inputs`` names each input's constraint:
+    "unit" vectors have L²(μ) norm 1, "disc" vectors have |f| ≤ 1 and
+    "centered" ones are disc vectors less their mean.  ``evaluate`` maps the
+    GroupFunctions of ``functions`` to BoundCheck records; corollary yields
+    two.  ``state`` is the incremental state a search climbs on, None for a
+    check that is not searched.
     """
 
     tag: int
-    kind: str
-    arity: int
-    evaluate: Callable[[Harmonic, Sequence[np.ndarray]], List[BoundCheck]]
+    inputs: Tuple[str, ...]
+    evaluate: Callable[[Harmonic, Sequence[GroupFunction]], List[BoundCheck]]
+    state: Optional[type]
 
-
-def _units(inputs: Sequence[np.ndarray]) -> List[GroupFunction]:
-    return [GroupFunction(a) for a in inputs]
-
-
-def _discs(inputs: Sequence[np.ndarray]) -> List[GroupFunction]:
-    return [GroupFunction(a, disc_valued=True) for a in inputs]
-
-
-def _centered_first(inputs: Sequence[np.ndarray]) -> List[GroupFunction]:
-    """step1 to step4 take a centered first argument and disc-valued rest."""
-    first, *rest = _discs(inputs)
-    return [centered(first), *rest]
+    def functions(self, vectors: Sequence[np.ndarray]) -> List[GroupFunction]:
+        """The raw vectors as this check's validated input functions."""
+        out = []
+        for constraint, values in zip(self.inputs, vectors, strict=True):
+            f = GroupFunction(values, disc_valued=constraint != "unit")
+            out.append(centered(f) if constraint == "centered" else f)
+        return out
 
 
 CHECKS: Dict[str, CheckSpec] = {
-    "lemma": CheckSpec(1, "unit", 2, lambda h, xs: [h.lemma_gap(*_units(xs))]),
-    "corollary": CheckSpec(2, "unit", 2, lambda h, xs: list(h.corollary_lhs(*_units(xs)))),
-    "theorem": CheckSpec(3, "disc", 3, lambda h, xs: [h.theorem_lhs(*_discs(xs))]),
-    "step1": CheckSpec(4, "disc", 3, lambda h, xs: [h.step1_reduced_lhs(*_centered_first(xs))]),
-    "step2": CheckSpec(5, "disc", 3, lambda h, xs: [h.step2_squared(*_centered_first(xs))]),
-    "step3": CheckSpec(6, "disc", 2, lambda h, xs: [h.step3_intermediate(*_centered_first(xs))]),
-    "step4": CheckSpec(7, "disc", 2, lambda h, xs: [h.step4_final(*_centered_first(xs))]),
-    "step4sub": CheckSpec(8, "disc", 1, lambda h, xs: [h.step4_substitution_sweep(*_discs(xs))]),
+    "lemma": CheckSpec(1, ("unit", "unit"), lambda h, fs: [h.lemma_gap(*fs)], _ConjState),
+    "corollary": CheckSpec(
+        2, ("unit", "unit"), lambda h, fs: list(h.corollary_lhs(*fs)), _ConjState
+    ),
+    "theorem": CheckSpec(
+        3, ("disc", "disc", "disc"), lambda h, fs: [h.theorem_lhs(*fs)], _TripleState
+    ),
+    "step1": CheckSpec(
+        4, ("centered", "disc", "disc"), lambda h, fs: [h.step1_reduced_lhs(*fs)], _TripleState
+    ),
+    "step2": CheckSpec(
+        5, ("centered", "disc", "disc"), lambda h, fs: [h.step2_squared(*fs)], _TripleState
+    ),
+    "step3": CheckSpec(6, ("centered", "disc"), lambda h, fs: [h.step3_intermediate(*fs)], None),
+    "step4": CheckSpec(7, ("centered", "disc"), lambda h, fs: [h.step4_final(*fs)], None),
+    "step4sub": CheckSpec(8, ("disc",), lambda h, fs: [h.step4_substitution_sweep(*fs)], None),
 }
 
 CHECK_ORDER: Tuple[str, ...] = tuple(CHECKS)
@@ -105,9 +110,11 @@ def _run_one_trial(
 ) -> Tuple[List[BoundCheck], Tuple[np.ndarray, ...]]:
     spec = CHECKS[check]
     rng = np.random.default_rng(np.random.SeedSequence((seed, spec.tag, trial)))
-    sample = sample_unit if spec.kind == "unit" else sample_disc
-    inputs = tuple(sample(harmonic.n, rng).values for _ in range(spec.arity))
-    return spec.evaluate(harmonic, inputs), inputs
+    inputs = tuple(
+        (sample_unit if constraint == "unit" else sample_disc)(harmonic.n, rng).values
+        for constraint in spec.inputs
+    )
+    return spec.evaluate(harmonic, spec.functions(inputs)), inputs
 
 
 def theorem_vacuity_note(harmonic: Harmonic) -> Optional[str]:
@@ -171,27 +178,26 @@ def run_verification(
     for check in plan:
         started = time.perf_counter()
         trial_of = partial(_run_one_trial, harmonic, check, seed)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(trial_of, range(trials)))
-        else:
-            results = [trial_of(t) for t in range(trials)]
+        # corollary expands to two named records; each trial is reduced into
+        # them as it arrives (pool.map keeps trial order), and its inputs are
+        # kept only when it failed
+        reduced: Dict[str, Tuple[int, BoundCheck, float, bool]] = {}
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = (pool.map if threads > 1 else map)(trial_of, range(trials))
+            for trial, (bound_checks, inputs) in enumerate(results):
+                for bc in bound_checks:
+                    name = bc.quantity_name
+                    worst_trial, worst, top, ok = reduced.get(name, (trial, bc, bc.observed, True))
+                    if bc.margin < worst.margin:
+                        worst_trial, worst = trial, bc
+                    reduced[name] = worst_trial, worst, max(top, bc.observed), ok and bc.passed
+                    rows.append(TrialRow(name, trial, bc.observed, bc.bound, bc.margin))
+                if not all(bc.passed for bc in bound_checks):
+                    failures.append((check, trial, inputs))
         elapsed = time.perf_counter() - started
 
-        # corollary expands to two named records; group the flat list back up
-        by_name: Dict[str, List[Tuple[int, BoundCheck]]] = {}
-        for trial, (bound_checks, inputs) in enumerate(results):
-            for bc in bound_checks:
-                by_name.setdefault(bc.quantity_name, []).append((trial, bc))
-                rows.append(
-                    TrialRow(bc.quantity_name, trial, bc.observed, bc.bound, bc.margin)
-                )
-            if not all(bc.passed for bc in bound_checks):
-                failures.append((check, trial, inputs))
-
-        for name in sorted(by_name, key=lambda q: (q != check, q)):
-            entries = by_name[name]
-            worst_trial, worst = min(entries, key=lambda e: (e[1].margin, e[0]))
+        for name in sorted(reduced, key=lambda q: (q != check, q)):
+            worst_trial, worst, max_observed, passed = reduced[name]
             records.append(
                 {
                     "check": name,
@@ -199,11 +205,11 @@ def run_verification(
                     "trials": trials,
                     "seed": seed,
                     "bound": worst.bound,
-                    "max_observed": max(bc.observed for _, bc in entries),
+                    "max_observed": max_observed,
                     "min_margin": worst.margin,
                     "worst_trial": worst_trial,
                     "runtime_s": elapsed if timings else None,
-                    "status": "pass" if all(bc.passed for _, bc in entries) else "fail",
+                    "status": "pass" if passed else "fail",
                 }
             )
 

@@ -577,7 +577,7 @@ def full_maximize(harmonic, config):
         moves, extra = config.budget // config.restarts, config.budget % config.restarts
 
     hi, lo = config.step_schedule
-    kind = CHECKS[config.objective].kind
+    project = _unit_sphere if "unit" in CHECKS[config.objective].inputs else _disc_clip
     best_value = -1.0
     best_inputs = best_check = None
     trace = []
@@ -606,7 +606,6 @@ def full_maximize(harmonic, config):
             candidate = [a.copy() for a in current]
             bump = complex(rng.standard_normal(), rng.standard_normal())
             candidate[slot][pos] += magnitude * bump
-            project = _disc_clip if kind == "disc" else _unit_sphere
             candidate[slot] = project(candidate[slot])
             cand_check = evaluate_inputs(harmonic, config.objective, candidate)
             evaluations += 1

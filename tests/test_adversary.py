@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import quasimix.adversary as adversary
+import quasimix.harmonic as harmonic
 from oracles import full_maximize, harmonic_for, probed_isotypic_row, witness_abelian_character
 from quasimix.adversary import (
     OBJECTIVES,
@@ -208,7 +209,7 @@ def test_incremental_value_matches_full_evaluation_after_every_move(
     # state is never re-seeded, so drift accumulates over the whole walk, and
     # every third move is taken even when it is worse
     h = state_harmonics[token]
-    project = _disc_clip if CHECKS[objective].kind == "disc" else _unit_sphere
+    project = _unit_sphere if "unit" in CHECKS[objective].inputs else _disc_clip
     abelian_zero = token == "z:60" and objective in ("lemma", "corollary")
     for start in (_random_start, _structured_start):
         rng = np.random.default_rng(np.random.SeedSequence((17, len(token))))
@@ -281,7 +282,7 @@ def test_maximize_agrees_with_full_reevaluation_oracle(state_harmonics, token):
 
 
 # O(n²) kernel calls of one full evaluation of each objective
-_KERNEL_CALLS = {"theorem": 1, "step1": 1, "lemma": 2, "corollary": 1}
+_KERNEL_CALLS = {"theorem": 1, "step1": 1, "step2": 1, "lemma": 2, "corollary": 1}
 
 
 @pytest.mark.parametrize("token", ("s:3", "a:5"))
@@ -391,3 +392,53 @@ def test_structured_unit_start_projects_at_most_once(
     rows = _projected_rows(monkeypatch)
     _structured_start(state_harmonics[token], "lemma", np.random.default_rng(0))
     assert len(rows) == projections
+
+
+# -- one check table for verify and search ------------------------------------
+
+
+def test_objectives_are_the_checks_with_a_search_state():
+    assert OBJECTIVES == ("lemma", "corollary", "theorem", "step1", "step2")
+    assert [c for c in CHECK_ORDER if CHECKS[c].state is not None] == list(OBJECTIVES)
+
+
+@pytest.mark.parametrize("token", _STATE_GROUPS)
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_search_seed_is_evaluate_inputs(state_harmonics, token, objective):
+    # a search's full evaluation and evaluate_inputs convert through the same
+    # CHECKS row, so they agree field for field
+    h = state_harmonics[token]
+    for start in (_random_start, _structured_start):
+        inputs = start(h, objective, np.random.default_rng(23))
+        check, _ = _seeded(h, objective, inputs)
+        assert astuple(check) == astuple(evaluate_inputs(h, objective, inputs)), start
+
+
+@pytest.mark.parametrize("check", [c for c in CHECK_ORDER if "unit" not in CHECKS[c].inputs])
+def test_structured_disc_start_has_one_vector_per_input(state_harmonics, check):
+    # a:5 has a witness row, so every disc check takes the character start
+    start = _structured_start(state_harmonics["a:5"], check, np.random.default_rng(0))
+    assert len(start) == len(CHECKS[check].inputs)
+
+
+def test_step2_search_checks_the_pair_expansion_identity(monkeypatch, state_harmonics):
+    # building the step2 state runs the identity check, so each full
+    # evaluation of a step2 search runs it, and no move does
+    monkeypatch.setattr(harmonic, "STEP2_IDENTITY_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="pair-expansion identity failed"):
+        maximize(state_harmonics["a:5"], SearchConfig("step2", budget=40, seed=0))
+    monkeypatch.undo()
+    calls = {"identity": 0, "seeds": 0}
+
+    def counted_identity(self, *args, _check=_TripleState._check_pair_expansion):
+        calls["identity"] += 1
+        return _check(self, *args)
+
+    def counted_seed(*args, _seeded=adversary._seeded):
+        calls["seeds"] += 1
+        return _seeded(*args)
+
+    monkeypatch.setattr(_TripleState, "_check_pair_expansion", counted_identity)
+    monkeypatch.setattr(adversary, "_seeded", counted_seed)
+    maximize(state_harmonics["a:5"], SearchConfig("step2", budget=200, seed=3))
+    assert calls["identity"] == calls["seeds"] > 0

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ def test_search_violation_exits_two_and_dumps_reproducer(
     assert repro["check"] == objective
     assert repro["trial"] == -1
     assert repro["seed"] == 11
-    assert len(repro["inputs"]) == CHECKS[objective].arity
+    assert len(repro["inputs"]) == len(CHECKS[objective].inputs)
     assert all(len(vector["real"]) == 4 for vector in repro["inputs"])
 
 
@@ -384,6 +385,23 @@ def test_run_verification_plan_order(s3_spectral):
     assert tokens == ["lemma", "corollary", "corollary", "step4"]
     assert all(r["status"] == "pass" for r in outcome.report["checks"])
     assert outcome.failures == []
+
+
+def test_verify_keeps_no_inputs_of_passing_trials(a5):
+    # each trial is reduced as it completes, and only a failing trial keeps its
+    # inputs: 3,000 a:5 theorem trials (three 60-entry complex inputs, about
+    # 3 KB a trial) hold little more than their rows
+    h = Harmonic(spectral_data(a5))
+    run_verification(h, ["theorem"], trials=2, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outcome = run_verification(h, ["theorem"], trials=3000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(outcome.rows) == 3000 and outcome.failures == []
+    assert (peak - base) / 3000 < 1500
 
 
 def test_canonical_json_shape():

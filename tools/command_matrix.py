@@ -9,6 +9,8 @@ The matrix is the invariant a pure refactor must keep byte for byte:
     quasimix.adversary.OBJECTIVES on z:60, z:12, s:4, a:5, sl2:5, sl2:7,
     psl2:11 and s:6;
   - analyze and export-cayley on s:4, a:5, sl2:5, sl2:7 and z:12.
+With the five objectives lemma, corollary, theorem, step1 and step2 that is
+58 commands: 8 verify, 40 search and 10 set-up commands.
 
 Each command runs in a fresh interpreter against this checkout's src/, with
 its own directory OUTDIR/<name>/ as working directory.  That directory
