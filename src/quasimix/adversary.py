@@ -12,7 +12,7 @@ from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .harmonic import BoundCheck, Harmonic, _disc_clip, _unit_norm, sample_disc
+from .harmonic import BoundCheck, GroupFunction, Harmonic, _disc_clip, _unit_norm
 from .report import CHECK_ORDER, CHECKS
 from .spectra import conjugation_multiplicity, isotypic_project
 
@@ -63,11 +63,6 @@ class SearchResult:
     trace: List[float] = field(default_factory=list)
 
 
-def _unit_sphere(vals: np.ndarray) -> np.ndarray:
-    """Projection onto the unit sphere of L²(μ); leaves the zero vector alone."""
-    return vals / _unit_norm(vals)
-
-
 def evaluate_inputs(
     harmonic: Harmonic, check: str, inputs: Sequence[np.ndarray]
 ) -> BoundCheck:
@@ -82,34 +77,22 @@ def evaluate_inputs(
     spec = CHECKS[check]
     if len(inputs) != len(spec.inputs):
         raise ValueError(f"{check} takes {len(spec.inputs)} input vectors, got {len(inputs)}")
-    return spec.evaluate(harmonic, spec.functions(inputs))[0]
-
-
-def _random_start(
-    harmonic: Harmonic, objective: str, rng: np.random.Generator
-) -> List[np.ndarray]:
-    n = harmonic.n
-    return [
-        _unit_sphere(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        if constraint == "unit"
-        else sample_disc(n, rng).values
-        for constraint in CHECKS[objective].inputs
-    ]
+    return spec.evaluate(harmonic, spec.functions(spec.wrap(inputs)))[0]
 
 
 def _structured_start(
     harmonic: Harmonic, objective: str, rng: np.random.Generator
-) -> List[np.ndarray]:
-    """Character-flavored initial points that sit near known extremizers."""
+) -> List[GroupFunction]:
+    """A character-flavored point near known extremizers, as functions in CheckSpec.draw's form."""
     spectral, table = harmonic.spectral, harmonic.spectral.table
+    spec = CHECKS[objective]
     witness = spectral.quasirandomness.witness_row
     if witness is None:
-        return _random_start(harmonic, objective, rng)
-    inputs = CHECKS[objective].inputs
-    if "unit" not in inputs:  # disc checks: f1 = f2 = χ/d and f3 = clip(conj (χ/d)²)
+        return spec.draw(harmonic.n, rng)
+    if "unit" not in spec.inputs:  # disc checks: f1 = f2 = χ/d and f3 = clip(conj (χ/d)²)
         chi = table.values[witness][spectral.classes.class_of]
         base = chi / max(float(table.degrees[witness]), 1.0)
-        return [base.copy(), base.copy(), _disc_clip(np.conj(base * base))][: len(inputs)]
+        return spec.wrap([base, base, _disc_clip(np.conj(base * base))][: len(spec.inputs)])
     # unit pairs: a unit vector inside the lowest-degree nontrivial isotypic
     # component that the conjugation action contains; table rows run in degree order
     rows = (r for r in range(len(table.degrees)) if r != table.trivial_row)
@@ -117,15 +100,15 @@ def _structured_start(
     # drawn before the fallback too, so an abelian group's restarts keep their random stream
     raw = rng.standard_normal(harmonic.n) + 1j * rng.standard_normal(harmonic.n)
     if row is None:
-        return _random_start(harmonic, objective, rng)
-    unit = _unit_sphere(isotypic_project(spectral.group, spectral.classes, table, raw, row))
-    return [unit.copy(), unit.copy()]
+        return spec.draw(harmonic.n, rng)
+    projected = isotypic_project(spectral.group, spectral.classes, table, raw, row)
+    return spec.wrap([projected / _unit_norm(projected)] * 2)
 
 
-def _seeded(harmonic: Harmonic, objective: str, inputs: Sequence[np.ndarray]):
-    """A full evaluation of inputs, and the incremental state it leaves behind."""
+def _seeded(harmonic: Harmonic, objective: str, point: Sequence[GroupFunction]):
+    """A full evaluation at a drawn or wrapped point, and the incremental state it leaves behind."""
     spec = CHECKS[objective]
-    state = spec.state(harmonic, objective, spec.functions(inputs), moved=inputs)
+    state = spec.state(harmonic, objective, spec.functions(point), moved=[f.values for f in point])
     return state.check, state
 
 
@@ -133,10 +116,11 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
     """Random-restart hill climbing over feasible inputs of one objective.
 
     Each restart draws its own generator from (seed, restart), so the result
-    is independent of evaluation order; restarts alternate random-phase and
-    structured character-based initial points.  Moves perturb one function at
-    one element by a complex step whose magnitude shrinks linearly along the
-    restart's evaluation budget; projection keeps every iterate feasible and
+    is independent of evaluation order; restarts alternate a random point,
+    drawn by CheckSpec.draw as a verify trial draws one, and a structured
+    character-based one.  Moves perturb one function at one element by a
+    complex step whose magnitude shrinks linearly along the restart's
+    evaluation budget; projection keeps every iterate feasible and
     only strict improvements are kept.  The budget is split evenly over the
     restarts, the first budget % restarts of them taking one move more, so
     evaluations_used equals the budget.  A zero budget evaluates the restart-0
@@ -157,6 +141,7 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
     moves, extra = divmod(config.budget, restarts_run)
 
     hi, lo = config.step_schedule
+    spec = CHECKS[config.objective]
     best_value = -1.0
     best_inputs: Optional[List[np.ndarray]] = None
     best_check: Optional[BoundCheck] = None
@@ -165,8 +150,11 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
 
     for restart in range(restarts_run):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
-        start = _structured_start if restart % 2 else _random_start
-        check, state = _seeded(harmonic, config.objective, start(harmonic, config.objective, rng))
+        if restart % 2:
+            point = _structured_start(harmonic, config.objective, rng)
+        else:
+            point = spec.draw(harmonic.n, rng)
+        check, state = _seeded(harmonic, config.objective, point)
         value = check.observed
         evaluations += 1
         if value > best_value:
@@ -190,7 +178,7 @@ def maximize(harmonic: Harmonic, config: SearchConfig) -> SearchResult:
 
         if value > check.observed:  # the climb beat its start: evaluate where it ended
             drifted = value
-            check, state = _seeded(harmonic, config.objective, state.inputs)
+            check, state = _seeded(harmonic, config.objective, spec.wrap(state.inputs))
             value = check.observed
             if abs(drifted - value) > 1e-12 * max(1.0, abs(value)):
                 raise RuntimeError(

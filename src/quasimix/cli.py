@@ -27,10 +27,10 @@ from .harmonic import Harmonic
 from .report import (
     CHECK_ORDER,
     canonical_json,
-    group_summary,
+    envelope,
     reproducer_payload,
     run_verification,
-    theorem_vacuity_note,
+    search_report,
     write_csv,
 )
 from .spectra import spectral_data
@@ -125,13 +125,7 @@ def _cmd_groups(args) -> int:
 def _cmd_analyze(args) -> int:
     group = resolve_group(args.group)
     spectral = spectral_data(group, seed=args.seed, ortho_tol=args.tolerance_orthogonality)
-    payload = {
-        "format": 1,
-        "tool": "quasimix",
-        "version": __version__,
-        "group": group_summary(spectral),
-    }
-    _write_text(canonical_json(payload), args.out)
+    _write_text(canonical_json(envelope(spectral)), args.out)
     return 0
 
 
@@ -152,8 +146,7 @@ def _parse_checks(raw: str) -> List[str]:
 def _cmd_verify(args) -> int:
     checks = _parse_checks(args.check)
     group = resolve_group(args.group)
-    spectral = spectral_data(group, ortho_tol=args.tolerance_orthogonality)
-    harmonic = Harmonic(spectral)
+    harmonic = Harmonic(spectral_data(group, ortho_tol=args.tolerance_orthogonality))
     outcome = run_verification(
         harmonic,
         checks,
@@ -184,8 +177,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     group = resolve_group(args.group)
-    spectral = spectral_data(group, ortho_tol=args.tolerance_orthogonality)
-    harmonic = Harmonic(spectral)
+    harmonic = Harmonic(spectral_data(group, ortho_tol=args.tolerance_orthogonality))
     config = SearchConfig(
         objective=args.objective,
         budget=args.budget,
@@ -193,27 +185,7 @@ def _cmd_search(args) -> int:
         seed=args.seed,
     )
     result = maximize(harmonic, config)
-    note = theorem_vacuity_note(harmonic) if args.objective == "theorem" else None
-    payload = {
-        "format": 1,
-        "tool": "quasimix",
-        "version": __version__,
-        "group": group_summary(spectral),
-        "notes": [note] if note else [],
-        "search": {
-            "objective": config.objective,
-            "budget": config.budget,
-            "restarts": config.restarts,
-            "seed": config.seed,
-            "step_schedule": list(config.step_schedule),
-            "best_value": result.best_value,
-            "bound": result.best_check.bound,
-            "margin": result.best_check.margin,
-            "evaluations_used": result.evaluations_used,
-            "trace": result.trace,
-        },
-    }
-    _write_text(canonical_json(payload), args.out)
+    _write_text(canonical_json(search_report(harmonic, config, result)), args.out)
     if not result.best_check.passed:
         _dump_reproducer(
             args.out,

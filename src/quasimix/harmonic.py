@@ -127,12 +127,9 @@ def sample_disc(n: int, rng: np.random.Generator) -> GroupFunction:
 
 
 def sample_unit(n: int, rng: np.random.Generator) -> GroupFunction:
-    """Random function with L²(μ) norm exactly 1 (complex Gaussian, normalized)."""
-    while True:
-        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        norm = l2mu(vals)
-        if norm > 1e-12:
-            return GroupFunction(vals / norm)
+    """Random function with L²(μ) norm 1 (complex Gaussian, normalized by _unit_norm)."""
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return GroupFunction(vals / _unit_norm(vals))
 
 
 def _fourier_grams(basis: FourierBasis, coeffs: np.ndarray):
@@ -177,8 +174,7 @@ def _disc_clip(vals: np.ndarray) -> np.ndarray:
 
 def _unit_norm(vals: np.ndarray) -> float:
     """The L²(μ) norm a projection onto the unit sphere divides by: 1 for a vector too short to rescale."""
-    squares = np.abs(vals) ** 2
-    norm = float(np.sqrt(squares.sum() / squares.size))
+    norm = l2mu(vals)
     return norm if norm >= 1e-12 else 1.0
 
 

@@ -1,20 +1,21 @@
 """Verification orchestration and bit-stable report assembly.
 
-Runs the selected bound checks over seeded random trials and assembles a
-canonical JSON report.  Every number in a report is a pure function of
-(group, checks, trials, seed): each trial draws from its own generator keyed
-by (seed, check tag, trial index), trials are reduced in index order, and
-floats are rendered with 17 significant digits — so two runs with the same
-arguments agree byte for byte, regardless of thread count.
+Runs the selected bound checks over seeded random trials and assembles the
+JSON documents quasimix writes.  Every number in a verify report is a pure
+function of (group, checks, trials, seed): each trial draws from its own
+generator keyed by (seed, check tag, trial index), trials are reduced in index
+order, and floats are rendered with 17 significant digits — so two runs with
+the same arguments agree byte for byte, regardless of thread count.
 """
 
 import csv
 import json
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +29,10 @@ __all__ = [
     "CheckSpec",
     "TrialRow",
     "VerificationOutcome",
+    "envelope",
     "group_summary",
     "run_verification",
+    "search_report",
     "canonical_json",
     "write_csv",
     "reproducer_payload",
@@ -44,9 +47,9 @@ class CheckSpec:
     changes the random streams.  ``inputs`` names each input's constraint:
     "unit" vectors have L²(μ) norm 1, "disc" vectors have |f| ≤ 1 and
     "centered" ones are disc vectors less their mean.  ``evaluate`` maps the
-    GroupFunctions of ``functions`` to BoundCheck records; corollary yields
-    two.  ``state`` is the incremental state a search climbs on, None for a
-    check that is not searched.
+    ``functions`` at a drawn or wrapped point to BoundCheck records; corollary
+    yields two.  ``state`` is the incremental state a search climbs on, None
+    for a check that is not searched.
     """
 
     tag: int
@@ -54,13 +57,17 @@ class CheckSpec:
     evaluate: Callable[[Harmonic, Sequence[GroupFunction]], List[BoundCheck]]
     state: Optional[type]
 
-    def functions(self, vectors: Sequence[np.ndarray]) -> List[GroupFunction]:
-        """The raw vectors as this check's validated input functions."""
-        out = []
-        for constraint, values in zip(self.inputs, vectors, strict=True):
-            f = GroupFunction(values, disc_valued=constraint != "unit")
-            out.append(centered(f) if constraint == "centered" else f)
-        return out
+    def draw(self, n: int, rng: np.random.Generator) -> List[GroupFunction]:
+        """A random point: per input a validated unit or disc-valued function, not yet centered."""
+        return [(sample_unit if c == "unit" else sample_disc)(n, rng) for c in self.inputs]
+
+    def wrap(self, vectors: Sequence[np.ndarray]) -> List[GroupFunction]:
+        """Raw vectors as the validated functions a draw gives."""
+        return [GroupFunction(v, disc_valued=c != "unit") for c, v in zip(self.inputs, vectors)]
+
+    def functions(self, point: Sequence[GroupFunction]) -> List[GroupFunction]:
+        """The check's input functions at a point: a centered input less its mean."""
+        return [centered(f) if c == "centered" else f for c, f in zip(self.inputs, point)]
 
 
 CHECKS: Dict[str, CheckSpec] = {
@@ -110,11 +117,19 @@ def _run_one_trial(
 ) -> Tuple[List[BoundCheck], Tuple[np.ndarray, ...]]:
     spec = CHECKS[check]
     rng = np.random.default_rng(np.random.SeedSequence((seed, spec.tag, trial)))
-    inputs = tuple(
-        (sample_unit if constraint == "unit" else sample_disc)(harmonic.n, rng).values
-        for constraint in spec.inputs
-    )
-    return spec.evaluate(harmonic, spec.functions(inputs)), inputs
+    point = spec.draw(harmonic.n, rng)
+    return spec.evaluate(harmonic, spec.functions(point)), tuple(f.values for f in point)
+
+
+def _pooled(trial_of: Callable, trials: int, threads: int) -> Iterator:
+    """trial_of over range(trials) on a pool, in trial order, at most 2·threads trials ahead."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window = deque()
+        for trial in range(trials):
+            window.append(pool.submit(trial_of, trial))
+            if len(window) > 2 * threads:
+                yield window.popleft().result()
+        yield from (future.result() for future in window)
 
 
 def theorem_vacuity_note(harmonic: Harmonic) -> Optional[str]:
@@ -132,6 +147,11 @@ def theorem_vacuity_note(harmonic: Harmonic) -> Optional[str]:
     )
 
 
+def _notes(harmonic: Harmonic, checks: Sequence[str]) -> List[str]:
+    note = theorem_vacuity_note(harmonic) if "theorem" in checks else None
+    return [note] if note else []
+
+
 def group_summary(spectral) -> dict:
     return {
         "name": spectral.group.name,
@@ -142,6 +162,12 @@ def group_summary(spectral) -> dict:
         "is_perfect": spectral.is_perfect,
         "associativity_check": spectral.group.assoc_check,
     }
+
+
+def envelope(spectral, **body) -> dict:
+    """A quasimix JSON document: the header every command's report opens with, then ``body``."""
+    header = {"format": 1, "tool": "quasimix", "version": __version__}
+    return {**header, "group": group_summary(spectral), **body}
 
 
 def run_verification(
@@ -155,10 +181,11 @@ def run_verification(
 ) -> VerificationOutcome:
     """Run the selected checks and assemble the canonical report structure.
 
-    Trials are independent; with threads > 1 they are dispatched to a pool
-    but reduced in trial order, so the emitted numbers do not depend on the
-    thread count.  runtime_s stays null unless timings is requested, keeping
-    default reports byte-stable across machines.
+    Trials are independent; with threads > 1 they are dispatched to a pool,
+    at most 2·threads ahead of the reduction, but reduced in trial order, so
+    the emitted numbers do not depend on the thread count.  runtime_s stays
+    null unless timings is requested, keeping default reports byte-stable
+    across machines.
     """
     for check in checks:
         if check not in CHECKS:
@@ -179,21 +206,20 @@ def run_verification(
         started = time.perf_counter()
         trial_of = partial(_run_one_trial, harmonic, check, seed)
         # corollary expands to two named records; each trial is reduced into
-        # them as it arrives (pool.map keeps trial order), and its inputs are
-        # kept only when it failed
+        # them as it arrives, in trial order, and its inputs are kept only
+        # when it failed
         reduced: Dict[str, Tuple[int, BoundCheck, float, bool]] = {}
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = (pool.map if threads > 1 else map)(trial_of, range(trials))
-            for trial, (bound_checks, inputs) in enumerate(results):
-                for bc in bound_checks:
-                    name = bc.quantity_name
-                    worst_trial, worst, top, ok = reduced.get(name, (trial, bc, bc.observed, True))
-                    if bc.margin < worst.margin:
-                        worst_trial, worst = trial, bc
-                    reduced[name] = worst_trial, worst, max(top, bc.observed), ok and bc.passed
-                    rows.append(TrialRow(name, trial, bc.observed, bc.bound, bc.margin))
-                if not all(bc.passed for bc in bound_checks):
-                    failures.append((check, trial, inputs))
+        runs = map(trial_of, range(trials)) if threads == 1 else _pooled(trial_of, trials, threads)
+        for trial, (bound_checks, inputs) in enumerate(runs):
+            for bc in bound_checks:
+                name = bc.quantity_name
+                worst_trial, worst, top, ok = reduced.get(name, (trial, bc, bc.observed, True))
+                if bc.margin < worst.margin:
+                    worst_trial, worst = trial, bc
+                reduced[name] = worst_trial, worst, max(top, bc.observed), ok and bc.passed
+                rows.append(TrialRow(name, trial, bc.observed, bc.bound, bc.margin))
+            if not all(bc.passed for bc in bound_checks):
+                failures.append((check, trial, inputs))
         elapsed = time.perf_counter() - started
 
         for name in sorted(reduced, key=lambda q: (q != check, q)):
@@ -213,23 +239,39 @@ def run_verification(
                 }
             )
 
-    note = theorem_vacuity_note(harmonic) if "theorem" in plan else None
-    report = {
-        "format": 1,
-        "tool": "quasimix",
-        "version": __version__,
-        "group": group_summary(harmonic.spectral),
-        "settings": {
+    report = envelope(
+        harmonic.spectral,
+        settings={
             "checks": list(plan),
             "trials": trials,
             "seed": seed,
             "threads": threads,
             "timings": timings,
         },
-        "notes": [note] if note else [],
-        "checks": records,
-    }
+        notes=_notes(harmonic, plan),
+        checks=records,
+    )
     return VerificationOutcome(report=report, rows=rows, failures=failures)
+
+
+def search_report(harmonic: Harmonic, config, result) -> dict:
+    """The document of one search: its SearchConfig and the SearchResult maximize gave."""
+    return envelope(
+        harmonic.spectral,
+        notes=_notes(harmonic, [config.objective]),
+        search={
+            "objective": config.objective,
+            "budget": config.budget,
+            "restarts": config.restarts,
+            "seed": config.seed,
+            "step_schedule": list(config.step_schedule),
+            "best_value": result.best_value,
+            "bound": result.best_check.bound,
+            "margin": result.best_check.margin,
+            "evaluations_used": result.evaluations_used,
+            "trace": result.trace,
+        },
+    )
 
 
 def reproducer_payload(

@@ -11,15 +11,9 @@ from itertools import permutations
 
 import numpy as np
 
-from quasimix.adversary import (
-    SearchResult,
-    _random_start,
-    _structured_start,
-    _unit_sphere,
-    evaluate_inputs,
-)
+from quasimix.adversary import SearchResult, _structured_start, evaluate_inputs
 from quasimix.groups import group_from_table
-from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic, _disc_clip
+from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic, _disc_clip, _unit_norm
 from quasimix.report import CHECKS
 from quasimix.spectra import (
     SpectralInconsistencyError,
@@ -577,7 +571,8 @@ def full_maximize(harmonic, config):
         moves, extra = config.budget // config.restarts, config.budget % config.restarts
 
     hi, lo = config.step_schedule
-    project = _unit_sphere if "unit" in CHECKS[config.objective].inputs else _disc_clip
+    spec = CHECKS[config.objective]
+    project = (lambda vals: vals / _unit_norm(vals)) if "unit" in spec.inputs else _disc_clip
     best_value = -1.0
     best_inputs = best_check = None
     trace = []
@@ -586,9 +581,10 @@ def full_maximize(harmonic, config):
     for restart in range(restarts_run):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, restart)))
         if restart % 2 == 0:
-            current = _random_start(harmonic, config.objective, rng)
+            point = spec.draw(harmonic.n, rng)
         else:
-            current = _structured_start(harmonic, config.objective, rng)
+            point = _structured_start(harmonic, config.objective, rng)
+        current = [np.array(f.values) for f in point]
         check = evaluate_inputs(harmonic, config.objective, current)
         value = check.observed
         evaluations += 1

@@ -11,10 +11,8 @@ from oracles import full_maximize, harmonic_for, probed_isotypic_row, witness_ab
 from quasimix.adversary import (
     OBJECTIVES,
     SearchConfig,
-    _random_start,
     _seeded,
     _structured_start,
-    _unit_sphere,
     evaluate_inputs,
     maximize,
 )
@@ -26,6 +24,7 @@ from quasimix.harmonic import (
     _ConjState,
     _disc_clip,
     _TripleState,
+    _unit_norm,
     sample_disc,
     sample_unit,
 )
@@ -195,6 +194,15 @@ _STATE_GROUPS = ("s:3", "a:5", "sl2:5", "z:60")
 _MOVE_GROUPS = _STATE_GROUPS + ("sl2:7",)  # n = 336: each gather spans two row chunks
 
 
+def _unit_sphere(vals):
+    return vals / _unit_norm(vals)
+
+
+def _drawn_start(h, objective, rng):
+    """maximize's start on an even restart: a point drawn as a verify trial draws one."""
+    return CHECKS[objective].draw(h.n, rng)
+
+
 @pytest.fixture(scope="module")
 def state_harmonics():
     return {token: harmonic_for(resolve_group(token)) for token in _MOVE_GROUPS}
@@ -211,7 +219,7 @@ def test_incremental_value_matches_full_evaluation_after_every_move(
     h = state_harmonics[token]
     project = _unit_sphere if "unit" in CHECKS[objective].inputs else _disc_clip
     abelian_zero = token == "z:60" and objective in ("lemma", "corollary")
-    for start in (_random_start, _structured_start):
+    for start in (_drawn_start, _structured_start):
         rng = np.random.default_rng(np.random.SeedSequence((17, len(token))))
         check, state = _seeded(h, objective, start(h, objective, rng))
         value = check.observed
@@ -312,8 +320,8 @@ def test_one_kernel_pass_per_full_evaluation(monkeypatch, state_harmonics, token
         monkeypatch.setattr(state, "accept", recorded)
     monkeypatch.setattr(adversary, "_seeded", counted_seed)
     h = state_harmonics[token]
-    start = _random_start(h, objective, np.random.default_rng(0))
-    evaluate_inputs(h, objective, start)
+    start = _drawn_start(h, objective, np.random.default_rng(0))
+    evaluate_inputs(h, objective, [f.values for f in start])
     assert calls["kernel"] == _KERNEL_CALLS[objective]
     calls["kernel"] = 0
     cfg = SearchConfig(objective, budget=200, seed=3)
@@ -335,8 +343,8 @@ def test_full_step1_evaluation_gathers_no_pair_sums(monkeypatch, state_harmonics
 
     monkeypatch.setattr(Harmonic, "_triple_inner", recorded)
     h = state_harmonics["a:5"]
-    start = _random_start(h, "step1", np.random.default_rng(0))
-    evaluate_inputs(h, "step1", start)
+    start = _drawn_start(h, "step1", np.random.default_rng(0))
+    evaluate_inputs(h, "step1", [f.values for f in start])
     run_verification(h, ["step1", "step2"], trials=2, seed=0)
     assert pair_sums == [False] * 5
     _seeded(h, "step1", start)
@@ -374,13 +382,13 @@ def test_structured_start_row_matches_projection_probe(monkeypatch, token):
     start = _structured_start(h, "lemma", np.random.default_rng(11))
     assert rows == ([] if expect_row is None else [expect_row])
     if expect_row is None:
-        expect = _random_start(h, "lemma", rng)
+        expect = [f.values for f in _drawn_start(h, "lemma", rng)]
     else:
         data = h.spectral
         unit = _unit_sphere(isotypic_project(h.group, data.classes, data.table, raw, expect_row))
         expect = [unit, unit]
-    for got, want in zip(start, expect):
-        assert np.array_equal(got, want)
+    for got, want in zip(start, expect, strict=True):
+        assert np.array_equal(got.values, want)
 
 
 @pytest.mark.parametrize("token, projections", [("sl2:5", 1), ("z:60", 0)])
@@ -408,10 +416,29 @@ def test_search_seed_is_evaluate_inputs(state_harmonics, token, objective):
     # a search's full evaluation and evaluate_inputs convert through the same
     # CHECKS row, so they agree field for field
     h = state_harmonics[token]
-    for start in (_random_start, _structured_start):
-        inputs = start(h, objective, np.random.default_rng(23))
-        check, _ = _seeded(h, objective, inputs)
+    for start in (_drawn_start, _structured_start):
+        point = start(h, objective, np.random.default_rng(23))
+        check, _ = _seeded(h, objective, point)
+        inputs = [f.values for f in point]
         assert astuple(check) == astuple(evaluate_inputs(h, objective, inputs)), start
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_search_start_is_the_check_draw(s3_harmonic, objective):
+    # restart 0 starts from the point CHECKS[objective].draw gives on (seed, 0),
+    # the draw a verify trial makes; with no move, the start is the best point
+    spec = CHECKS[objective]
+    res = maximize(s3_harmonic, SearchConfig(objective, budget=1, restarts=1, seed=0))
+    drawn = spec.draw(s3_harmonic.n, np.random.default_rng(np.random.SeedSequence((0, 0))))
+    for got, want in zip(res.best_inputs, drawn, strict=True):
+        assert np.array_equal(got, want.values)
+    if "unit" in spec.inputs:
+        # on this stream |z|² as np.abs(z)**2 rounds the second unit vector
+        # differently from l2mu's re² + im², the one normalization draws use
+        rng = np.random.default_rng(np.random.SeedSequence((0, 0)))
+        raw = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2)][1]
+        other = raw / float(np.sqrt(np.mean(np.abs(raw) ** 2)))
+        assert not np.array_equal(other, drawn[1].values)
 
 
 @pytest.mark.parametrize("check", [c for c in CHECK_ORDER if "unit" not in CHECKS[c].inputs])

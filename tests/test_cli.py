@@ -14,7 +14,7 @@ import quasimix.harmonic
 import quasimix.spectra
 from quasimix.cli import main, resolve_group
 from quasimix.groups import build_symmetric
-from quasimix.harmonic import BoundCheck, Harmonic
+from quasimix.harmonic import BoundCheck, GroupFunction, Harmonic
 from quasimix.report import (
     CHECK_ORDER,
     CHECKS,
@@ -390,18 +390,54 @@ def test_run_verification_plan_order(s3_spectral):
 def test_verify_keeps_no_inputs_of_passing_trials(a5):
     # each trial is reduced as it completes, and only a failing trial keeps its
     # inputs: 3,000 a:5 theorem trials (three 60-entry complex inputs, about
-    # 3 KB a trial) hold little more than their rows
+    # 3 KB a trial) hold little more than their rows, serially and with a pool
+    # that runs a bounded window of trials ahead of the reduction
     h = Harmonic(spectral_data(a5))
     run_verification(h, ["theorem"], trials=2, seed=0)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        outcome = run_verification(h, ["theorem"], trials=3000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(outcome.rows) == 3000 and outcome.failures == []
-    assert (peak - base) / 3000 < 1500
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            outcome = run_verification(h, ["theorem"], trials=3000, seed=0, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(outcome.rows) == 3000 and outcome.failures == []
+        assert (peak - base) / 3000 < 1500, threads
+
+
+@pytest.mark.parametrize("check", CHECK_ORDER)
+def test_verify_reproducer_inputs_are_the_check_draw(tmp_path, monkeypatch, check):
+    # a negative tolerance fails every margin, so trial 0 dumps its inputs:
+    # the point CHECKS[check].draw gives on the trial's generator (seed, tag, 0)
+    monkeypatch.setattr(quasimix.harmonic, "BOUND_TOL", -1e6)
+    argv = ["verify", "--group", "s:3", "--check", check, "--trials", "1",
+            "--seed", "13", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    repro = json.loads((tmp_path / f"quasimix-reproducer-{check}-trial0.json").read_text())
+    rng = np.random.default_rng(np.random.SeedSequence((13, CHECKS[check].tag, 0)))
+    drawn = CHECKS[check].draw(6, rng)
+    dumped = [np.array(a["real"]) + 1j * np.array(a["imag"]) for a in repro["inputs"]]
+    assert len(dumped) == len(drawn)
+    for got, want in zip(dumped, drawn):
+        assert np.array_equal(got, want.values)
+
+
+@pytest.mark.parametrize("check", CHECK_ORDER)
+def test_verify_trial_validates_each_input_once(monkeypatch, s3_spectral, check):
+    # a trial hands its drawn functions to the check as drawn, a centered input
+    # after one more validated function, and converts nothing twice
+    built = []
+
+    def counted(self, _init=GroupFunction.__post_init__):
+        built.append(len(self.values))
+        _init(self)
+
+    h = Harmonic(s3_spectral)
+    monkeypatch.setattr(GroupFunction, "__post_init__", counted)
+    run_verification(h, [check], trials=1, seed=0)
+    inputs = CHECKS[check].inputs
+    assert len(built) == len(inputs) + inputs.count("centered")
 
 
 def test_canonical_json_shape():

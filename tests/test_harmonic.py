@@ -405,7 +405,7 @@ def test_lemma_and_corollary_above_the_old_pair_cap(subprocess_peak_mb):
         "import numpy as np\n"
         "from quasimix.adversary import _structured_start\n"
         "from quasimix.groups import build_sl2\n"
-        "from quasimix.harmonic import GroupFunction, Harmonic, sample_unit\n"
+        "from quasimix.harmonic import Harmonic, sample_unit\n"
         "from quasimix.spectra import spectral_data\n"
         "h = Harmonic(spectral_data(build_sl2(13)))\n"
         "rng = np.random.default_rng(0)\n"
@@ -414,7 +414,7 @@ def test_lemma_and_corollary_above_the_old_pair_cap(subprocess_peak_mb):
         "pub, sharp = h.corollary_lhs(u, v)\n"
         "assert 0.0 < lemma.observed < lemma.bound, lemma\n"
         "assert 0.0 < sharp.observed < sharp.bound, sharp\n"
-        "start = [GroupFunction(a) for a in _structured_start(h, 'lemma', rng)]\n"
+        "start = _structured_start(h, 'lemma', rng)\n"
         "assert abs(start[0].norm2 - 1.0) < 1e-12, start[0].norm2\n"
         "assert h.lemma_gap(*start).passed\n"
     )
