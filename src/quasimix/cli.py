@@ -158,21 +158,14 @@ def _cmd_verify(args) -> int:
     _write_text(canonical_json(outcome.report), args.out)
     if args.csv:
         write_csv(args.csv, outcome.rows)
-    if not outcome.failures:
-        return 0
-
-    dumped = set()
     for check, trial, inputs in outcome.failures:
-        if check in dumped:
-            continue
-        dumped.add(check)
         _dump_reproducer(
             args.out,
             f"quasimix-reproducer-{check}-trial{trial}.json",
             reproducer_payload(group.name, check, trial, args.seed, inputs),
             f"bound check {check} failed at trial {trial}",
         )
-    return 2
+    return 2 if outcome.failures else 0
 
 
 def _cmd_search(args) -> int:

@@ -114,13 +114,15 @@ def _associativity_violation(mul: np.ndarray) -> tuple:
 def group_from_table(mul, name: str = "table") -> FiniteGroup:
     """Validate a raw multiplication table and wrap it as a FiniteGroup.
 
-    Checks, in order: shape, entry range, Latin-square rows and columns,
+    Checks, in order: integer dtype, shape, entry range, Latin-square rows and columns,
     two-sided identity, two-sided inverses, associativity (exhaustive up to
     order 256, randomized sampling above that).  Violations raise
     CayleyTableError naming an offending index.  The group holds its own
     int32 copy, so the caller's array is neither frozen nor aliased.
     """
     mul = np.asarray(mul)
+    if not np.issubdtype(mul.dtype, np.integer):  # before any cast, which would truncate
+        raise CayleyTableError(f"table entries must be integers, got dtype {mul.dtype}")
     _check_shape_and_range(mul)  # before the int32 copy, so no entry can wrap
     return _validated_group(mul.astype(np.int32), name)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,18 @@ BOUND_TOL = 1e-12
 """Relative allowance of a bound verdict: absorbs float rounding of a tight bound, nothing more."""
 IMAG_RESIDUE_TOL = 1e-9
 STEP2_IDENTITY_TOL = 1e-10
+# Record name → (coefficient, power): its bound is coefficient·D^power, times _check's norms.
+BOUNDS: Dict[str, Tuple[float, float]] = {
+    "lemma": (1.0, -0.5),
+    "corollary": (1.0, -0.5),
+    "corollary_sharp": (1.0, -1.0),
+    "theorem": (4.0, -0.125),
+    "step1": (3.0, -0.125),
+    "step2": (5.0, -0.25),
+    "step3": (25.0, -0.5),
+    "step4": (1.0, -0.5),
+    "step4_lemma_substitution": (1.0, -0.5),
+}
 
 
 class ConstraintError(ValueError):
@@ -223,10 +235,13 @@ class Harmonic:
             return 0.0
         return float(self.degree) ** power
 
-    def _check(self, name: str, observed: float, bound: float) -> BoundCheck:
-        return BoundCheck(
-            quantity_name=name, observed=observed, bound=bound, margin=bound - observed
-        )
+    def _check(self, name: str, observed: float, *norms: float) -> BoundCheck:
+        """The verdict of record ``name``: its BOUNDS entry at D, times each norm in turn."""
+        coefficient, power = BOUNDS[name]
+        bound = coefficient * self.degree_power(power)
+        for norm in norms:
+            bound *= norm
+        return BoundCheck(name, observed, bound, bound - observed)
 
     def _require(self, f: GroupFunction, name: str, **flags) -> None:
         if len(f) != self.n:
@@ -383,9 +398,7 @@ class Harmonic:
             coeffs = np.concatenate([conj_a, b]) @ basis.matrix  # rows V_h, then rows Y_h
             for d, gram in _fourier_grams(basis, coeffs):
                 total += d * np.vdot(gram[len(b) :], gram[: len(b)])
-        observed = _real_nonnegative(total / self.n**5, "step3_intermediate")
-        bound = 25.0 * self.degree_power(-0.5)
-        return self._check("step3", observed, bound)
+        return self._check("step3", _real_nonnegative(total / self.n**5, "step3_intermediate"))
 
     def step4_final(self, f1: GroupFunction, f2: GroupFunction) -> BoundCheck:
         """Fully scalarized form: product of squared autocorrelation integrals.
@@ -398,9 +411,7 @@ class Harmonic:
         self._require(f2, "f2", disc=True)
         inner_t = self._coefficients(f1.values, f1.values, "xg^-1")
         inner_c = self._coefficients(f2.values, f2.values, "gxg^-1")
-        observed = float(np.mean(abs2(inner_t) * abs2(inner_c)))
-        bound = self.degree_power(-0.5)
-        return self._check("step4", observed, bound)
+        return self._check("step4", float(np.mean(abs2(inner_t) * abs2(inner_c))))
 
     def _substitution_distances(self, f2: GroupFunction, f2_conj: np.ndarray) -> np.ndarray:
         """The step-4 substitution distance at every h of the rows f2_conj[h, x] = f2(hxh⁻¹).
@@ -426,8 +437,7 @@ class Harmonic:
             float(self._substitution_distances(f2, f2_conj).max())
             for _, (f2_conj,) in self._gathered((f2.values, "gxg^-1"))
         )
-        bound = self.degree_power(-0.5)
-        return self._check("step4_lemma_substitution", worst, bound)
+        return self._check("step4_lemma_substitution", worst)
 
 
 def _state_inputs(functions, moved) -> list:
@@ -457,8 +467,6 @@ class _TripleState:
     full and raises if the two values part by more than 1e-12 relative.
     """
 
-    BOUNDS = {"theorem": (4.0, -0.125), "step1": (3.0, -0.125), "step2": (5.0, -0.25)}
-
     def __init__(
         self, harmonic: Harmonic, objective: str, functions: Sequence[GroupFunction],
         moved: Optional[Sequence[np.ndarray]] = None,
@@ -481,9 +489,7 @@ class _TripleState:
             self.extra = [f1.values.mean()] + [harmonic._class_average(f.values) for f in (f2, f3)]
         if objective == "step2":
             self._check_pair_expansion(f2.values, f3.values)
-        coefficient, power = self.BOUNDS[objective]
-        bound = coefficient * harmonic.degree_power(power)
-        self.check = harmonic._check(objective, self._observed(self.inner, self.extra), bound)
+        self.check = harmonic._check(objective, self._observed(self.inner, self.extra))
         self._pending = None
 
     def _check_pair_expansion(self, f2: np.ndarray, f3: np.ndarray) -> None:
@@ -603,14 +609,11 @@ class _ConjState:
             except FloatingPointError:  # finite norms whose product overflows, raised below
                 observed = np.inf
         if self.lemma:
-            bound = harmonic.degree_power(-0.5) * u.norm2 * v.norm2
-            self.checks = (harmonic._check("lemma", observed, bound),)
+            self.checks = (harmonic._check("lemma", observed, u.norm2, v.norm2),)
         else:
             scale = u.norm2**2 * v.norm2**2
-            self.checks = (
-                harmonic._check("corollary", observed, harmonic.degree_power(-0.5) * scale),
-                harmonic._check("corollary_sharp", observed, harmonic.degree_power(-1.0) * scale),
-            )
+            names = ("corollary", "corollary_sharp")
+            self.checks = tuple(harmonic._check(name, observed, scale) for name in names)
         self.check = self.checks[0]
         if not np.isfinite(self.check.margin):
             raise ConstraintError(f"u and v are too large together: {objective} overflows float64")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .harmonic import BoundCheck, GroupFunction, Harmonic, centered, sample_disc, sample_unit
-from .harmonic import _ConjState, _TripleState
+from .harmonic import BOUNDS, _ConjState, _TripleState
 
 __all__ = [
     "CHECKS",
@@ -105,7 +105,7 @@ class TrialRow:
 
 @dataclass
 class VerificationOutcome:
-    """Everything a verify run produced: the report dict, rows, and failures."""
+    """A verify run's report dict, its rows, and each failing check's first failing trial."""
 
     report: dict
     rows: List[TrialRow]
@@ -134,7 +134,7 @@ def _pooled(trial_of: Callable, trials: int, threads: int) -> Iterator:
 
 def theorem_vacuity_note(harmonic: Harmonic) -> Optional[str]:
     """The headline bound is weaker than the trivial ceiling at desk-scale D."""
-    coefficient, power = _TripleState.BOUNDS["theorem"]
+    coefficient, power = BOUNDS["theorem"]
     bound = coefficient * harmonic.degree_power(power)
     if bound <= 2.0:
         return None
@@ -207,7 +207,7 @@ def run_verification(
         trial_of = partial(_run_one_trial, harmonic, check, seed)
         # corollary expands to two named records; each trial is reduced into
         # them as it arrives, in trial order, and its inputs are kept only
-        # when it failed
+        # when it is the check's first failing trial
         reduced: Dict[str, Tuple[int, BoundCheck, float, bool]] = {}
         runs = map(trial_of, range(trials)) if threads == 1 else _pooled(trial_of, trials, threads)
         for trial, (bound_checks, inputs) in enumerate(runs):
@@ -218,11 +218,12 @@ def run_verification(
                     worst_trial, worst = trial, bc
                 reduced[name] = worst_trial, worst, max(top, bc.observed), ok and bc.passed
                 rows.append(TrialRow(name, trial, bc.observed, bc.bound, bc.margin))
-            if not all(bc.passed for bc in bound_checks):
+            first = not failures or failures[-1][0] != check
+            if first and not all(bc.passed for bc in bound_checks):
                 failures.append((check, trial, inputs))
         elapsed = time.perf_counter() - started
 
-        for name in sorted(reduced, key=lambda q: (q != check, q)):
+        for name in reduced:  # in the order the check returns its records
             worst_trial, worst, max_observed, passed = reduced[name]
             records.append(
                 {

@@ -5,11 +5,13 @@ import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 import quasimix
-from quasimix.harmonic import Harmonic
-from quasimix.report import run_verification
+from quasimix.harmonic import BOUNDS, GroupFunction, Harmonic
+from quasimix.report import CHECKS, run_verification
+from quasimix.spectra import spectral_data
 
 _MODULES = ("groups", "spectra", "harmonic", "adversary", "report")
 
@@ -43,14 +45,18 @@ def test_package_imports_only_listed_names():
 # -- the names the traced benchmark run patches -------------------------------
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    """perfbench/tracing.py, executed from its file; nothing in it is changed."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench_module(name):
+    """perfbench/<name>.py, executed from its file; nothing in it is changed."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _perfbench_module("tracing")
 
 
 def test_every_traced_name_resolves(tracing):
@@ -68,3 +74,31 @@ def test_traced_verify_records_each_draw_and_check(tracing, s3_spectral):
     names = [span[0] for span in tracer.spans]
     assert names.count("harmonic.sample") == 8
     assert names.count("harmonic.step1") == 2
+
+
+# -- the bound table the benchmark checks reports against ---------------------
+
+
+def test_bound_table_is_the_benchmarks():
+    # the benchmark checks every verify record's bound against its own table
+    assert BOUNDS == _perfbench_module("workloads").BOUNDS
+
+
+def test_every_record_takes_its_bound_from_the_table(s3_spectral, a5):
+    # each record's bound is its row's coefficient·D^power; lemma's and
+    # corollary's also scale by their inputs' norms, made visible off the unit sphere
+    emitted = set()
+    for h in (Harmonic(s3_spectral), Harmonic(spectral_data(a5))):
+        for check, spec in CHECKS.items():
+            point, scale = spec.draw(h.n, np.random.default_rng(5)), 1.0
+            if spec.inputs == ("unit", "unit"):
+                point = [GroupFunction(f.values * s) for f, s in zip(point, (1.5, 0.75))]
+                uv = point[0].norm2 * point[1].norm2
+                scale = uv if check == "lemma" else uv**2
+            for record in spec.evaluate(h, spec.functions(point)):
+                assert record.quantity_name in BOUNDS, (check, record.quantity_name)
+                coefficient, power = BOUNDS[record.quantity_name]
+                expected = coefficient * h.degree**power * scale
+                assert record.bound == pytest.approx(expected, rel=1e-12), (h.n, check)
+                emitted.add(record.quantity_name)
+    assert emitted == set(BOUNDS)

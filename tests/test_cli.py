@@ -406,6 +406,40 @@ def test_verify_keeps_no_inputs_of_passing_trials(a5):
         assert (peak - base) / 3000 < 1500, threads
 
 
+def test_verify_keeps_one_reproducer_per_failing_check(tmp_path, monkeypatch, a5, s3_spectral):
+    # a negative tolerance fails every trial, yet only each check's first
+    # failing trial keeps its inputs: 1,000 failing a:5 theorem trials stay
+    # within the passing run's memory bound, and corollary's two failing
+    # records keep one entry, so the CLI writes one reproducer per check
+    monkeypatch.setattr(quasimix.harmonic, "BOUND_TOL", -1e6)
+    h = Harmonic(spectral_data(a5))
+    run_verification(h, ["theorem"], trials=2, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        outcome = run_verification(h, ["theorem"], trials=1000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r["status"] for r in outcome.report["checks"]] == ["fail"]
+    assert [(check, trial) for check, trial, _ in outcome.failures] == [("theorem", 0)]
+    rng = np.random.default_rng(np.random.SeedSequence((0, CHECKS["theorem"].tag, 0)))
+    for kept, drawn in zip(outcome.failures[0][2], CHECKS["theorem"].draw(60, rng), strict=True):
+        assert np.array_equal(kept, drawn.values)
+    assert (peak - base) / 1000 < 1500
+
+    outcome = run_verification(Harmonic(s3_spectral), ["corollary"], trials=3, seed=0)
+    assert [r["status"] for r in outcome.report["checks"]] == ["fail", "fail"]
+    assert [(check, trial) for check, trial, _ in outcome.failures] == [("corollary", 0)]
+    argv = ["verify", "--group", "s:3", "--check", "corollary,step4", "--trials", "3",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 2
+    assert sorted(p.name for p in tmp_path.glob("quasimix-reproducer-*")) == [
+        "quasimix-reproducer-corollary-trial0.json",
+        "quasimix-reproducer-step4-trial0.json",
+    ]
+
+
 @pytest.mark.parametrize("check", CHECK_ORDER)
 def test_verify_reproducer_inputs_are_the_check_draw(tmp_path, monkeypatch, check):
     # a negative tolerance fails every margin, so trial 0 dumps its inputs:

@@ -1,5 +1,7 @@
 """Cayley-table construction, validation, builders, and conjugacy structure."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,21 @@ def test_rejects_non_square():
 def test_rejects_out_of_range_entry():
     with pytest.raises(CayleyTableError, match="outside 0..1"):
         group_from_table([[0, 1], [1, 2]])
+
+
+@pytest.mark.parametrize(
+    "table", [[[0, 1], [1, 0.5]], [[0, 1.9], [1.2, 0]], [[0, 1], [1, "0"]]]
+)
+def test_rejects_non_integer_table_before_any_cast(table):
+    # an integer cast would truncate 0.5 to 0 and 1.9 to 1 and accept both as Z/2
+    dtype = str(np.asarray(table).dtype)
+    with pytest.raises(CayleyTableError, match=f"must be integers, got dtype {re.escape(dtype)}"):
+        group_from_table(table)
+
+
+def test_accepts_every_integer_dtype():
+    for dtype in (np.uint8, np.int16, np.int32, np.int64):
+        assert group_from_table(np.array([[0, 1], [1, 0]], dtype=dtype)).order == 2
 
 
 def test_rejects_repeating_row():
