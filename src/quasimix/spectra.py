@@ -42,6 +42,8 @@ BASIS_TOL = 1e-10
 """Largest homomorphism or unitarity residue a Fourier basis may show."""
 SPLIT_GAP = 1e-3
 """Smallest relative gap that separates one irreducible eigenspace of the commutant."""
+PROBE_SIZE = 3
+"""Elements (each with its inverse) in the support of one commutant probe."""
 _CHUNK_ENTRIES = 1 << 20  # int64 entries per pair-count batch (8 MB)
 
 
@@ -321,10 +323,6 @@ class FourierBasis:
     trivial_column: int
 
 
-def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _spanning_tree(group: FiniteGroup, gens: List[int]):
     """Breadth-first layers from the identity over left multiplication by gens.
 
@@ -359,36 +357,87 @@ def _generators(group: FiniteGroup, rng: np.random.Generator):
         gens += [s] if group.inv[s] == s else [s, int(group.inv[s])]
 
 
+def _probe_weights(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Complex Gaussian weights for a commutant probe.
+
+    They must be complex: on a quaternionic row, real weights give a probe that
+    commutes with the row's antiunitary structure, so every eigenvalue is double
+    (Kramers) and no draw splits the row.
+    """
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+def _isotypic_factor(group: FiniteGroup, phi: np.ndarray, d: int, row: int) -> np.ndarray:
+    """An n×d² orthonormal frame of the chi-isotypic component, by pivoted Cholesky.
+
+    P[x, y] = phi(y^-1 x), phi = (d/n)·conj chi, is the orthogonal projection onto
+    the component (rank d², constant diagonal d²/n), and its column p is one
+    O(n) gather.  d² greedy pivots give L with L L* = P (Harbrecht, Peters and
+    Schneider, Appl. Numer. Math. 62 (2012)).  A pivot residual that vanishes
+    before d² pivots, or one left after them, means P has another rank: the
+    table's degree for this row is wrong.  Otherwise L*L - I is below
+    n·tol = BASIS_TOL·d² in norm, and one Newton-Schulz step,
+    L <- L (3I - L*L)/2 (Björck and Bowie, SIAM J. Numer. Anal. 8 (1971)),
+    squares that residue down to rounding with two GEMMs.
+    """
+    n = group.order
+    m = d * d
+    tol = BASIS_TOL * m / n
+    factor = np.empty((n, m), dtype=np.complex128)
+    residual = np.full(n, phi[group.identity].real)
+    for k in range(m):
+        p = int(np.argmax(residual))
+        pivot = residual[p]
+        if not pivot > tol:  # also catches nan
+            raise SpectralInconsistencyError(
+                f"row {row} (degree {d}): isotypic projection has rank {k}, not degree² = {m} "
+                f"(pivot residual {pivot:.3g})"
+            )
+        column = phi.take(group.mul[group.inv[p]])
+        column -= factor[:, :k] @ factor[p, :k].conj()
+        column /= np.sqrt(pivot)
+        factor[:, k] = column
+        residual -= abs2(column)
+    if not residual.max() <= tol:
+        raise SpectralInconsistencyError(
+            f"row {row} (degree {d}): isotypic projection has rank above degree² = {m} "
+            f"(residual {residual.max():.3g} after {m} pivots)"
+        )
+
+    gram = np.zeros((m, m), dtype=np.complex128)
+    for rows in row_chunks(n, m):
+        gram += factor[rows].conj().T @ factor[rows]
+    step = (3 * np.eye(m) - gram) / 2
+    for rows in row_chunks(n, m):
+        factor[rows] = factor[rows] @ step
+    return factor
+
+
 def _irreducible_frame(
-    group: FiniteGroup, class_of: np.ndarray, chi: np.ndarray, d: int, rng: np.random.Generator
+    group: FiniteGroup, phi: np.ndarray, d: int, rng: np.random.Generator, row: int
 ) -> np.ndarray:
     """An n×d orthonormal frame of one left-invariant irreducible subspace of type chi.
 
-    The range of P[x, y] = (d/n)·conj chi(x y^-1) is the chi-isotypic component
-    of the regular representation (dimension d²).  A random Hermitian right
-    convolution R[x, y] = c(x^-1 y), c(g^-1) = conj c(g), commutes with the left
-    action and acts on that component with d eigenvalues of multiplicity d; its
-    lowest eigenspace is irreducible.  Draws of c whose lowest cluster is not
-    separated are retried.
+    A Hermitian right convolution R[x, y] = c(x^-1 y), c(g^-1) = conj c(g),
+    commutes with the left action and acts on the isotypic component with d
+    eigenvalues of multiplicity d; its lowest eigenspace is irreducible.  c is
+    supported on PROBE_SIZE random elements t and their inverses, so on the
+    frame L, (R L)[x] = sum_t c(t)·L[x t] costs O(n·d²) per support element.
+    Draws whose lowest cluster is not separated are retried.
     """
     n = group.order
-    weights = (d / n) * np.conj(chi)
-    gauss = _gaussian(rng, (n, d * d))
-    image = np.empty_like(gauss)
-    for rows in row_chunks(n, n):
-        image[rows] = weights[class_of[group.mul[rows][:, group.inv]]] @ gauss
-    del gauss
-    frame, _ = np.linalg.qr(image)
-    del image
-
+    m = d * d
+    frame = _isotypic_factor(group, phi, d, row)
     failure = "no attempt made"
     for _ in range(DEFAULT_ATTEMPTS):
-        c = _gaussian(rng, n)
-        c = (c + np.conj(c[group.inv])) / 2
-        # herm = frame* R frame, summed over row chunks of R[x, y] = c(x^-1 y)
-        herm = np.zeros((d * d, d * d), dtype=np.complex128)
-        for rows in row_chunks(n, n):
-            herm += frame[rows].conj().T @ (c[group.mul[group.inv[rows]]] @ frame)
+        t = rng.integers(0, n, size=PROBE_SIZE)
+        c = _probe_weights(rng, PROBE_SIZE)
+        support, weights = np.concatenate([t, group.inv[t]]), np.concatenate([c, c.conj()])
+        herm = np.zeros((m, m), dtype=np.complex128)
+        for rows in row_chunks(n, m):
+            at = group.mul[rows][:, support]  # x t for each support element t
+            image = sum(w * frame[at[:, j]] for j, w in enumerate(weights))  # (R L)[rows]
+            herm += frame[rows].conj().T @ image
         evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
         scale = float(np.abs(evals).max())
         if evals[d - 1] - evals[0] > BASIS_TOL * scale:
@@ -398,8 +447,8 @@ def _irreducible_frame(
         else:
             return frame @ evecs[:, :d]
     raise DegenerateSpectrumError(
-        f"no separated irreducible subspace of degree {d} after {DEFAULT_ATTEMPTS} "
-        f"attempts (last failure: {failure})"
+        f"row {row} (degree {d}): no separated irreducible subspace after "
+        f"{DEFAULT_ATTEMPTS} attempts (last failure: {failure})"
     )
 
 
@@ -414,7 +463,8 @@ def _check_basis(
 
     rho(s)rho(x) = rho(sx) for every generator s and every x proves rho a
     homomorphism; E*E = I for the column-scaled E (sqrt(d/n) per column) is
-    unitarity and Schur orthogonality; tr rho = chi ties each block to its row.
+    unitarity and Schur orthogonality, checked on the upper block triangle of
+    the Hermitian E*E; tr rho = chi ties each block to its row.
     """
     n = group.order
     E = basis.matrix
@@ -434,9 +484,10 @@ def _check_basis(
 
     scale = np.sqrt(np.repeat(table.degrees, table.degrees**2) / n)
     worst = 0.0
-    for cols in row_chunks(n, n):
-        gram = (E[:, cols].conj().T @ E) * (scale[cols, None] * scale[None, :])
-        gram[np.arange(gram.shape[0]), np.arange(n)[cols]] -= 1.0
+    for cols in row_chunks(n, n):  # E*E is Hermitian: its upper block triangle covers it
+        upper = slice(cols.start, n)
+        gram = (E[:, cols].conj().T @ E[:, upper]) * (scale[cols, None] * scale[None, upper])
+        gram[np.arange(gram.shape[0]), np.arange(gram.shape[0])] -= 1.0
         worst = max(worst, float(np.abs(gram).max()))
     if worst > BASIS_TOL:
         raise SpectralInconsistencyError(f"Fourier basis unitarity residue {worst:.3g}")
@@ -471,11 +522,11 @@ def fourier_basis(
     offsets = np.concatenate([[0], np.cumsum(degrees**2)])
     E = np.empty((n, n), dtype=np.complex128)
     for r, d in enumerate(degrees):
-        chi = table.values[r]
+        chi = table.values[r][classes.class_of]
         if d == 1:
-            E[:, offsets[r]] = chi[classes.class_of]
+            E[:, offsets[r]] = chi
             continue
-        frame = _irreducible_frame(group, classes.class_of, chi, int(d), rng)
+        frame = _irreducible_frame(group, (d / n) * chi.conj(), int(d), rng, r)
         # (lambda(s) W)[y] = W[s^-1 y]
         rho_gens = np.stack([frame.conj().T @ frame[group.mul[group.inv[s]]] for s in gens])
         rho = E[:, offsets[r] : offsets[r + 1]].reshape(n, d, d)  # a view: filled in place

@@ -15,8 +15,16 @@ from quasimix.adversary import SearchResult, _structured_start, evaluate_inputs
 from quasimix.groups import group_from_table
 from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic, _disc_clip, _unit_norm
 from quasimix.report import CHECKS
+from quasimix._numutil import row_chunks
 from quasimix.spectra import (
+    BASIS_TOL,
+    DEFAULT_ATTEMPTS,
+    SPLIT_GAP,
+    DegenerateSpectrumError,
+    FourierBasis,
     SpectralInconsistencyError,
+    _check_basis,
+    _generators,
     conjugation_multiplicity,
     isotypic_project,
     spectral_data,
@@ -619,3 +627,81 @@ def full_maximize(harmonic, config):
         evaluations_used=evaluations,
         trace=trace,
     )
+
+
+def _gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _projected_irreducible_frame(group, class_of, chi, d, rng):
+    """An n×d orthonormal frame of one irreducible subspace, by dense projection.
+
+    The range of P[x, y] = (d/n)·conj chi(x y^-1) is the chi-isotypic component
+    of the regular representation (dimension d²): P times an n×d² Gaussian,
+    one n² gather and an n×n·n×d² GEMM, then a Householder QR.  A dense random
+    Hermitian right convolution R[x, y] = c(x^-1 y), c(g^-1) = conj c(g), splits
+    it: its lowest d-fold eigenspace is irreducible.
+    """
+    n = group.order
+    weights = (d / n) * np.conj(chi)
+    gauss = _gaussian(rng, (n, d * d))
+    image = np.empty_like(gauss)
+    for rows in row_chunks(n, n):
+        image[rows] = weights[class_of[group.mul[rows][:, group.inv]]] @ gauss
+    del gauss
+    frame, _ = np.linalg.qr(image)
+    del image
+
+    failure = "no attempt made"
+    for _ in range(DEFAULT_ATTEMPTS):
+        c = _gaussian(rng, n)
+        c = (c + np.conj(c[group.inv])) / 2
+        herm = np.zeros((d * d, d * d), dtype=np.complex128)
+        for rows in row_chunks(n, n):
+            herm += frame[rows].conj().T @ (c[group.mul[group.inv[rows]]] @ frame)
+        evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
+        scale = float(np.abs(evals).max())
+        if evals[d - 1] - evals[0] > BASIS_TOL * scale:
+            failure = "lowest eigenvalue cluster is not d-fold"
+        elif evals[d] - evals[d - 1] < SPLIT_GAP * scale:
+            failure = "lowest eigenvalue cluster is not separated"
+        else:
+            return frame @ evecs[:, :d]
+    raise DegenerateSpectrumError(
+        f"no separated irreducible subspace of degree {d} after {DEFAULT_ATTEMPTS} "
+        f"attempts (last failure: {failure})"
+    )
+
+
+def projection_fourier_basis(group, classes, table):
+    """The Fourier basis by the dense-projection route: O(n²·d²) work per non-linear row.
+
+    The same tree fill and cross-checks as ``fourier_basis``, from frames
+    found by a Gaussian projection, a QR and a dense commutant probe.
+    """
+    n = group.order
+    rng = np.random.default_rng(np.random.SeedSequence(0x4652))
+    gens, layers = _generators(group, rng)
+    degrees = table.degrees
+    offsets = np.concatenate([[0], np.cumsum(degrees**2)])
+    E = np.empty((n, n), dtype=np.complex128)
+    for r, d in enumerate(degrees):
+        chi = table.values[r]
+        if d == 1:
+            E[:, offsets[r]] = chi[classes.class_of]
+            continue
+        frame = _projected_irreducible_frame(group, classes.class_of, chi, int(d), rng)
+        rho_gens = np.stack([frame.conj().T @ frame[group.mul[group.inv[s]]] for s in gens])
+        rho = E[:, offsets[r] : offsets[r + 1]].reshape(n, d, d)
+        rho[group.identity] = np.eye(d)
+        for children, gen_index, parents in layers:
+            rho[children] = rho_gens[gen_index] @ rho[parents]
+
+    starts = np.flatnonzero(np.diff(degrees, prepend=0))
+    ends = np.append(starts[1:], len(degrees))
+    runs = tuple(
+        (int(degrees[a]), slice(int(offsets[a]), int(offsets[b]))) for a, b in zip(starts, ends)
+    )
+    basis = FourierBasis(E, runs, int(offsets[table.trivial_row]))
+    _check_basis(group, classes, table, basis, gens)
+    return basis

@@ -389,7 +389,7 @@ def test_run_verification_plan_order(s3_spectral):
 
 def test_verify_keeps_no_inputs_of_passing_trials(a5):
     # each trial is reduced as it completes, and only a failing trial keeps its
-    # inputs: 3,000 a:5 theorem trials (three 60-entry complex inputs, about
+    # inputs: 1,000 a:5 theorem trials (three 60-entry complex inputs, about
     # 3 KB a trial) hold little more than their rows, serially and with a pool
     # that runs a bounded window of trials ahead of the reduction
     h = Harmonic(spectral_data(a5))
@@ -398,12 +398,12 @@ def test_verify_keeps_no_inputs_of_passing_trials(a5):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            outcome = run_verification(h, ["theorem"], trials=3000, seed=0, threads=threads)
+            outcome = run_verification(h, ["theorem"], trials=1000, seed=0, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(outcome.rows) == 3000 and outcome.failures == []
-        assert (peak - base) / 3000 < 1500, threads
+        assert len(outcome.rows) == 1000 and outcome.failures == []
+        assert (peak - base) / 1000 < 1500, threads
 
 
 def test_verify_keeps_one_reproducer_per_failing_check(tmp_path, monkeypatch, a5, s3_spectral):

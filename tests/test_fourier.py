@@ -7,16 +7,20 @@ import numpy as np
 import pytest
 
 import quasimix.harmonic
+import quasimix.spectra
 from oracles import (
     cond_exp_conj,
     loop_step3_intermediate,
     loop_substitution_distance,
+    projection_fourier_basis,
     sample_interior_disc,
     substitution_distance,
 )
 from quasimix.cli import resolve_group
 from quasimix.harmonic import GroupFunction, Harmonic, centered, sample_disc
 from quasimix.spectra import (
+    CharacterTable,
+    DegenerateSpectrumError,
     FourierBasis,
     SpectralInconsistencyError,
     _check_basis,
@@ -152,6 +156,67 @@ def test_substitution_matches_loop_oracle(kernel_harmonic):
             loop_substitution_distance(group, f2.values, h) for h in range(group.order)
         )
         assert _agree(kernel_harmonic.step4_substitution_sweep(f2).observed, everywhere), name
+
+
+# -- the basis build against the dense-projection oracle ---------------------------
+
+
+@pytest.mark.parametrize("token", ["s:3", "a:5", "sl2:5", "sl2:7", "psl2:11"])
+def test_cholesky_basis_matches_projection_oracle(token):
+    # two different bases of the same irreps: both pass the cross-checks, and the
+    # Plancherel kernels, which do not depend on the choice, agree to 1e-12
+    group = resolve_group(token)
+    data = spectral_data(group)
+    fast = Harmonic(data)
+    oracle = Harmonic(data)
+    oracle._basis = projection_fourier_basis(group, data.classes, data.table)
+    gens, _ = _generators(group, np.random.default_rng(1))
+    for harmonic in (fast, oracle):
+        _check_basis(group, data.classes, data.table, harmonic.fourier(), gens)
+    assert not np.array_equal(fast.fourier().matrix, oracle.fourier().matrix)
+    for name, f1, f2 in _inputs(fast, 5):
+        ref = oracle.step3_intermediate(f1, f2).observed
+        assert _agree(fast.step3_intermediate(f1, f2).observed, ref), (token, name)
+        ref = oracle.step4_substitution_sweep(f2).observed
+        assert _agree(fast.step4_substitution_sweep(f2).observed, ref), (token, name)
+
+
+@pytest.mark.parametrize("token", ["a:5", "sl2:5"])
+def test_wrong_degree_fails_the_rank_cross_check(token):
+    # a degree raised to d + 1 with the values kept: the isotypic projection has
+    # rank d², not (d + 1)², and the pivoted Cholesky stops at that row by name
+    group = resolve_group(token)
+    data = spectral_data(group)
+    table = data.table
+    row = next(r for r in range(len(table.degrees)) if table.degrees[r] > 1)
+    degrees = table.degrees.copy()
+    degrees[row] += 1
+    wrong = CharacterTable(table.values, degrees, table.trivial_row, table.ortho_tol)
+    d = int(table.degrees[row])
+    with pytest.raises(SpectralInconsistencyError) as caught:
+        fourier_basis(group, data.classes, wrong)
+    assert f"row {row} (degree {d + 1})" in str(caught.value)
+    assert f"rank {d * d}, not degree² = {(d + 1) ** 2}" in str(caught.value)
+
+
+def test_real_probe_weights_cannot_split_a_quaternionic_row(monkeypatch):
+    # SL(2,5)'s degree-2 rows are quaternionic: a probe with real weights commutes
+    # with their antiunitary structure, so its eigenvalues come in pairs and no
+    # draw separates a d-fold cluster; the error names the row and its degree
+    group = resolve_group("sl2:5")
+    data = spectral_data(group)
+    degrees = data.table.degrees
+    monkeypatch.setattr(
+        quasimix.spectra, "_probe_weights", lambda rng, size: rng.standard_normal(size)
+    )
+    with pytest.raises(DegenerateSpectrumError) as caught:
+        fourier_basis(group, data.classes, data.table)
+    row = next(r for r in range(len(degrees)) if degrees[r] > 1)
+    assert int(degrees[row]) == 2
+    assert str(caught.value) == (
+        f"row {row} (degree 2): no separated irreducible subspace after 20 attempts "
+        "(last failure: lowest eigenvalue cluster is not separated)"
+    )
 
 
 # -- the lazy build ----------------------------------------------------------------
