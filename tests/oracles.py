@@ -20,6 +20,7 @@ from quasimix.spectra import (
     BASIS_TOL,
     DEFAULT_ATTEMPTS,
     SPLIT_GAP,
+    _FOURIER_TAG,
     DegenerateSpectrumError,
     FourierBasis,
     SpectralInconsistencyError,
@@ -680,7 +681,7 @@ def projection_fourier_basis(group, classes, table):
     found by a Gaussian projection, a QR and a dense commutant probe.
     """
     n = group.order
-    rng = np.random.default_rng(np.random.SeedSequence(0x4652))
+    rng = np.random.default_rng(np.random.SeedSequence(_FOURIER_TAG))
     gens, layers = _generators(group, rng)
     degrees = table.degrees
     offsets = np.concatenate([[0], np.cumsum(degrees**2)])
