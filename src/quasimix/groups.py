@@ -157,13 +157,8 @@ def _validated_group(mul: np.ndarray, name: str) -> FiniteGroup:
                 f"column {j} is not a permutation (element {_find_duplicate(col)} repeats)"
             )
 
-    left_ids = np.nonzero((mul == expect[None, :]).all(axis=1))[0]
-    identity = -1
-    for e in left_ids:
-        if np.array_equal(mul[:, e], expect):
-            identity = int(e)
-            break
-    if identity < 0:
+    identity = int(np.argmax(mul[:, 0] == 0))  # column 0 is a permutation: one row fixes 0
+    if not (np.array_equal(mul[identity], expect) and np.array_equal(mul[:, identity], expect)):
         raise CayleyTableError("no two-sided identity element")
 
     inv = np.argmax(mul == identity, axis=1).astype(np.int32)
@@ -326,31 +321,25 @@ def format_cayley_table(group: FiniteGroup) -> str:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyStructure:
-    """Partition the group into conjugation orbits, classes ordered by smallest member."""
+    """Partition the group into conjugation orbits, classes ordered by smallest member.
+
+    Column x of the conjugation table is the orbit of x, so its minimum labels
+    x by the smallest member of its class.  The distinct labels, in increasing
+    order, are the representatives; a label's rank is the class index and its
+    multiplicity the class size.
+    """
     n = group.order
-    conj = group.conjugation_table()
-    class_of = np.full(n, -1, dtype=np.int32)
-    reps: List[int] = []
-    sizes: List[int] = []
-    for x in range(n):
-        if class_of[x] >= 0:
-            continue
-        orbit = np.unique(conj[:, x])
-        class_of[orbit] = len(reps)
-        reps.append(x)
-        sizes.append(len(orbit))
-    sizes_arr = np.array(sizes, dtype=np.int64)
-    if sizes_arr.sum() != n or (class_of < 0).any():
-        raise RuntimeError("conjugacy orbits do not partition the group")
-    if sizes_arr[class_of[group.identity]] != 1:
+    labels = group.conjugation_table().min(axis=0)
+    reps, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if sizes[class_of[group.identity]] != 1:
         raise RuntimeError("identity class is not a singleton")
-    if (n % sizes_arr != 0).any():
-        c = int(np.argmax(n % sizes_arr != 0))
-        raise RuntimeError(f"class {c} size {sizes_arr[c]} does not divide {n}")
+    if (n % sizes != 0).any():
+        c = int(np.argmax(n % sizes != 0))
+        raise RuntimeError(f"class {c} size {sizes[c]} does not divide {n}")
     return ConjugacyStructure(
-        class_of=class_of,
-        representatives=np.array(reps, dtype=np.int32),
-        class_sizes=sizes_arr,
+        class_of=class_of.astype(np.int32),
+        representatives=reps,
+        class_sizes=sizes.astype(np.int64),
         num_classes=len(reps),
     )
 

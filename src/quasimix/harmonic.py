@@ -250,7 +250,7 @@ class Harmonic:
             raise ConstraintError(f"{name} must be disc_valued")
         if flags.get("mean_zero") and not f.mean_zero:
             raise ConstraintError(f"{name} must be mean_zero")
-        if flags.get("two_disc") and not f.two_disc_valued:
+        if flags.get("two_disc") and not (f.two_disc_valued or f.disc_valued):
             raise ConstraintError(f"{name} must be two_disc_valued")
         if flags.get("unit_l2") and f.norm2 > 1.0 + DISC_TOL:
             raise ConstraintError(f"{name} must have L2 norm <= 1, got {f.norm2}")

@@ -59,7 +59,7 @@ class SpectralInconsistencyError(RuntimeError):
 class CharacterTable:
     """Irreducible characters: values[r, c] is character r on class c.
 
-    Rows are sorted by (degree, lexicographic rounded real parts); columns
+    Rows are sorted by (degree, rounded real parts, rounded imaginary parts); columns
     follow the canonical conjugacy-class order.  ``trivial_row`` indexes the
     all-ones row.
     """
@@ -126,12 +126,11 @@ def class_algebra(
 
 
 def _sorted_rows(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    keys = []
-    for r in range(len(rows)):
-        re = tuple(np.round(rows[r].real, 6))
-        im = tuple(np.round(rows[r].imag, 6))
-        keys.append((int(degrees[r]), re, im, r))
-    return np.array([key[-1] for key in sorted(keys)], dtype=np.int64)
+    """Stable row order by degree, then the real parts, then the imaginary parts, each
+    rounded to 6 digits and compared column by column."""
+    re = np.round(rows.real, 6)
+    im = np.round(rows.imag, 6)
+    return np.lexsort((*im.T[::-1], *re.T[::-1], degrees))  # the last key sorts first
 
 
 def character_table(

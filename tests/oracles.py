@@ -314,6 +314,17 @@ def tensor_class_combination(group, classes, coeffs):
     return np.tensordot(coeffs, mats, axes=1)
 
 
+def tuple_sorted_rows(rows, degrees):
+    """Character-row order by Python tuple keys: (degree, rounded real parts, rounded
+    imaginary parts, row index), compared element by element by ``sorted``."""
+    keys = []
+    for r in range(len(rows)):
+        re = tuple(np.round(rows[r].real, 6))
+        im = tuple(np.round(rows[r].imag, 6))
+        keys.append((int(degrees[r]), re, im, r))
+    return np.array([key[-1] for key in sorted(keys)], dtype=np.int64)
+
+
 def dense_isotypic_project(group, classes, table, values, row):
     """isotypic_project in one gather: the n×n array of conjugation translates, unchunked."""
     chi = table.values[row][classes.class_of]

@@ -28,6 +28,7 @@ from quasimix.groups import (
     group_from_table,
     load_cayley_table,
 )
+from quasimix.spectra import spectral_data
 
 # Latin square, two-sided identity 0, every element self-inverse — but not
 # associative: (1*1)*2 = 2 while 1*(1*2) = 1*3 = 4.
@@ -223,15 +224,39 @@ def test_rejects_non_associative_loop():
 
 
 def test_relabeled_copy_is_valid():
-    # Push Z_6 through a random relabeling; the result must still validate.
-    g = build_cyclic(6)
-    rng = np.random.default_rng(3)
-    sigma = rng.permutation(6)
+    # Push each group through a random relabeling that moves its identity off element 0;
+    # the copy must validate, with the relabeled identity, inverses and classes.
+    for token in ("z:6", "s:4", "sl2:5"):
+        _check_relabeled_copy(resolve_group(token), np.random.default_rng(3))
+
+
+def _check_relabeled_copy(g, rng):
+    sigma = rng.permutation(g.order)
+    if sigma[g.identity] == 0:
+        sigma = np.roll(sigma, 1)
     inv_sigma = np.argsort(sigma)
     relabeled = sigma[g.mul[np.ix_(inv_sigma, inv_sigma)]]
     h = group_from_table(relabeled)
-    assert h.order == 6
-    assert h.identity == sigma[0]
+    assert h.order == g.order
+    assert h.identity == sigma[g.identity] != 0
+    assert np.array_equal(h.inv[sigma], sigma[g.inv])
+
+    cc = conjugacy_classes(h)
+    members = [np.flatnonzero(cc.class_of == c) for c in range(cc.num_classes)]
+    assert {frozenset(m.tolist()) for m in members} == brute_conjugacy_partition(h)
+    assert {frozenset(m.tolist()) for m in members} == {
+        frozenset(sigma[list(orbit)].tolist()) for orbit in brute_conjugacy_partition(g)
+    }
+    assert [int(m[0]) for m in members] == cc.representatives.tolist()
+    assert np.all(np.diff(cc.representatives) > 0)  # numbered by smallest member
+    assert cc.class_sizes.tolist() == [len(m) for m in members]
+    assert (cc.class_of.dtype, cc.representatives.dtype, cc.class_sizes.dtype) == (
+        np.int32, np.int32, np.int64
+    )
+
+    before, after = spectral_data(g), spectral_data(h)
+    assert sorted(after.table.degrees.tolist()) == sorted(before.table.degrees.tolist()), g.name
+    assert after.quasirandomness.degree == before.quasirandomness.degree, g.name
 
 
 def test_randomized_assoc_mode_for_large_groups():

@@ -180,6 +180,36 @@ def test_theorem_requires_disc_inputs(s3_harmonic):
         s3_harmonic.theorem_lhs(free, disc, disc)
 
 
+def test_disc_valued_f1_meets_the_two_disc_requirement(s3_harmonic, s3):
+    # |f1| <= 1 <= 2, so a disc-valued mean-zero f1 is a valid first input of every step
+    h = s3_harmonic
+    alt = 0.5 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    f1 = GroupFunction(alt, disc_valued=True, mean_zero=True)
+    f2, f3 = _rand_disc(6, 30), _rand_disc(6, 31)
+    vals = (f1.values, f2.values, f3.values)
+    assert abs(h.step1_reduced_lhs(f1, f2, f3).observed - brute_step1_lhs(s3, *vals)) < 1e-14
+    assert abs(h.step2_squared(f1, f2, f3).observed - brute_step2_squared(s3, *vals)) < 1e-13
+    step3 = brute_step3_second_moment(s3, *vals[:2])
+    assert abs(h.step3_intermediate(f1, f2).observed - step3) < 1e-13
+    assert abs(h.step4_final(f1, f2).observed - brute_step4_final(s3, *vals[:2])) < 1e-14
+    unflagged = GroupFunction(alt, mean_zero=True)
+    for call in (
+        lambda: h.step1_reduced_lhs(unflagged, f2, f3),
+        lambda: h.step2_squared(unflagged, f2, f3),
+        lambda: h.step3_intermediate(unflagged, f2),
+    ):
+        with pytest.raises(ConstraintError, match="f1 must be two_disc_valued"):
+            call()
+    off_mean = GroupFunction(alt + 0.25, disc_valued=True)
+    for call in (
+        lambda: h.step1_reduced_lhs(off_mean, f2, f3),
+        lambda: h.step2_squared(off_mean, f2, f3),
+        lambda: h.step3_intermediate(off_mean, f2),
+    ):
+        with pytest.raises(ConstraintError, match="f1 must be mean_zero"):
+            call()
+
+
 def test_step1_matches_brute(s3_harmonic, s3):
     f1 = centered(_rand_disc(6, 15))
     f2, f3 = _rand_disc(6, 16), _rand_disc(6, 17)

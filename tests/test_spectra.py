@@ -12,6 +12,7 @@ from oracles import (
     is_multiplicity_free,
     regular_degrees,
     tensor_class_combination,
+    tuple_sorted_rows,
 )
 from quasimix.cli import resolve_group
 from quasimix.groups import (
@@ -23,6 +24,7 @@ from quasimix.groups import (
 )
 from quasimix.spectra import (
     DegenerateSpectrumError,
+    _sorted_rows,
     SpectralInconsistencyError,
     character_table,
     class_algebra,
@@ -110,6 +112,53 @@ def test_character_tables_match_tensor_oracle_path(monkeypatch, s4, a5, sl2_5, s
         expect = spectral_data(group).table
         assert np.array_equal(table.degrees, expect.degrees), group.name
         assert np.abs(table.values - expect.values).max() < 1e-12, group.name
+
+
+def test_sorted_rows_matches_tuple_key_oracle(
+    monkeypatch, z6, s3, s4, a4, a5, sl2_5, sl2_7, psl2_7
+):
+    # each table's rows as character_table sorts them, and again in a shuffled order
+    seen = []
+
+    def spy(rows, degrees):
+        seen.append((rows.copy(), degrees.copy()))
+        return _sorted_rows(rows, degrees)
+
+    monkeypatch.setattr(quasimix.spectra, "_sorted_rows", spy)
+    for group in (z6, s3, s4, a4, a5, sl2_5, sl2_7, psl2_7):
+        spectral_data(group)
+    assert len(seen) == 8
+    rng = np.random.default_rng(8)
+    for rows, degrees in seen:
+        assert np.array_equal(_sorted_rows(rows, degrees), tuple_sorted_rows(rows, degrees))
+        shuffle = rng.permutation(len(rows))
+        rows, degrees = rows[shuffle], degrees[shuffle]
+        assert np.array_equal(_sorted_rows(rows, degrees), tuple_sorted_rows(rows, degrees))
+
+
+def test_sorted_rows_breaks_rounding_ties_as_the_oracle():
+    # Rows 0, 1 and 6 agree once rounded to 6 digits, and so do the real parts of rows 4
+    # and 7; -1e-8 rounds to -0.0, and -0.0 ties with +0.0 as it does in Python, so the
+    # next key decides, then the imaginary parts, then the row index.
+    real = np.array([
+        [1.0, 0.5000004, 0.0],
+        [1.0, 0.4999996, 0.0],
+        [1.0, -1e-8, 0.5],
+        [1.0, 0.0, -0.5],
+        [1.0, -0.0, 0.25],
+        [2.0, -1.0, 0.0],
+        [1.0, 0.5, 0.0],
+        [1.0, -0.0, 0.25],
+    ])
+    imag = np.zeros_like(real)
+    imag[[0, 1, 6], 2] = [0.2, 0.1, 0.2]
+    imag[4, 1] = -0.0
+    rows = np.empty(real.shape, dtype=np.complex128)
+    rows.real, rows.imag = real, imag
+    degrees = np.array([1, 1, 1, 1, 1, 2, 1, 1])
+    expect = [3, 4, 7, 2, 1, 0, 6, 5]
+    assert tuple_sorted_rows(rows, degrees).tolist() == expect
+    assert _sorted_rows(rows, degrees).tolist() == expect
 
 
 def test_misassigned_class_fails_constancy_check(s3):
