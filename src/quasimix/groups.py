@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -273,8 +273,8 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
     (row i, column j holds i*j).  The identity is located by the identity
     law; it need not be element 0.
     """
-    rows: List[List[int]] = []
-    order: Optional[int] = None
+    table: Optional[np.ndarray] = None  # int32, allocated once the order passes its cap check
+    filled = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -283,7 +283,7 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
             values = [int(tok) for tok in line.split()]
         except ValueError:
             raise CayleyTableError(f"line {lineno}: non-integer token") from None
-        if order is None:
+        if table is None:
             if len(values) != 1:
                 raise CayleyTableError(f"line {lineno}: expected a single order value")
             order = values[0]
@@ -291,22 +291,24 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
                 raise CayleyTableError(f"line {lineno}: order must be >= 1, got {order}")
             if order > MAX_ORDER:
                 raise CayleyTableError(f"order {order} exceeds the supported cap {MAX_ORDER}")
+            table = np.empty((order, order), dtype=np.int32)
             continue
         if len(values) != order:
             raise CayleyTableError(
                 f"line {lineno}: expected {order} entries, got {len(values)}"
             )
-        outside = [v for v in values if not 0 <= v < order]  # np.int64 could overflow on them
+        outside = [v for v in values if not 0 <= v < order]  # int32 could overflow on them
         if outside:
             raise CayleyTableError(f"line {lineno}: entry {outside[0]} is outside 0..{order - 1}")
-        rows.append(values)
-        if len(rows) > order:
+        if filled == order:
             raise CayleyTableError(f"line {lineno}: more than {order} table rows")
-    if order is None:
+        table[filled] = values
+        filled += 1
+    if table is None:
         raise CayleyTableError("empty input: no order line")
-    if len(rows) != order:
-        raise CayleyTableError(f"expected {order} table rows, got {len(rows)}")
-    return group_from_table(np.array(rows, dtype=np.int64), name=name)
+    if filled != order:
+        raise CayleyTableError(f"expected {order} table rows, got {filled}")
+    return group_from_table(table, name=name)
 
 
 def format_cayley_table(group: FiniteGroup) -> str:

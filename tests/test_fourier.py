@@ -29,7 +29,11 @@ from quasimix.spectra import (
     spectral_data,
 )
 
-_BASIS_GROUPS = ("s:3", "a:5", "sl2:5", "sl2:7", "z:12")
+# every group a test builds a basis on: _check_basis infers Schur orthogonality
+# from checks on the generators, and the full Gram test below measures it
+_BASIS_GROUPS = (
+    "z:1", "s:3", "a:4", "z:12", "s:4", "a:5", "sl2:5", "sl2:7", "psl2:11", "s:6", "sl2:13"
+)
 _KERNEL_GROUPS = ("s:3", "a:4", "a:5", "sl2:5", "sl2:7")
 
 

@@ -1,6 +1,7 @@
 """Cayley-table construction, validation, builders, and conjugacy structure."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,21 @@ def test_loader_error_positions():
         load_cayley_table("2\n0 1\n1 0\n0 1\n")
     with pytest.raises(CayleyTableError, match="expected 3 table rows, got 1"):
         load_cayley_table("3\n0 1 2\n")
+
+
+def test_loader_reads_rows_straight_into_an_int32_table():
+    # rows go straight into one int32 table: no list of Python ints (about
+    # ten times the table at this order) is kept while the file is read
+    text = format_cayley_table(build_cyclic(1000))
+    tracemalloc.start()
+    try:
+        group = load_cayley_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group.mul.dtype == np.int32
+    assert np.array_equal(group.mul, build_cyclic(1000).mul)
+    assert peak < 2 * group.mul.nbytes + 2 * len(text)  # the table and the group's copy
 
 
 def test_loader_rejects_an_oversized_order_line_before_any_row(tmp_path, capsys):
