@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -30,6 +30,7 @@ MAX_ORDER = 5040
 EXHAUSTIVE_ASSOC_LIMIT = 256
 RANDOM_ASSOC_TRIPLES = 100_000
 _ASSOC_SEED = 0x6173_736F  # fixed, so randomized validation is reproducible
+_CLASSES_TAG = 0x434C  # fixed: the generators that label classes never depend on a user seed
 
 _SL2_PRIMES = (3, 5, 7, 11, 13)
 
@@ -62,10 +63,17 @@ class FiniteGroup:
         self.inv.setflags(write=False)
         self._conj_table: Optional[np.ndarray] = None
 
+    def conjugation_rows(self, elements) -> np.ndarray:
+        """Rows [i, x] = g * x * g^-1, g = elements[i], of the conjugation table.
+
+        ``elements`` is an index array, or a slice (a view of ``mul``, not a copy).
+        """
+        return self.mul[self.mul[elements], self.inv[elements][:, None]]
+
     def conjugation_table(self) -> np.ndarray:
         """(n, n) table with entry [g, x] = g * x * g^-1, cached."""
         if self._conj_table is None:
-            table = self.mul[self.mul, self.inv[:, None]]
+            table = self.conjugation_rows(slice(None))
             table.setflags(write=False)
             self._conj_table = table
         return self._conj_table
@@ -145,16 +153,19 @@ def _validated_group(mul: np.ndarray, name: str) -> FiniteGroup:
     _check_shape_and_range(mul)
     n = mul.shape[0]
     expect = np.arange(n, dtype=np.int32)
-    for i in range(n):
-        if not np.array_equal(np.sort(mul[i]), expect):
+    for rows in row_chunks(n, n):  # sorted blocks of rows, then of columns
+        bad = (np.sort(mul[rows], axis=1) != expect).any(axis=1)
+        if bad.any():
+            i = rows.start + int(np.argmax(bad))
             raise CayleyTableError(
                 f"row {i} is not a permutation (element {_find_duplicate(mul[i])} repeats)"
             )
-    for j in range(n):
-        col = mul[:, j]
-        if not np.array_equal(np.sort(col), expect):
+    for cols in row_chunks(n, n):
+        bad = (np.sort(mul[:, cols], axis=0) != expect[:, None]).any(axis=0)
+        if bad.any():
+            j = cols.start + int(np.argmax(bad))
             raise CayleyTableError(
-                f"column {j} is not a permutation (element {_find_duplicate(col)} repeats)"
+                f"column {j} is not a permutation (element {_find_duplicate(mul[:, j])} repeats)"
             )
 
     identity = int(np.argmax(mul[:, 0] == 0))  # column 0 is a permutation: one row fixes 0
@@ -279,14 +290,11 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            values = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise CayleyTableError(f"line {lineno}: non-integer token") from None
+        values = _parse_row(line, lineno)
         if table is None:
             if len(values) != 1:
                 raise CayleyTableError(f"line {lineno}: expected a single order value")
-            order = values[0]
+            order = int(values[0])
             if order < 1:
                 raise CayleyTableError(f"line {lineno}: order must be >= 1, got {order}")
             if order > MAX_ORDER:
@@ -297,8 +305,8 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
             raise CayleyTableError(
                 f"line {lineno}: expected {order} entries, got {len(values)}"
             )
-        outside = [v for v in values if not 0 <= v < order]  # int32 could overflow on them
-        if outside:
+        outside = values[(values < 0) | (values >= order)]  # int32 could overflow on them
+        if len(outside):
             raise CayleyTableError(f"line {lineno}: entry {outside[0]} is outside 0..{order - 1}")
         if filled == order:
             raise CayleyTableError(f"line {lineno}: more than {order} table rows")
@@ -311,6 +319,24 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
     return group_from_table(table, name=name)
 
 
+def _parse_row(line: str, lineno: int) -> np.ndarray:
+    """The integers on one line, as int64; numpy reads the same tokens as int().
+
+    A line numpy rejects is read token by token with int(), which either names
+    the line of a non-integer token or keeps an entry beyond int64 whole, in
+    an object array, for the range check to report.
+    """
+    tokens = line.split()
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    try:
+        return np.array([int(tok) for tok in tokens], dtype=object)
+    except ValueError:
+        raise CayleyTableError(f"line {lineno}: non-integer token") from None
+
+
 def format_cayley_table(group: FiniteGroup) -> str:
     """Render a group in the Cayley text format (round-trips through the loader)."""
     lines = [f"# {group.name}", str(group.order)]
@@ -319,19 +345,68 @@ def format_cayley_table(group: FiniteGroup) -> str:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy and commutators
+# generators, conjugacy and commutators
+
+
+def _spanning_tree(group: FiniteGroup, gens: List[int]):
+    """Breadth-first layers from the identity over left multiplication by gens.
+
+    Each layer is (children, generator index, parents) with
+    child = gens[index] * parent; also returns the mask of elements reached.
+    """
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity], dtype=np.int64)
+    layers = []
+    while gens:
+        flat = group.mul[np.asarray(gens)[:, None], frontier[None, :]].ravel()
+        fresh = np.flatnonzero(~seen[flat])
+        if not len(fresh):
+            break
+        children, first = np.unique(flat[fresh], return_index=True)
+        gen_index, parent = np.divmod(fresh[first], len(frontier))
+        layers.append((children, gen_index, frontier[parent]))
+        seen[children] = True
+        frontier = children.astype(np.int64)
+    return layers, seen
+
+
+def _generators(group: FiniteGroup, rng: np.random.Generator):
+    """Random elements (and their inverses) until they generate; with their spanning tree."""
+    gens: List[int] = []
+    while True:
+        layers, seen = _spanning_tree(group, gens)
+        if seen.all():
+            return gens, layers
+        s = int(rng.choice(np.flatnonzero(~seen)))
+        gens += [s] if group.inv[s] == s else [s, int(group.inv[s])]
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyStructure:
     """Partition the group into conjugation orbits, classes ordered by smallest member.
 
-    Column x of the conjugation table is the orbit of x, so its minimum labels
-    x by the smallest member of its class.  The distinct labels, in increasing
-    order, are the representatives; a label's rank is the class index and its
-    multiplicity the class size.
+    Each element is labelled by the smallest member of its orbit, found by
+    propagating the least label along conjugation by generators closed under
+    inverses, label[x] <- min(label[x], label[s x s^-1]), and pointer jumping,
+    label <- label[label], until nothing changes: O(n·|gens|) per round, and
+    no conjugation table.  A label only ever moves to another member of x's
+    orbit; at the fixed point it is constant along every generator's
+    conjugation, hence on the orbit, and the orbit's smallest member m keeps
+    label m.  The distinct labels, in increasing order, are the
+    representatives; a label's rank is the class index and its multiplicity
+    the class size.
     """
     n = group.order
-    labels = group.conjugation_table().min(axis=0)
+    gens, _ = _generators(group, np.random.default_rng(np.random.SeedSequence(_CLASSES_TAG)))
+    moves = group.conjugation_rows(np.asarray(gens, dtype=np.int64))
+    labels = np.arange(n, dtype=np.int32)
+    while True:
+        before = labels
+        for move in moves:
+            labels = np.minimum(labels, labels[move])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            break
     reps, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     if sizes[class_of[group.identity]] != 1:
         raise RuntimeError("identity class is not a singleton")
@@ -354,17 +429,18 @@ def commutator_subgroup(
     The commutators form a union of conjugacy classes, since
     [g r g^-1, b] = g [r, g^-1 b g] g^-1 and a conjugate of a commutator is a
     commutator, so the k*n commutators [r, y], r a class representative, mark
-    every class that holds one.  The mark is then closed under products.
+    every class that holds one; they need only the k conjugation rows of the
+    representatives.  The mark is then closed under products.
     ``classes`` are the group's conjugacy classes, computed when not given.
     """
     mul, inv = group.mul, group.inv
     if classes is None:
         classes = conjugacy_classes(group)
-    conj = group.conjugation_table()
     reps = classes.representatives
     hit = np.zeros(classes.num_classes, dtype=bool)
     for rows in row_chunks(len(reps), group.order):
-        hit[classes.class_of[mul[conj[reps[rows]], inv[None, :]]]] = True  # [r, y] = r*y*r^-1*y^-1
+        conj = group.conjugation_rows(reps[rows])
+        hit[classes.class_of[mul[conj, inv[None, :]]]] = True  # [r, y] = r*y*r^-1*y^-1
     inside = hit[classes.class_of]
     while True:
         current = np.flatnonzero(inside)

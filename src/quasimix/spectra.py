@@ -13,6 +13,7 @@ from ._numutil import abs2, row_chunks
 from .groups import (
     ConjugacyStructure,
     FiniteGroup,
+    _generators,
     commutator_subgroup,
     conjugacy_classes,
 )
@@ -86,14 +87,20 @@ class QuasiRandomnessDegree:
 def _pair_counts(group: FiniteGroup, classes: ConjugacyStructure, targets: np.ndarray):
     """Yield exact counts[b, i, j] = #{x in C_i : x^-1 * z_b in C_j} for the targets z_b,
     in order, in batches whose temporaries hold at most _CHUNK_ENTRIES entries.
+
+    x = z_b * w is a bijection with x^-1 * z_b = w^-1, so the count runs over w
+    with i = class(z_b * w), read from the contiguous rows mul[z_b], and
+    j = class(w^-1).
     """
     k = classes.num_classes
     cls = classes.class_of.astype(np.int64)
+    left_code, right_code = cls * k, cls[group.inv]  # code i*k + j of a pair (i, j)
     step = max(1, _CHUNK_ENTRIES // max(group.order, k * k))
     for start in range(0, len(targets), step):
         batch = targets[start : start + step]
-        left = group.mul[group.inv[:, None], batch[None, :]]  # [x, b] = x^-1 * batch[b]
-        codes = (np.arange(len(batch)) * k * k)[None, :] + cls[:, None] * k + cls[left]
+        codes = left_code[group.mul[batch]]  # [b, w] -> class(z_b * w) * k
+        codes += right_code
+        codes += (np.arange(len(batch)) * k * k)[:, None]
         counts = np.bincount(codes.ravel(), minlength=len(batch) * k * k)
         yield counts.reshape(-1, k, k)
 
@@ -320,40 +327,6 @@ class FourierBasis:
     matrix: np.ndarray  # (n, n) complex128
     runs: Tuple[Tuple[int, slice], ...]
     trivial_column: int
-
-
-def _spanning_tree(group: FiniteGroup, gens: List[int]):
-    """Breadth-first layers from the identity over left multiplication by gens.
-
-    Each layer is (children, generator index, parents) with
-    child = gens[index] * parent; also returns the mask of elements reached.
-    """
-    seen = np.zeros(group.order, dtype=bool)
-    seen[group.identity] = True
-    frontier = np.array([group.identity], dtype=np.int64)
-    layers = []
-    while gens:
-        flat = group.mul[np.asarray(gens)[:, None], frontier[None, :]].ravel()
-        fresh = np.flatnonzero(~seen[flat])
-        if not len(fresh):
-            break
-        children, first = np.unique(flat[fresh], return_index=True)
-        gen_index, parent = np.divmod(fresh[first], len(frontier))
-        layers.append((children, gen_index, frontier[parent]))
-        seen[children] = True
-        frontier = children.astype(np.int64)
-    return layers, seen
-
-
-def _generators(group: FiniteGroup, rng: np.random.Generator):
-    """Random elements (and their inverses) until they generate; with their spanning tree."""
-    gens: List[int] = []
-    while True:
-        layers, seen = _spanning_tree(group, gens)
-        if seen.all():
-            return gens, layers
-        s = int(rng.choice(np.flatnonzero(~seen)))
-        gens += [s] if group.inv[s] == s else [s, int(group.inv[s])]
 
 
 def _probe_weights(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 
 from quasimix.adversary import SearchResult, _structured_start, evaluate_inputs
-from quasimix.groups import group_from_table
+from quasimix.groups import ConjugacyStructure, _generators, group_from_table
 from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic, _disc_clip, _unit_norm
 from quasimix.report import CHECKS
 from quasimix._numutil import row_chunks
@@ -25,7 +25,6 @@ from quasimix.spectra import (
     FourierBasis,
     SpectralInconsistencyError,
     _check_basis,
-    _generators,
     conjugation_multiplicity,
     isotypic_project,
     spectral_data,
@@ -306,6 +305,32 @@ def class_structure_constants(group, classes):
     if remainder.any():
         raise AssertionError("class product counts not constant on classes")
     return constants
+
+
+def column_minimum_conjugacy_classes(group):
+    """Conjugacy classes by the column-minimum rule: column x of the full
+    conjugation table is x's orbit, so its minimum labels x by the smallest
+    member of its class.  The same np.unique step, order and dtypes as the package."""
+    labels = group.conjugation_table().min(axis=0)
+    reps, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    return ConjugacyStructure(
+        class_of=class_of.astype(np.int32),
+        representatives=reps,
+        class_sizes=sizes.astype(np.int64),
+        num_classes=len(reps),
+    )
+
+
+def column_pair_counts(group, classes, targets):
+    """counts[b, i, j] = #{x in C_i : x^-1 * z_b in C_j} for every target at once, over x:
+    one (n, len(targets)) gather of x^-1 * z_b down the columns of the table."""
+    k = classes.num_classes
+    cls = classes.class_of.astype(np.int64)
+    targets = np.asarray(targets)
+    left = group.mul[group.inv[:, None], targets[None, :]]  # [x, b] = x^-1 * z_b
+    codes = (np.arange(len(targets)) * k * k)[None, :] + cls[:, None] * k + cls[left]
+    counts = np.bincount(codes.ravel(), minlength=len(targets) * k * k)
+    return counts.reshape(-1, k, k)
 
 
 def tensor_class_combination(group, classes, coeffs):

@@ -17,6 +17,7 @@ from oracles import (
     substitution_distance,
 )
 from quasimix.cli import resolve_group
+from quasimix.groups import _generators
 from quasimix.harmonic import GroupFunction, Harmonic, centered, sample_disc
 from quasimix.spectra import (
     CharacterTable,
@@ -24,7 +25,6 @@ from quasimix.spectra import (
     FourierBasis,
     SpectralInconsistencyError,
     _check_basis,
-    _generators,
     fourier_basis,
     spectral_data,
 )

@@ -12,6 +12,7 @@ from oracles import (
     inverse,
     loop_permutation_table,
     loop_sl2_table,
+    column_minimum_conjugacy_classes,
     product,
 )
 from quasimix.cli import main, resolve_group
@@ -208,6 +209,24 @@ def test_rejects_repeating_column():
         group_from_table([[0, 1, 2], [0, 2, 1], [1, 0, 2]])
 
 
+def test_latin_checks_name_the_first_bad_row_and_column_past_the_first_block():
+    # the rows and columns are sorted in blocks of row_chunks(300, 300), 218 to a block
+    # at n = 300, so index 250 sits in the second block, ahead of a second bad row 290
+    mul = build_cyclic(300).mul.copy()
+    mul[250, 7] = mul[250, 8]
+    mul[290, 0] = mul[290, 1]
+    with pytest.raises(
+        CayleyTableError, match=r"^row 250 is not a permutation \(element 258 repeats\)$"
+    ):
+        group_from_table(mul)
+    mul = build_cyclic(300).mul.copy()
+    mul[5, [240, 260]] = mul[5, [260, 240]]  # row 5 stays a permutation
+    with pytest.raises(
+        CayleyTableError, match=r"^column 240 is not a permutation \(element 265 repeats\)$"
+    ):
+        group_from_table(mul)
+
+
 def test_rejects_latin_square_without_identity():
     # Latin on both sides, but no row equals the identity permutation.
     with pytest.raises(CayleyTableError, match="no two-sided identity"):
@@ -231,12 +250,17 @@ def test_relabeled_copy_is_valid():
         _check_relabeled_copy(resolve_group(token), np.random.default_rng(3))
 
 
-def _check_relabeled_copy(g, rng):
+def _relabeled(g, rng):
+    """A random relabeling sigma that moves the identity off element 0, and the table under it."""
     sigma = rng.permutation(g.order)
     if sigma[g.identity] == 0:
         sigma = np.roll(sigma, 1)
     inv_sigma = np.argsort(sigma)
-    relabeled = sigma[g.mul[np.ix_(inv_sigma, inv_sigma)]]
+    return sigma, sigma[g.mul[np.ix_(inv_sigma, inv_sigma)]]
+
+
+def _check_relabeled_copy(g, rng):
+    sigma, relabeled = _relabeled(g, rng)
     h = group_from_table(relabeled)
     assert h.order == g.order
     assert h.identity == sigma[g.identity] != 0
@@ -294,6 +318,38 @@ def test_s3_class_structure(s3):
     assert buckets[1] == {1, 2, 5}  # the transpositions
     assert buckets[2] == {3, 4}  # the 3-cycles
     assert cc.class_sizes.tolist() == [1, 3, 2]
+
+
+# every group a test builds, and the trivial group
+_CLASS_GROUPS = (
+    "z:1", "z:6", "z:12", "s:3", "s:4", "a:4", "a:5", "sl2:3", "sl2:5", "sl2:7", "psl2:7",
+    "psl2:11", "s:6", "sl2:13",
+)
+
+
+def _assert_same_classes(got, expect):
+    assert got.num_classes == expect.num_classes
+    for field in ("class_of", "representatives", "class_sizes"):
+        a, b = getattr(got, field), getattr(expect, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("token", _CLASS_GROUPS)
+def test_conjugacy_classes_match_column_minimum_oracle(token):
+    group = resolve_group(token)
+    got = conjugacy_classes(group)
+    assert group._conj_table is None  # the orbits come from the generators alone
+    _assert_same_classes(got, column_minimum_conjugacy_classes(group))
+
+
+@pytest.mark.parametrize("token", ["z:6", "s:4", "sl2:5"])
+def test_relabeled_file_table_classes_match_column_minimum_oracle(tmp_path, token):
+    _, relabeled = _relabeled(resolve_group(token), np.random.default_rng(5))
+    path = tmp_path / "table.txt"
+    path.write_text(format_cayley_table(group_from_table(relabeled, name=token)))
+    group = resolve_group(f"file:{path}")
+    assert group.identity != 0
+    _assert_same_classes(conjugacy_classes(group), column_minimum_conjugacy_classes(group))
 
 
 def test_class_count_facts(a5, s4):
@@ -354,6 +410,23 @@ def test_loader_error_positions():
         load_cayley_table("2\n0 1\n1 0\n0 1\n")
     with pytest.raises(CayleyTableError, match="expected 3 table rows, got 1"):
         load_cayley_table("3\n0 1 2\n")
+
+
+def test_loader_reads_the_tokens_int_reads():
+    g = load_cayley_table("2\n+0 1\n0_1 00\n")
+    assert np.array_equal(g.mul, [[0, 1], [1, 0]])
+
+
+def test_loader_names_the_first_entry_outside_the_range():
+    # numpy reads the first two lines; an entry beyond int64 sends a line through int()
+    with pytest.raises(CayleyTableError, match=r"^line 2: entry -1 is outside 0\.\.1$"):
+        load_cayley_table("2\n-1 5\n1 0\n")
+    with pytest.raises(CayleyTableError, match=r"^line 3: entry -1 is outside 0\.\.1$"):
+        load_cayley_table("2\n0 1\n-1 100000000000000000000000\n")
+    with pytest.raises(CayleyTableError, match=r"^line 3: non-integer token$"):
+        load_cayley_table("2\n0 1\n100000000000000000000000 x\n")
+    with pytest.raises(CayleyTableError, match=f"^order {10**23} exceeds the supported cap"):
+        load_cayley_table(f"{10**23}\n0\n")
 
 
 def test_loader_reads_rows_straight_into_an_int32_table():

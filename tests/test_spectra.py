@@ -1,5 +1,7 @@
 """Class-matrix combinations, numerical character tables, and quasi-randomness degrees."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from oracles import (
     brute_class_average,
     brute_class_constant,
     class_structure_constants,
+    column_pair_counts,
     dense_isotypic_project,
     is_multiplicity_free,
     regular_degrees,
@@ -24,6 +27,7 @@ from quasimix.groups import (
 )
 from quasimix.spectra import (
     DegenerateSpectrumError,
+    _pair_counts,
     _sorted_rows,
     SpectralInconsistencyError,
     character_table,
@@ -159,6 +163,40 @@ def test_sorted_rows_breaks_rounding_ties_as_the_oracle():
     expect = [3, 4, 7, 2, 1, 0, 6, 5]
     assert tuple_sorted_rows(rows, degrees).tolist() == expect
     assert _sorted_rows(rows, degrees).tolist() == expect
+
+
+@pytest.mark.parametrize("token", ["z:1", "z:12", "s:4", "a:5", "sl2:5", "sl2:7", "psl2:11"])
+def test_pair_counts_match_column_oracle_over_every_target(monkeypatch, token):
+    group = resolve_group(token)
+    classes = conjugacy_classes(group)
+    targets = np.random.default_rng(0).permutation(group.order)
+    expect = column_pair_counts(group, classes, targets)
+    # the default cap holds every target in one batch; the second holds 7 to a batch
+    for cap in (quasimix.spectra._CHUNK_ENTRIES, 7 * max(group.order, classes.num_classes**2)):
+        monkeypatch.setattr(quasimix.spectra, "_CHUNK_ENTRIES", cap)
+        got = np.concatenate(list(_pair_counts(group, classes, targets)))
+        assert got.dtype == expect.dtype and np.array_equal(got, expect), cap
+
+
+@pytest.mark.parametrize("token", ["z:1", "s:4", "sl2:7"])
+def test_spectral_data_builds_no_conjugation_table(token):
+    group = resolve_group(token)
+    spectral_data(group)
+    assert group._conj_table is None
+
+
+@pytest.mark.parametrize("token", ["sl2:13", "a:7"])
+def test_spectral_data_peaks_below_one_conjugation_table(token):
+    # classes from generator orbits, commutators from k conjugation rows, and pair
+    # counts from row batches: no n×n table is formed at any point
+    group = resolve_group(token)
+    tracemalloc.start()
+    try:
+        spectral_data(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < group.order**2 * np.dtype(np.int32).itemsize, peak
 
 
 def test_misassigned_class_fails_constancy_check(s3):
