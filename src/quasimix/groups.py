@@ -286,7 +286,7 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
     """
     table: Optional[np.ndarray] = None  # int32, allocated once the order passes its cap check
     filled = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -316,7 +316,16 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
         raise CayleyTableError("empty input: no order line")
     if filled != order:
         raise CayleyTableError(f"expected {order} table rows, got {filled}")
-    return group_from_table(table, name=name)
+    return _validated_group(table, name)  # the group takes the table over: no second copy
+
+
+def _lines(text: str):
+    """``text.splitlines()``, one line at a time: no list of every line is held."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _parse_row(line: str, lineno: int) -> np.ndarray:
@@ -340,7 +349,7 @@ def _parse_row(line: str, lineno: int) -> np.ndarray:
 def format_cayley_table(group: FiniteGroup) -> str:
     """Render a group in the Cayley text format (round-trips through the loader)."""
     lines = [f"# {group.name}", str(group.order)]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in group.mul)
+    lines.extend(" ".join(map(str, row.tolist())) for row in group.mul)
     return "\n".join(lines) + "\n"
 
 
@@ -348,37 +357,33 @@ def format_cayley_table(group: FiniteGroup) -> str:
 # generators, conjugacy and commutators
 
 
-def _spanning_tree(group: FiniteGroup, gens: List[int]):
-    """Breadth-first layers from the identity over left multiplication by gens.
+def _generators(group: FiniteGroup, rng: np.random.Generator, within=None):
+    """Random unreached elements of the mask ``within`` (every element if None), each with
+    its inverse, until they generate what it generates; with their spanning tree.
 
-    Each layer is (children, generator index, parents) with
-    child = gens[index] * parent; also returns the mask of elements reached.
+    The tree is the breadth-first layers (children, generator index, parents) from the
+    identity, child = gens[index] * parent; its elements are the generated subgroup.
     """
-    seen = np.zeros(group.order, dtype=bool)
-    seen[group.identity] = True
-    frontier = np.array([group.identity], dtype=np.int64)
-    layers = []
-    while gens:
-        flat = group.mul[np.asarray(gens)[:, None], frontier[None, :]].ravel()
-        fresh = np.flatnonzero(~seen[flat])
-        if not len(fresh):
-            break
-        children, first = np.unique(flat[fresh], return_index=True)
-        gen_index, parent = np.divmod(fresh[first], len(frontier))
-        layers.append((children, gen_index, frontier[parent]))
-        seen[children] = True
-        frontier = children.astype(np.int64)
-    return layers, seen
-
-
-def _generators(group: FiniteGroup, rng: np.random.Generator):
-    """Random elements (and their inverses) until they generate; with their spanning tree."""
     gens: List[int] = []
     while True:
-        layers, seen = _spanning_tree(group, gens)
-        if seen.all():
+        seen = np.zeros(group.order, dtype=bool)
+        seen[group.identity] = True
+        frontier = np.array([group.identity], dtype=np.int64)
+        layers = []
+        while gens:
+            flat = group.mul[np.asarray(gens)[:, None], frontier[None, :]].ravel()
+            fresh = np.flatnonzero(~seen[flat])
+            if not len(fresh):
+                break
+            children, first = np.unique(flat[fresh], return_index=True)
+            gen_index, parent = np.divmod(fresh[first], len(frontier))
+            layers.append((children, gen_index, frontier[parent]))
+            seen[children] = True
+            frontier = children.astype(np.int64)
+        unreached = ~seen if within is None else within & ~seen
+        if not unreached.any():
             return gens, layers
-        s = int(rng.choice(np.flatnonzero(~seen)))
+        s = int(rng.choice(np.flatnonzero(unreached)))
         gens += [s] if group.inv[s] == s else [s, int(group.inv[s])]
 
 
@@ -426,26 +431,16 @@ def commutator_subgroup(
 ) -> frozenset:
     """Element indices of the subgroup generated by all commutators.
 
-    The commutators form a union of conjugacy classes, since
-    [g r g^-1, b] = g [r, g^-1 b g] g^-1 and a conjugate of a commutator is a
-    commutator, so the k*n commutators [r, y], r a class representative, mark
-    every class that holds one; they need only the k conjugation rows of the
-    representatives.  The mark is then closed under products.
-    ``classes`` are the group's conjugacy classes, computed when not given.
+    For S the generators that label the classes, G' is the subgroup N generated
+    by the classes of the commutators [s, t]: N is normal and inside G', and S
+    commutes modulo N.  ``classes`` are computed when not given.
     """
-    mul, inv = group.mul, group.inv
     if classes is None:
         classes = conjugacy_classes(group)
-    reps = classes.representatives
+    mul, inv = group.mul, group.inv
+    rng = np.random.default_rng(np.random.SeedSequence(_CLASSES_TAG))
+    s = np.asarray(_generators(group, rng)[0], dtype=np.int64)
     hit = np.zeros(classes.num_classes, dtype=bool)
-    for rows in row_chunks(len(reps), group.order):
-        conj = group.conjugation_rows(reps[rows])
-        hit[classes.class_of[mul[conj, inv[None, :]]]] = True  # [r, y] = r*y*r^-1*y^-1
-    inside = hit[classes.class_of]
-    while True:
-        current = np.flatnonzero(inside)
-        for rows in row_chunks(len(current), len(current)):
-            inside[mul[np.ix_(current[rows], current)]] = True
-        if np.count_nonzero(inside) == len(current):
-            break
-    return frozenset(current.tolist())
+    hit[classes.class_of[mul[mul[mul[s[:, None], s], inv[s][:, None]], inv[s]]]] = True
+    _, layers = _generators(group, rng, within=hit[classes.class_of])
+    return frozenset(np.concatenate([[group.identity], *(c for c, _, _ in layers)]).tolist())

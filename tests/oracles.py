@@ -539,6 +539,34 @@ def all_pairs_commutator_subgroup(group):
             return frozenset(current.tolist())
 
 
+def product_closure(group, inside):
+    """The subgroup generated by a nonempty mask of elements: the mask closed under
+    products, a round of all pairwise products at a time (|set|² entries a round)."""
+    inside = inside.copy()
+    while True:
+        current = np.flatnonzero(inside)
+        for rows in row_chunks(len(current), len(current)):
+            inside[group.mul[np.ix_(current[rows], current)]] = True
+        if np.count_nonzero(inside) == len(current):
+            return frozenset(current.tolist())
+
+
+def representative_commutator_subgroup(group, classes):
+    """The commutator subgroup by the k·n commutators [r, y], r a class representative.
+
+    The commutators form a union of conjugacy classes, since
+    [g r g^-1, b] = g [r, g^-1 b g] g^-1, so the representatives' conjugation
+    rows mark every class that holds one; the mark is then closed under products.
+    """
+    mul, inv = group.mul, group.inv
+    reps = classes.representatives
+    hit = np.zeros(classes.num_classes, dtype=bool)
+    for rows in row_chunks(len(reps), group.order):
+        conj = group.conjugation_rows(reps[rows])
+        hit[classes.class_of[mul[conj, inv[None, :]]]] = True  # [r, y] = r*y*r^-1*y^-1
+    return product_closure(group, hit[classes.class_of])
+
+
 def loop_permutation_table(m, even_only=False):
     """S_m, or A_m, by the per-row loop: one compose and one searchsorted per row."""
     perms = np.array(list(permutations(range(m))), dtype=np.int64)

@@ -27,3 +27,11 @@ def test_commands_are_unique_and_search_every_objective_once_per_group():
     ]
     expected = [(o, g) for o in OBJECTIVES for g in matrix.SEARCH_GROUPS]
     assert sorted(searched) == sorted(expected)
+
+
+def test_the_file_command_reads_an_export_written_before_it():
+    commands = list(_command_matrix().commands())
+    names = [name for name, _ in commands]
+    argv = dict(commands)["analyze-file-sl2-7"]
+    assert argv[argv.index("--group") + 1] == "file:../export-cayley-sl2-7/table.txt"
+    assert names.index("export-cayley-sl2-7") < names.index("analyze-file-sl2-7")

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from oracles import (
     loop_sl2_table,
     column_minimum_conjugacy_classes,
     product,
+    product_closure,
+    representative_commutator_subgroup,
 )
+import quasimix.groups
 from quasimix.cli import main, resolve_group
 from quasimix.groups import (
     MAX_ORDER,
@@ -29,6 +33,7 @@ from quasimix.groups import (
     format_cayley_table,
     group_from_table,
     load_cayley_table,
+    _generators,
 )
 from quasimix.spectra import spectral_data
 
@@ -367,10 +372,65 @@ def test_commutator_subgroup_sizes(z6, s3, s4, a4, a5):
     assert len(commutator_subgroup(build_sl2(3))) == 8
 
 
-@pytest.mark.parametrize("token", ["s:7", "a:7", "sl2:13", "s:4", "a:5", "z:12", "sl2:3"])
+@pytest.mark.parametrize(
+    "token",
+    ["s:7", "a:7", "sl2:13", "s:4", "a:5", "z:12", "sl2:3", "z:1", "s:6", "psl2:13", "sl2:11"],
+)
 def test_commutator_subgroup_matches_all_pairs_route(token):
     group = resolve_group(token)
-    assert commutator_subgroup(group) == all_pairs_commutator_subgroup(group)
+    classes = conjugacy_classes(group)
+    got = commutator_subgroup(group, classes)
+    assert got == all_pairs_commutator_subgroup(group)
+    assert got == representative_commutator_subgroup(group, classes)
+
+
+@pytest.mark.parametrize("token", ["s:4", "a:5", "s:5", "sl2:5", "z:12"])
+def test_commutator_subgroup_does_not_depend_on_the_generators_drawn(monkeypatch, token):
+    # on s:5, tag 5 draws an S whose commutators alone generate a subgroup of
+    # order 6: only their conjugacy classes generate G'
+    group = resolve_group(token)
+    classes = conjugacy_classes(group)
+    expect = commutator_subgroup(group, classes)
+    for tag in range(1, 9):
+        monkeypatch.setattr(quasimix.groups, "_CLASSES_TAG", tag)  # another S for the commutators
+        assert commutator_subgroup(group, classes) == expect
+
+
+def _tree_elements(group, within, seed=0):
+    gens, layers = _generators(group, np.random.default_rng(seed), within=within)
+    members = [group.identity] + [int(x) for children, _, _ in layers for x in children]
+    assert len(set(members)) == len(members)  # a tree: each element reached once
+    assert (within[gens] | within[group.inv[gens]]).all()  # drawn from the mask, and inverses
+    return frozenset(members)
+
+
+def _even_permutations(m):
+    perms = np.array(list(permutations(range(m))))  # build_symmetric's order
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    return inversions % 2 == 0
+
+
+@pytest.mark.parametrize("token", ["s:4", "s:5", "sl2:5", "psl2:7", "z:12"])
+def test_generated_subgroup_tree_matches_product_closure(token):
+    group = resolve_group(token)
+    n = group.order
+    identity = np.zeros(n, dtype=bool)
+    identity[group.identity] = True
+    element = np.zeros(n, dtype=bool)
+    element[n - 1 if group.identity != n - 1 else 0] = True  # a cyclic subgroup
+    one_class = conjugacy_classes(group).class_of == 1  # not a subgroup: what it generates
+    masks = [identity, element, one_class, np.ones(n, dtype=bool)]
+    if token.startswith("s:"):
+        masks.append(_even_permutations(int(token[2:])))  # A_m inside S_m
+    sizes = []
+    for seed, mask in enumerate(masks):
+        got = _tree_elements(group, mask, seed)
+        assert got == product_closure(group, mask)
+        assert set(np.flatnonzero(mask)) <= got
+        sizes.append(len(got))
+    assert sizes[0] == 1 and sizes[3] == n
+    if token.startswith("s:"):
+        assert sizes[4] == n // 2
 
 
 def test_commutator_subgroup_is_closed(s4):
@@ -393,6 +453,9 @@ def test_loader_accepts_comments_and_blanks():
     text = "# a comment\n\n2\n# interior\n0 1\n1 0\n"
     g = load_cayley_table(text)
     assert g.order == 2
+    # every line break str.splitlines knows, and none after the last row
+    for text in ("2\r\n0 1\r\n1 0", "2\r0 1\r1 0\r", "# x\v2\f0 1\x851 0"):
+        assert np.array_equal(load_cayley_table(text).mul, [[0, 1], [1, 0]])
 
 
 def test_loader_error_positions():
@@ -406,6 +469,8 @@ def test_loader_error_positions():
         load_cayley_table("0\n")
     with pytest.raises(CayleyTableError, match="line 2: expected 2 entries, got 3"):
         load_cayley_table("2\n0 1 1\n")
+    with pytest.raises(CayleyTableError, match="line 4: expected 2 entries, got 3"):
+        load_cayley_table("2\r\n0 1\r1 0\n0 1 1")
     with pytest.raises(CayleyTableError, match="line 4: more than 2 table rows"):
         load_cayley_table("2\n0 1\n1 0\n0 1\n")
     with pytest.raises(CayleyTableError, match="expected 3 table rows, got 1"):
@@ -430,9 +495,11 @@ def test_loader_names_the_first_entry_outside_the_range():
 
 
 def test_loader_reads_rows_straight_into_an_int32_table():
-    # rows go straight into one int32 table: no list of Python ints (about
-    # ten times the table at this order) is kept while the file is read
-    text = format_cayley_table(build_cyclic(1000))
+    # rows are read one line at a time into one int32 table, which the group
+    # then owns: no list of the lines or of Python ints (about ten times the
+    # table at this order), and no second table, is held while the file is
+    # read.  Wide columns make the text about three times the table.
+    text = format_cayley_table(build_cyclic(1000)).replace(" ", " " * 9)
     tracemalloc.start()
     try:
         group = load_cayley_table(text)
@@ -441,7 +508,7 @@ def test_loader_reads_rows_straight_into_an_int32_table():
         tracemalloc.stop()
     assert group.mul.dtype == np.int32
     assert np.array_equal(group.mul, build_cyclic(1000).mul)
-    assert peak < 2 * group.mul.nbytes + 2 * len(text)  # the table and the group's copy
+    assert peak < group.mul.nbytes + len(text) // 2  # the table and less than half the text
 
 
 def test_loader_rejects_an_oversized_order_line_before_any_row(tmp_path, capsys):

@@ -8,9 +8,10 @@ The matrix is the invariant a pure refactor must keep byte for byte:
   - search --budget 120 --seed 3 for every objective in this checkout's
     quasimix.adversary.OBJECTIVES on z:60, z:12, s:4, a:5, sl2:5, sl2:7,
     psl2:11 and s:6;
-  - analyze and export-cayley on s:4, a:5, sl2:5, sl2:7 and z:12.
+  - analyze and export-cayley on s:4, a:5, sl2:5, sl2:7 and z:12, and analyze
+    of the exported sl2:7 table read back through a file: token.
 With the five objectives lemma, corollary, theorem, step1 and step2 that is
-58 commands: 8 verify, 40 search and 10 set-up commands.
+59 commands: 8 verify, 40 search and 11 set-up commands.
 
 Each command runs in a fresh interpreter against this checkout's src/, with
 its own directory OUTDIR/<name>/ as working directory.  That directory
@@ -58,6 +59,11 @@ def commands():
         yield f"export-cayley-{_label(group)}", [
             "export-cayley", "--group", group, "--out", "table.txt"
         ]
+        if group == "sl2:7":  # the loader, on the text the export above wrote
+            yield f"analyze-file-{_label(group)}", [
+                "analyze", "--group", f"file:../export-cayley-{_label(group)}/table.txt",
+                "--out", "report.json",
+            ]
 
 
 def run(outdir):
