@@ -68,7 +68,7 @@ def resolve_group(token: str) -> FiniteGroup:
         )
     if family == "file":
         with open(arg) as handle:
-            return load_cayley_table(handle.read(), name=token)
+            return load_cayley_table(handle, name=token)
     try:
         value = int(arg)
     except ValueError:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Optional
+from typing import List, Optional, TextIO, Union
 
 import numpy as np
 
@@ -276,13 +276,13 @@ def build_psl2(p: int) -> FiniteGroup:
 # Cayley-table text format
 
 
-def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
+def load_cayley_table(text: Union[str, TextIO], name: str = "cayley") -> FiniteGroup:
     """Parse the plain-text Cayley format and validate it as a group.
 
     Format: optional comment lines starting with '#', a line holding the
     order n, then n lines of n space-separated 0-based element indices
     (row i, column j holds i*j).  The identity is located by the identity
-    law; it need not be element 0.
+    law; it need not be element 0.  ``text`` may also be an open text file.
     """
     table: Optional[np.ndarray] = None  # int32, allocated once the order passes its cap check
     filled = 0
@@ -319,13 +319,14 @@ def load_cayley_table(text: str, name: str = "cayley") -> FiniteGroup:
     return _validated_group(table, name)  # the group takes the table over: no second copy
 
 
-def _lines(text: str):
-    """``text.splitlines()``, one line at a time: no list of every line is held."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
+def _lines(text: Union[str, TextIO]):
+    """``splitlines()`` of a str or an open file, one line at a time: no list of lines is held."""
+    for piece in [text] if isinstance(text, str) else text:
+        start = 0
+        while start < len(piece):
+            end = piece.find("\n", start) + 1 or len(piece)
+            yield from piece[start:end].splitlines()
+            start = end
 
 
 def _parse_row(line: str, lineno: int) -> np.ndarray:

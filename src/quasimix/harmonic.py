@@ -369,8 +369,8 @@ class Harmonic:
 
         observed = (1/n) Σ_g |(1/n) Σ_x f3(x)·f1(xg⁻¹)·f2(gxg⁻¹)|²;
         bound = 5·D^(-1/4).  After x → xg the inner integral is step1's inner[g]
-        of _TripleState, whose step2 evaluation also checks the pair-expansion
-        identity that justifies removing the absolute values.
+        of _TripleState, squared where step1 takes its modulus (Cauchy–Schwarz
+        over g); the state also checks its gather of inner[g] at a sample of g.
         """
         return _TripleState(self, "step2", (f1, f2, f3)).check
 
@@ -452,7 +452,7 @@ class _TripleState:
 
     Construction is the one evaluation of theorem_lhs, step1_reduced_lhs and
     step2_squared: the input checks, one gather of inner[g], its reduction to
-    ``check`` and, for step2, the pair-expansion identity check.  ``functions``
+    ``check`` and, for step2, a check of that gather at a sample of g.  ``functions``
     are (f1, f2, f3) as the check takes them, f1 centered for step1 and step2.
     A search also passes ``moved``, the raw vectors its O(n) moves change.
 
@@ -488,25 +488,23 @@ class _TripleState:
         if not self.centered_f1:
             self.extra = [f1.values.mean()] + [harmonic._class_average(f.values) for f in (f2, f3)]
         if objective == "step2":
-            self._check_pair_expansion(f2.values, f3.values)
+            self._check_gather(f2.values, f3.values)
         self.check = harmonic._check(objective, self._observed(self.inner, self.extra))
         self._pending = None
 
-    def _check_pair_expansion(self, f2: np.ndarray, f3: np.ndarray) -> None:
-        """|inner[g]|² on a fixed sample of g must equal its pair expansion to STEP2_IDENTITY_TOL.
+    def _check_gather(self, f2: np.ndarray, f3: np.ndarray) -> None:
+        """inner[g] must equal the mean of its row first(x)·f2(gx)·f3(xg) on a fixed sample of g.
 
-        The expansion sums the integrand times its conjugate over X² in row chunks.
+        The row is read from ``mul[g]`` and ``mul[:, g]``, not through _points, and the
+        complex values are compared, so a wrong point or a wrong phase in the gather is caught.
         """
         h = self.h
         step = max(1, h.n // 8) if h.n <= 512 else max(1, h.n // 3)
         for g in range(0, h.n, step):
-            row = self.first * f2.take(h.mul[g]) * f3.take(h.mul[:, g])
-            pairs = (np.outer(row[p], np.conj(row)).sum() for p in row_chunks(h.n, h.n))
-            expanded = complex(sum(pairs)) / h.n**2
-            if abs(expanded - complex(abs2(self.inner[g]))) > STEP2_IDENTITY_TOL:
+            mean = complex((self.first * f2.take(h.mul[g]) * f3.take(h.mul[:, g])).sum()) / h.n
+            if abs(mean - self.inner[g]) > STEP2_IDENTITY_TOL:
                 raise RuntimeError(
-                    f"pair-expansion identity failed at g={g}: "
-                    f"|inner|²={abs2(self.inner[g])} vs expanded={expanded}"
+                    f"step2 gather check failed at g={g}: inner={self.inner[g]} vs row mean={mean}"
                 )
 
     def _observed(self, inner: np.ndarray, extra) -> float:

@@ -448,24 +448,24 @@ def test_structured_disc_start_has_one_vector_per_input(state_harmonics, check):
     assert len(start) == len(CHECKS[check].inputs)
 
 
-def test_step2_search_checks_the_pair_expansion_identity(monkeypatch, state_harmonics):
-    # building the step2 state runs the identity check, so each full
+def test_step2_search_checks_its_gather(monkeypatch, state_harmonics):
+    # building the step2 state runs the gather check, so each full
     # evaluation of a step2 search runs it, and no move does
     monkeypatch.setattr(harmonic, "STEP2_IDENTITY_TOL", -1.0)
-    with pytest.raises(RuntimeError, match="pair-expansion identity failed"):
+    with pytest.raises(RuntimeError, match="step2 gather check failed at g=0"):
         maximize(state_harmonics["a:5"], SearchConfig("step2", budget=40, seed=0))
     monkeypatch.undo()
-    calls = {"identity": 0, "seeds": 0}
+    calls = {"gather": 0, "seeds": 0}
 
-    def counted_identity(self, *args, _check=_TripleState._check_pair_expansion):
-        calls["identity"] += 1
+    def counted_gather(self, *args, _check=_TripleState._check_gather):
+        calls["gather"] += 1
         return _check(self, *args)
 
     def counted_seed(*args, _seeded=adversary._seeded):
         calls["seeds"] += 1
         return _seeded(*args)
 
-    monkeypatch.setattr(_TripleState, "_check_pair_expansion", counted_identity)
+    monkeypatch.setattr(_TripleState, "_check_gather", counted_gather)
     monkeypatch.setattr(adversary, "_seeded", counted_seed)
     maximize(state_harmonics["a:5"], SearchConfig("step2", budget=200, seed=3))
-    assert calls["identity"] == calls["seeds"] > 0
+    assert calls["gather"] == calls["seeds"] > 0

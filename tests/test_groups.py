@@ -511,6 +511,30 @@ def test_loader_reads_rows_straight_into_an_int32_table():
     assert peak < group.mul.nbytes + len(text) // 2  # the table and less than half the text
 
 
+def test_file_token_reads_the_table_from_the_open_file(tmp_path):
+    # resolve_group hands the open file to the loader, which reads it one line
+    # at a time: the whole text is never held beside the table
+    text = format_cayley_table(build_cyclic(1000)).replace(" ", " " * 9)
+    path = tmp_path / "z1000.txt"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        group = resolve_group(f"file:{path}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(group.mul, build_cyclic(1000).mul)
+    assert peak < group.mul.nbytes + len(text) // 2  # the table and less than half the text
+    # a file keeps the line breaks of a str: text mode turns \r\n and \r into
+    # \n, and each line is split again at \v, \f and \x85
+    for text in ("2\r\n0 1\r\n1 0", "2\r0 1\r1 0\r", "# x\v2\f0 1\x851 0"):
+        path.write_text(text, newline="")
+        assert np.array_equal(resolve_group(f"file:{path}").mul, [[0, 1], [1, 0]])
+    path.write_text("2\r\n0 1\r1 0\n0 1 1", newline="")
+    with pytest.raises(CayleyTableError, match="line 4: expected 2 entries, got 3"):
+        resolve_group(f"file:{path}")
+
+
 def test_loader_rejects_an_oversized_order_line_before_any_row(tmp_path, capsys):
     message = f"order {MAX_ORDER + 1} exceeds the supported cap {MAX_ORDER}"
     with pytest.raises(CayleyTableError, match=message):

@@ -31,6 +31,7 @@ from quasimix.groups import build_cyclic
 from quasimix.harmonic import (
     ConstraintError,
     GroupFunction,
+    Harmonic,
     _real_nonnegative,
     centered,
     sample_disc,
@@ -229,6 +230,33 @@ def test_step2_matches_brute_and_pair_expansion(s3_harmonic, s3):
     expanded = brute_step2_pair_expansion(s3, f1.values, f2.values, f3.values)
     assert abs(expanded.imag) < 1e-13
     assert abs(check.observed - expanded.real) < 1e-13
+
+
+def test_step2_gather_check_catches_a_phase_and_a_wrong_point(monkeypatch, s3_harmonic):
+    # every g of S3 is sampled; a unit phase on one inner[g] keeps |inner[g]|²,
+    # so only a check of the complex value sees it
+    f1 = centered(_rand_disc(6, 19))
+    f2, f3 = _rand_disc(6, 20), _rand_disc(6, 21)
+    observed = s3_harmonic.step2_squared(f1, f2, f3).observed
+
+    def rotated(self, *args, _kernel=Harmonic._triple_inner, **kwargs):
+        inner, q = _kernel(self, *args, **kwargs)
+        inner[3] *= np.exp(0.5j)
+        return inner, q
+
+    monkeypatch.setattr(Harmonic, "_triple_inner", rotated)
+    inner, _ = s3_harmonic._triple_inner(f1.values, f2.values, f3.values)
+    assert abs(np.mean(np.abs(inner) ** 2) - observed) < 1e-15
+    with pytest.raises(RuntimeError, match=r"step2 gather check failed at g=3: "):
+        s3_harmonic.step2_squared(f1, f2, f3)
+    monkeypatch.undo()
+
+    def swapped(self, point, rows, _points=Harmonic._points):
+        return _points(self, "gx" if point == "xg" else point, rows)  # f3 at gx, not xg
+
+    monkeypatch.setattr(Harmonic, "_points", swapped)
+    with pytest.raises(RuntimeError, match="step2 gather check failed at g="):
+        s3_harmonic.step2_squared(f1, f2, f3)
 
 
 def test_step1_step2_cauchy_schwarz(s3_harmonic):
