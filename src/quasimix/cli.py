@@ -124,7 +124,7 @@ def _cmd_groups(args) -> int:
 
 def _cmd_analyze(args) -> int:
     group = resolve_group(args.group)
-    spectral = spectral_data(group, seed=args.seed, ortho_tol=args.tolerance_orthogonality)
+    spectral = spectral_data(group, seed=args.seed)
     _write_text(canonical_json(envelope(spectral)), args.out)
     return 0
 
@@ -146,7 +146,7 @@ def _parse_checks(raw: str) -> List[str]:
 def _cmd_verify(args) -> int:
     checks = _parse_checks(args.check)
     group = resolve_group(args.group)
-    harmonic = Harmonic(spectral_data(group, ortho_tol=args.tolerance_orthogonality))
+    harmonic = Harmonic(spectral_data(group))
     outcome = run_verification(
         harmonic,
         checks,
@@ -170,7 +170,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     group = resolve_group(args.group)
-    harmonic = Harmonic(spectral_data(group, ortho_tol=args.tolerance_orthogonality))
+    harmonic = Harmonic(spectral_data(group))
     config = SearchConfig(
         objective=args.objective,
         budget=args.budget,
@@ -206,20 +206,14 @@ def build_parser() -> _Parser:
     lister = groups_sub.add_parser("list", help="print the builtin group catalog")
     lister.set_defaults(func=_cmd_groups)
 
-    def common(p, ortho=True):
+    def common(p):
         p.add_argument("--group", required=True, help="group token, e.g. sl2:5 (see 'groups list')")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
-        if ortho:
-            p.add_argument(
-                "--tolerance-orthogonality",
-                type=float,
-                default=1e-8,
-                help="character-table orthogonality tolerance, finite and > 0 (default 1e-8)",
-            )
 
     analyze = sub.add_parser("analyze", help="spectral report: degrees and quasi-randomness")
     common(analyze)
-    analyze.add_argument("--seed", type=_at_least(0), default=0, help="character-table seed >= 0")
+    analyze.add_argument("--seed", type=_at_least(0), default=0,
+                         help="class-algebra seed >= 0; the exact table does not depend on it")
     analyze.set_defaults(func=_cmd_analyze)
 
     verify = sub.add_parser("verify", help="run bound checks over seeded random trials")
@@ -250,7 +244,7 @@ def build_parser() -> _Parser:
     search.set_defaults(func=_cmd_search)
 
     export = sub.add_parser("export-cayley", help="write the multiplication table as text")
-    common(export, ortho=False)
+    common(export)
     export.set_defaults(func=_cmd_export)
 
     return parser

@@ -172,7 +172,7 @@ def _validated_group(mul: np.ndarray, name: str) -> FiniteGroup:
     if not (np.array_equal(mul[identity], expect) and np.array_equal(mul[:, identity], expect)):
         raise CayleyTableError("no two-sided identity element")
 
-    inv = np.argmax(mul == identity, axis=1).astype(np.int32)
+    inv = np.concatenate([np.argmax(mul[rows] == identity, axis=1) for rows in row_chunks(n, n)])
     if not np.array_equal(mul[expect, inv], np.full(n, identity, np.int32)):
         i = int(np.argmax(mul[expect, inv] != identity))
         raise CayleyTableError(f"element {i} has no right inverse")

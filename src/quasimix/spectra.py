@@ -1,10 +1,12 @@
-"""Class matrices, numeric character tables, quasi-randomness degree, isotypic projections,
+"""Class matrices, exact character tables, quasi-randomness degree, isotypic projections,
 and unitary irreducible representations (the Fourier basis)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate, count
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -34,13 +36,13 @@ __all__ = [
     "conjugation_multiplicity",
 ]
 
-DEFAULT_ORTHO_TOL = 1e-8
-DEFAULT_DEGREE_TOL = 1e-6
 DEFAULT_ATTEMPTS = 20
 _SPECTRA_TAG = 0x5350
 _FOURIER_TAG = 0x4652  # fixed: the basis never depends on a user seed
 BASIS_TOL = 1e-10
 """Largest homomorphism residue, or unitarity residue of a generator's rho(s), a basis may show."""
+TRACE_TOL = 1e-8
+"""Largest difference between tr rho and the table's characters a basis may show."""
 SPLIT_GAP = 1e-3
 """Smallest relative gap that separates one irreducible eigenspace of the commutant."""
 PROBE_SIZE = 3
@@ -68,7 +70,6 @@ class CharacterTable:
     values: np.ndarray  # (k, k) complex128
     degrees: np.ndarray  # (k,) int64
     trivial_row: int
-    ortho_tol: float = DEFAULT_ORTHO_TOL  # the orthogonality tolerance the table was accepted at
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,140 @@ def class_algebra(
 
 
 def _sorted_rows(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Stable row order by degree, then the real parts, then the imaginary parts, each
-    rounded to 6 digits and compared column by column."""
-    re = np.round(rows.real, 6)
-    im = np.round(rows.imag, 6)
-    return np.lexsort((*im.T[::-1], *re.T[::-1], degrees))  # the last key sorts first
+    """Stable row order by degree, then the real parts, then the imaginary parts, each rounded
+    to 6 digits, column by column: one stable sort per key, so no rounded table is formed."""
+    order = np.arange(len(rows))
+    for key in (*rows.imag.T[::-1], *rows.real.T[::-1], degrees):  # the last key sorts first
+        order = order[np.argsort(np.round(key[order], 6), kind="stable")]
+    return order
+
+
+def _abelian_exponents(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
+    """Exponents t (int32) of an abelian group's characters, chi_r(x) = exp(2πi·t[r, x]/n),
+    and the generators they extend along: from H = {1}, the least g outside H and the least m
+    with g^m in H.  g^a·h (a < m, h in H) lists <H, g> once each, and a character psi of H
+    extends in m ways, chi(g) = psi(g^m)^(1/m) times an m-th root of 1, chi(g^a·h) = a·chi(g)
+    + psi(h)."""
+    n = group.order
+    elems, exps = np.array([group.identity]), np.zeros((1, 1), dtype=np.int32)
+    position = np.full(n, -1)
+    position[group.identity] = 0
+    gens: List[int] = []
+    while len(elems) < n:
+        g = int(np.argmax(position < 0))
+        powers = [group.identity, g]
+        while position[powers[-1]] < 0:
+            powers.append(int(group.mul[powers[-1], g]))
+        m = len(powers) - 1
+        step = np.arange(m, dtype=np.int32)
+        at_g = exps[:, position[powers.pop()]] // m + (n // m) * step[:, None]  # (m, |H|)
+        exps = step[:, None] * at_g[:, :, None, None] + exps[:, None, :]  # [(b, psi), (a, h)]
+        exps %= n
+        exps = exps.reshape(m * len(elems), m * len(elems))
+        elems = group.mul[np.array(powers)[:, None], elems].ravel()
+        position[elems] = np.arange(len(elems))
+        gens.append(g)
+    return exps[:, position], gens
+
+
+def _abelian_rows(group: FiniteGroup) -> np.ndarray:
+    """Route A: the characters of a group whose classes are all singletons, in table order.
+
+    Exponents additive on the generators make every row a homomorphism G -> Z/n, and n
+    distinct ones are all n characters of an abelian group.  Rows are sorted on one lift
+    and lifted again in order, in row chunks, so no two n×n complex tables coexist."""
+    n = group.order
+    exps, gens = _abelian_exponents(group)
+    for g in gens:
+        for block in (exps[rows] for rows in row_chunks(n, n)):
+            if ((block[:, group.mul[g]] - block[:, [g]] - block) % n).any():
+                raise SpectralInconsistencyError(f"character exponents not additive at {g}")
+    if len(np.unique(exps[:, gens], axis=0)) != n:
+        raise SpectralInconsistencyError("abelian characters are not distinct")
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+
+    def lift(order):
+        values = np.empty((n, n), dtype=np.complex128)
+        for rows in row_chunks(n, n):
+            values[rows] = roots[exps[order[rows]]]
+        return values
+
+    return lift(_sorted_rows(lift(np.arange(n)), np.ones(n, dtype=np.int64)))
+
+
+def _solve_mod(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
+    """x with m @ x = b mod p by Gauss-Jordan elimination, or None if m is singular mod p."""
+    aug, unit = np.column_stack([m, b]) % p, np.eye(len(m), dtype=np.int64)
+    for col in range(len(m)):
+        pivot = col + int(np.argmax(aug[col:, col] != 0))
+        if aug[pivot, col] == 0:
+            return None
+        aug[[col, pivot]] = aug[[pivot, col]]
+        aug[col] = aug[col] * pow(int(aug[col, col]), -1, p) % p
+        aug[:, col:] = (aug[:, col:] - np.outer(aug[:, col] - unit[col], aug[col, col:])) % p
+    return aug[:, -1]
+
+
+def _modular_rows(group: FiniteGroup, classes: ConjugacyStructure, rng: np.random.Generator):
+    """Dixon's modular route: characters and degrees exact mod p, lifted to C, in table order."""
+    n, k = group.order, classes.num_classes
+    reps, sizes = classes.representatives, classes.class_sizes
+    inv_class, id_class = classes.class_of[group.inv[reps]], int(classes.class_of[group.identity])
+    power, order, power_class = reps, np.zeros(k, dtype=np.int64), [np.full(k, id_class)]
+    while not order.all():  # power_class[s][j] = class of g_j^s
+        order[(order == 0) & (power == group.identity)] = len(power_class)
+        power_class.append(classes.class_of[power])
+        power = group.mul[power, reps]
+    power_class = np.stack(power_class, axis=1)
+    e, bound = int(np.lcm.reduce(order)), max(2 * n, k * k)  # a draw collides w.p. < k²/2p < 1/2
+    p = next(q for q in count(bound // e * e + 1, e)
+             if q > bound and all(q % r for r in range(2, math.isqrt(q) + 1)))
+
+    eye, t = np.eye(k, dtype=np.int64), np.arange(p)
+    for _ in range(DEFAULT_ATTEMPTS):
+        a = class_algebra(group, classes, rng.integers(0, p, size=k)) % p
+        # A^i e_1, e_1 the sum of the central idempotents: with k distinct eigenvalues they are
+        # independent, and A^k e_1 = -sum_i low[i]·A^i e_1 gives t^k + sum_i low[i]·t^i
+        krylov = list(accumulate(range(k), lambda v, _: a @ v % p, initial=eye[id_class]))
+        low = _solve_mod(np.array(krylov[:k]).T, -krylov[k], p)
+        if low is not None:
+            break
+    else:
+        raise DegenerateSpectrumError(f"eigenvalue collision mod {p}, {DEFAULT_ATTEMPTS} attempts")
+    roots = np.flatnonzero(reduce(lambda acc, c: (acc * t + c) % p, low[::-1], 1) == 0)  # Horner
+    if len(roots) != k:
+        raise SpectralInconsistencyError(f"class-matrix combination has {len(roots)} < {k} roots")
+
+    # row r: prod over mu != roots[r] of (A - mu) on e_1, as sum_i quot[i]·A^(k-1-i) e_1
+    quot = accumulate(low[:0:-1], lambda q, c: (c + roots * q) % p, initial=np.ones(k, np.int64))
+    vecs = np.array(list(quot)).T @ np.array(krylov[k - 1 :: -1]) % p
+    v = vecs * np.array([pow(int(x), p - 2, p) for x in vecs[:, id_class]])[:, None] % p
+    norm = (v * sizes % p * v[:, inv_class] % p).sum(axis=1) % p  # n / d² mod p
+    square = [n * pow(int(x), p - 2, p) % p for x in norm]  # x^(p-2) inverts x, and 0 -> 0
+    degrees = np.array([math.isqrt(x) for x in square], dtype=np.int64)
+    if (degrees < 1).any() or (degrees**2 != square).any() or int((degrees**2).sum()) != n:
+        raise SpectralInconsistencyError("degrees are not integers whose squares sum to the order")
+    chi = degrees[:, None] * v % p
+    if not np.array_equal((chi * sizes % p) @ chi[:, inv_class].T % p, n * eye):
+        raise SpectralInconsistencyError(f"characters are not orthogonal mod {p}")
+
+    # a primitive e-th root of unity: some x^((p-1)/e) has order exactly e
+    z = next(w for w in (pow(x, (p - 1) // e, p) for x in range(2, p))
+             if all(pow(w, e // q, p) != 1 for q in range(2, e + 1) if e % q == 0))
+    values, lifted = np.empty((k, k), dtype=np.complex128), np.zeros(k, dtype=bool)
+    while not lifted.all():  # eigenvalue multiplicities of rho(g_j), g_j of greatest order left
+        j = int(np.argmax(np.where(lifted, 0, order)))
+        o, powers = int(order[j]), power_class[j, : order[j]]
+        ls = np.outer(range(o), range(o)) % o
+        mult = chi[:, powers] @ np.array([pow(z, -x * e // o, p) for x in range(o)])[ls] % p
+        mult = mult * pow(o, -1, p) % p
+        if (mult > degrees[:, None]).any() or (mult.sum(axis=1) != degrees).any():
+            raise SpectralInconsistencyError(f"multiplicities at class {j} do not sum to d")
+        # rho(g^s) has the eigenvalue zeta^(l·s) wherever rho(g) has zeta^l
+        values[:, powers] = mult @ np.exp(2j * np.pi * ls / o)
+        lifted[powers] = True
+    rank = _sorted_rows(values, degrees)
+    return values[rank], degrees[rank]
 
 
 def character_table(
@@ -145,109 +275,21 @@ def character_table(
     classes: ConjugacyStructure,
     *,
     rng: Optional[np.random.Generator] = None,
-    ortho_tol: float = DEFAULT_ORTHO_TOL,
 ) -> CharacterTable:
-    """Compute the character table from the class algebra numerically.
-
-    A random positive combination of the class multiplication matrices
-    (M_i)[l, j] = constants[i, j, l] has the plain character rows as
-    eigenvectors; simple eigenvalues identify them up to scale.  Each
-    eigenvector is rescaled to satisfy row orthonormality in the weighted
-    metric, phase-fixed so the identity-class entry (the degree) is real and
-    positive, and the whole table is polished to the nearest weighted-unitary
-    matrix.  Attempts with colliding eigenvalues are retried with fresh
-    weights up to DEFAULT_ATTEMPTS times before DegenerateSpectrumError is raised.
-    ``ortho_tol`` bounds both Grams after the polish, where they are rounding
-    (s:7's column Gram: 4.5e-12); the eigensolver's residues before it go
-    unchecked (s:7's column residue: 3.4e-9 against the default 1e-8).
-    """
-    if not 0.0 < ortho_tol < np.inf:  # also catches nan, which would disable every residue test
-        raise ValueError(f"orthogonality tolerance must be finite and > 0, got {ortho_tol}")
+    """The exact character table: route A (_abelian_rows) when every class is a singleton,
+    else Dixon's modular method (_modular_rows; Dixon, Numer. Math. 10 (1967); Schneider,
+    J. Symbolic Comput. 9 (1990)).  Both certify their integers exactly and round only the
+    roots of unity a value sums.  ``rng`` draws the class-algebra combination."""
     _check_class_constancy(group, classes)
-    n = group.order
-    k = classes.num_classes
-    sizes = classes.class_sizes.astype(np.float64)
-    id_class = int(classes.class_of[group.identity])
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence((0, _SPECTRA_TAG)))
-    weight = np.sqrt(sizes / n)
-
-    failure = "no attempt made"
-    for _ in range(DEFAULT_ATTEMPTS):
-        coeffs = rng.uniform(1.0, 2.0, size=k)
-        combined = class_algebra(group, classes, coeffs)
-        evals, evecs = np.linalg.eig(combined)
-        scale = max(1.0, float(np.abs(evals).max()))
-        gaps = np.abs(evals[:, None] - evals[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < 1e-6 * scale:
-            failure = "eigenvalue collision"
-            continue
-
-        rows = np.empty((k, k), dtype=np.complex128)
-        usable = True
-        for r in range(k):
-            vec = evecs[:, r]
-            norm = np.sqrt(float((sizes * abs2(vec)).sum()) / n)
-            if not np.isfinite(norm) or norm < 1e-12:
-                usable = False
-                break
-            vec = vec / norm
-            pivot = vec[id_class]
-            if abs(pivot) < 1e-8:
-                usable = False
-                break
-            rows[r] = vec * (pivot.conjugate() / abs(pivot))
-        if not usable:
-            failure = "degenerate eigenvector"
-            continue
-
-        # Polish: snap the weighted table to the nearest unitary matrix, then
-        # re-fix each row's phase.  This drives both orthogonality residues to
-        # machine precision without moving any entry more than the original
-        # eigensolver error.
-        weighted = rows * weight[None, :]
-        u_mat, _, vh_mat = np.linalg.svd(weighted)
-        rows = (u_mat @ vh_mat) / weight[None, :]
-        pivots = rows[:, id_class]
-        if (np.abs(pivots) < 1e-8).any():
-            failure = "vanishing degree entry"
-            continue
-        rows = rows * (pivots.conjugate() / np.abs(pivots))[:, None]
-
-        raw_degrees = rows[:, id_class].real
-        degrees = np.rint(raw_degrees).astype(np.int64)
-        if np.abs(raw_degrees - degrees).max() > DEFAULT_DEGREE_TOL or (degrees < 1).any():
-            failure = "non-integral degree"
-            continue
-        if int((degrees**2).sum()) != n:
-            failure = "degree squares do not sum to the order"
-            continue
-
-        order = _sorted_rows(rows, degrees)
-        rows = rows[order]
-        degrees = degrees[order]
-
-        trivial_rows = np.nonzero(np.abs(rows - 1.0).max(axis=1) < 1e-6)[0]
-        if len(trivial_rows) != 1:
-            failure = "trivial row not unique"
-            continue
-
-        row_gram = (rows * (sizes / n)[None, :]) @ rows.conj().T
-        if np.abs(row_gram - np.eye(k)).max() > ortho_tol:
-            failure = "row orthogonality residue too large"
-            continue
-        col_gram = rows.T @ rows.conj()
-        col_target = np.diag(n / sizes)
-        if np.abs(col_gram - col_target).max() > ortho_tol:
-            failure = "column orthogonality residue too large"
-            continue
-
-        return CharacterTable(rows, degrees, int(trivial_rows[0]), ortho_tol)
-
-    raise DegenerateSpectrumError(
-        f"no usable spectrum after {DEFAULT_ATTEMPTS} attempts (last failure: {failure})"
-    )
+    if classes.num_classes == group.order:
+        rows, degrees = _abelian_rows(group), np.ones(group.order, dtype=np.int64)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(np.random.SeedSequence((0, _SPECTRA_TAG)))
+        rows, degrees = _modular_rows(group, classes, rng)
+    # every other linear character has a real part at most cos(2π/n) somewhere, which
+    # rounds below 1 up to MAX_ORDER, so the trivial row sorts last of degree 1
+    return CharacterTable(rows, degrees, int((degrees == 1).sum()) - 1)
 
 
 def quasirandomness_degree(table: CharacterTable, group_is_perfect: bool) -> QuasiRandomnessDegree:
@@ -467,7 +509,7 @@ def _check_basis(
         [E[:, off : off + d * d : d + 1].sum(axis=1) for off, d in zip(offsets, table.degrees)]
     )
     worst = float(np.abs(traces - table.values[:, classes.class_of]).max())
-    if worst > table.ortho_tol:
+    if worst > TRACE_TOL:
         raise SpectralInconsistencyError(
             f"Fourier basis trace differs from the characters by {worst:.3g}"
         )
@@ -529,14 +571,18 @@ def spectral_data(
     group: FiniteGroup,
     *,
     seed: int = 0,
-    ortho_tol: float = DEFAULT_ORTHO_TOL,
+    ortho_tol: float = 1e-8,
 ) -> SpectralData:
-    """Compute classes, character table and quasi-randomness degree."""
+    """Compute classes, character table and quasi-randomness degree.  ``seed`` draws the
+    class-algebra combination, which the exact table does not depend on; ``ortho_tol`` is
+    only validated, until the benchmark-only change of ROADMAP item 6 removes it."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0.0 < ortho_tol < np.inf:  # also catches nan
+        raise ValueError(f"orthogonality tolerance must be finite and > 0, got {ortho_tol}")
     classes = conjugacy_classes(group)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _SPECTRA_TAG)))
-    table = character_table(group, classes, rng=rng, ortho_tol=ortho_tol)
+    table = character_table(group, classes, rng=rng)
     is_perfect = len(commutator_subgroup(group, classes)) == group.order
     degree = quasirandomness_degree(table, is_perfect)
     return SpectralData(group, classes, table, degree, is_perfect)

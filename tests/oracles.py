@@ -8,23 +8,29 @@ shared bug is about the only way both could be wrong in the same place.
 """
 
 from itertools import permutations
+from typing import Optional
 
 import numpy as np
 
 from quasimix.adversary import SearchResult, _structured_start, evaluate_inputs
-from quasimix.groups import ConjugacyStructure, _generators, group_from_table
+from quasimix.groups import ConjugacyStructure, FiniteGroup, _generators, group_from_table
 from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic, _disc_clip, _unit_norm
 from quasimix.report import CHECKS
-from quasimix._numutil import row_chunks
+from quasimix._numutil import abs2, row_chunks
 from quasimix.spectra import (
     BASIS_TOL,
     DEFAULT_ATTEMPTS,
     SPLIT_GAP,
     _FOURIER_TAG,
+    _SPECTRA_TAG,
+    CharacterTable,
     DegenerateSpectrumError,
     FourierBasis,
     SpectralInconsistencyError,
     _check_basis,
+    _check_class_constancy,
+    _sorted_rows,
+    class_algebra,
     conjugation_multiplicity,
     isotypic_project,
     spectral_data,
@@ -770,3 +776,118 @@ def projection_fourier_basis(group, classes, table):
     basis = FourierBasis(E, runs, int(offsets[table.trivial_row]))
     _check_basis(group, classes, table, basis, gens)
     return basis
+
+
+DEFAULT_ORTHO_TOL = 1e-8
+DEFAULT_DEGREE_TOL = 1e-6
+
+
+def float_character_table(
+    group: FiniteGroup,
+    classes: ConjugacyStructure,
+    *,
+    rng: Optional[np.random.Generator] = None,
+    ortho_tol: float = DEFAULT_ORTHO_TOL,
+) -> CharacterTable:
+    """The character table from the class algebra in floating point: the route
+    ``spectra.character_table`` took before its exact routes, kept as their reference.
+
+    A random positive combination of the class multiplication matrices
+    (M_i)[l, j] = constants[i, j, l] has the plain character rows as
+    eigenvectors; simple eigenvalues identify them up to scale.  Each
+    eigenvector is rescaled to satisfy row orthonormality in the weighted
+    metric, phase-fixed so the identity-class entry (the degree) is real and
+    positive, and the whole table is polished to the nearest weighted-unitary
+    matrix.  Attempts with colliding eigenvalues are retried with fresh
+    weights up to DEFAULT_ATTEMPTS times before DegenerateSpectrumError is raised.
+    ``ortho_tol`` bounds both Grams after the polish, where they are rounding
+    (s:7's column Gram: 4.5e-12); the eigensolver's residues before it go
+    unchecked (s:7's column residue: 3.4e-9 against the default 1e-8).
+    """
+    if not 0.0 < ortho_tol < np.inf:  # also catches nan, which would disable every residue test
+        raise ValueError(f"orthogonality tolerance must be finite and > 0, got {ortho_tol}")
+    _check_class_constancy(group, classes)
+    n = group.order
+    k = classes.num_classes
+    sizes = classes.class_sizes.astype(np.float64)
+    id_class = int(classes.class_of[group.identity])
+    if rng is None:
+        rng = np.random.default_rng(np.random.SeedSequence((0, _SPECTRA_TAG)))
+    weight = np.sqrt(sizes / n)
+
+    failure = "no attempt made"
+    for _ in range(DEFAULT_ATTEMPTS):
+        coeffs = rng.uniform(1.0, 2.0, size=k)
+        combined = class_algebra(group, classes, coeffs)
+        evals, evecs = np.linalg.eig(combined)
+        scale = max(1.0, float(np.abs(evals).max()))
+        gaps = np.abs(evals[:, None] - evals[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < 1e-6 * scale:
+            failure = "eigenvalue collision"
+            continue
+
+        rows = np.empty((k, k), dtype=np.complex128)
+        usable = True
+        for r in range(k):
+            vec = evecs[:, r]
+            norm = np.sqrt(float((sizes * abs2(vec)).sum()) / n)
+            if not np.isfinite(norm) or norm < 1e-12:
+                usable = False
+                break
+            vec = vec / norm
+            pivot = vec[id_class]
+            if abs(pivot) < 1e-8:
+                usable = False
+                break
+            rows[r] = vec * (pivot.conjugate() / abs(pivot))
+        if not usable:
+            failure = "degenerate eigenvector"
+            continue
+
+        # Polish: snap the weighted table to the nearest unitary matrix, then
+        # re-fix each row's phase.  This drives both orthogonality residues to
+        # machine precision without moving any entry more than the original
+        # eigensolver error.
+        weighted = rows * weight[None, :]
+        u_mat, _, vh_mat = np.linalg.svd(weighted)
+        rows = (u_mat @ vh_mat) / weight[None, :]
+        pivots = rows[:, id_class]
+        if (np.abs(pivots) < 1e-8).any():
+            failure = "vanishing degree entry"
+            continue
+        rows = rows * (pivots.conjugate() / np.abs(pivots))[:, None]
+
+        raw_degrees = rows[:, id_class].real
+        degrees = np.rint(raw_degrees).astype(np.int64)
+        if np.abs(raw_degrees - degrees).max() > DEFAULT_DEGREE_TOL or (degrees < 1).any():
+            failure = "non-integral degree"
+            continue
+        if int((degrees**2).sum()) != n:
+            failure = "degree squares do not sum to the order"
+            continue
+
+        order = _sorted_rows(rows, degrees)
+        rows = rows[order]
+        degrees = degrees[order]
+
+        trivial_rows = np.nonzero(np.abs(rows - 1.0).max(axis=1) < 1e-6)[0]
+        if len(trivial_rows) != 1:
+            failure = "trivial row not unique"
+            continue
+
+        row_gram = (rows * (sizes / n)[None, :]) @ rows.conj().T
+        if np.abs(row_gram - np.eye(k)).max() > ortho_tol:
+            failure = "row orthogonality residue too large"
+            continue
+        col_gram = rows.T @ rows.conj()
+        col_target = np.diag(n / sizes)
+        if np.abs(col_gram - col_target).max() > ortho_tol:
+            failure = "column orthogonality residue too large"
+            continue
+
+        return CharacterTable(rows, degrees, int(trivial_rows[0]))
+
+    raise DegenerateSpectrumError(
+        f"no usable spectrum after {DEFAULT_ATTEMPTS} attempts (last failure: {failure})"
+    )

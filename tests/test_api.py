@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quasimix
+from quasimix.cli import build_parser
 from quasimix.harmonic import BOUNDS, GroupFunction, Harmonic
 from quasimix.report import CHECKS, run_verification
 from quasimix.spectra import spectral_data
@@ -74,6 +75,24 @@ def test_traced_verify_records_each_draw_and_check(tracing, s3_spectral):
     names = [span[0] for span in tracer.spans]
     assert names.count("harmonic.sample") == 8
     assert names.count("harmonic.step1") == 2
+
+
+# -- the command lines the benchmark runs ---------------------------------------
+
+
+def test_every_benchmark_command_line_parses(tmp_path):
+    # each operation also runs once through quasimix.cli.main, and every one passes
+    # --seed, `analyze` included: an option dropped from the CLI fails here first
+    workloads = _perfbench_module("workloads")
+    ctx = workloads.Context(seed=1, outdir=str(tmp_path), tracer=None, file_token="file:t.txt")
+    parser = build_parser()
+    kinds = set()
+    for name in workloads.WORKLOADS:
+        for op in workloads.build_ops(name, ctx):
+            argv = workloads.cli_argv(op, ctx, str(tmp_path / op.name))
+            assert parser.parse_args(argv).seed == 1, argv
+            kinds.add(op.kind)
+    assert kinds == {"analyze", "verify", "search"}
 
 
 # -- the bound table the benchmark checks reports against ---------------------

@@ -327,13 +327,34 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 def test_bad_orthogonality_tolerance_exits_one_before_class_algebra(
     monkeypatch, capsys, command, tolerance
 ):
-    # nan and inf would switch every residue test off; 0 and -1 fail every attempt
+    # the exact character table has no tolerance: every value of the removed option,
+    # the ones that once switched residue tests off included, is an unknown argument
     calls = []
     monkeypatch.setattr(quasimix.spectra, "class_algebra", lambda *args: calls.append(args))
     argv = command[:1] + ["--group", "a:5", "--tolerance-orthogonality", tolerance] + command[1:]
     assert main(argv) == 1
-    assert "orthogonality tolerance must be finite and > 0" in capsys.readouterr().err
+    assert "unrecognized arguments: --tolerance-orthogonality" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("token", ["sl2:7", "s:6"])
+def test_analyze_bytes_do_not_depend_on_the_seed(monkeypatch, tmp_path, token):
+    # the seed draws the class-algebra combination; the sorted exact table is the same
+    drawn = []
+    class_algebra = quasimix.spectra.class_algebra
+
+    def spy(group, classes, coeffs):
+        drawn.append(tuple(coeffs.tolist()))
+        return class_algebra(group, classes, coeffs)
+
+    monkeypatch.setattr(quasimix.spectra, "class_algebra", spy)
+    reports = []
+    for seed in ("0", "1", "2"):
+        out = tmp_path / f"seed{seed}.json"
+        assert main(["analyze", "--group", token, "--seed", seed, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert len(set(drawn)) == len(drawn) >= 3
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from quasimix.groups import (
     group_from_table,
     load_cayley_table,
     _generators,
+    _validated_group,
 )
 from quasimix.spectra import spectral_data
 
@@ -509,6 +510,23 @@ def test_loader_reads_rows_straight_into_an_int32_table():
     assert group.mul.dtype == np.int32
     assert np.array_equal(group.mul, build_cyclic(1000).mul)
     assert peak < group.mul.nbytes + len(text) // 2  # the table and less than half the text
+
+
+def test_validation_finds_inverses_in_row_chunks():
+    # one n×n bool array (mul == identity) would be 25.4 MB at the order cap; every
+    # validation step works in row chunks, so the randomized associativity check's
+    # index arrays set the peak
+    n = MAX_ORDER
+    idx = np.arange(n, dtype=np.int32)
+    mul = np.add.outer(idx, idx) % n
+    tracemalloc.start()
+    try:
+        group = _validated_group(mul, f"z:{n}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(group.inv, -idx % n)
+    assert peak < n * n // 4, peak
 
 
 def test_file_token_reads_the_table_from_the_open_file(tmp_path):

@@ -1,5 +1,6 @@
 """Class-matrix combinations, numerical character tables, and quasi-randomness degrees."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import (
     class_structure_constants,
     column_pair_counts,
     dense_isotypic_project,
+    float_character_table,
     is_multiplicity_free,
     regular_degrees,
     tensor_class_combination,
@@ -24,9 +26,12 @@ from quasimix.groups import (
     build_sl2,
     build_symmetric,
     conjugacy_classes,
+    format_cayley_table,
+    group_from_table,
 )
 from quasimix.spectra import (
     DegenerateSpectrumError,
+    _abelian_exponents,
     _pair_counts,
     _sorted_rows,
     SpectralInconsistencyError,
@@ -223,6 +228,134 @@ def test_cyclic_256_spectral_data_stays_small(subprocess_peak_mb):
     assert peak_mb < 150.0, peak_mb
 
 
+def test_cyclic_2048_spectral_data_stays_small(subprocess_peak_mb):
+    # route A: int32 exponents (17 MB) and one 67 MB complex table at a time; a second
+    # table would pass the bound, and the float route peaked at 876 MB
+    peak_mb = subprocess_peak_mb(
+        "from quasimix.groups import build_cyclic\n"
+        "from quasimix.spectra import spectral_data\n"
+        "spectral_data(build_cyclic(2048))\n"
+    )
+    assert peak_mb < 200.0, peak_mb
+
+
+# every group token a test builds
+PINNED_TOKENS = [f"z:{n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 60, 256)] + [
+    "s:3", "s:4", "s:5", "s:6", "s:7", "a:4", "a:5", "a:7",
+    "sl2:3", "sl2:5", "sl2:7", "sl2:11", "sl2:13", "psl2:7", "psl2:11", "psl2:13",
+]
+
+
+def _assert_matches_float_oracle(group):
+    classes = conjugacy_classes(group)
+    exact, ref = character_table(group, classes), float_character_table(group, classes)
+    assert np.array_equal(exact.degrees, ref.degrees), group.name
+    assert exact.trivial_row == ref.trivial_row, group.name
+    assert np.abs(exact.values - ref.values).max() < 1e-10, group.name  # rows in one order
+
+
+@pytest.mark.parametrize("token", PINNED_TOKENS)
+def test_exact_table_matches_the_float_oracle(token):
+    _assert_matches_float_oracle(resolve_group(token))
+
+
+def _cyclic_product_table(*orders):
+    """Z_{orders[0]} × Z_{orders[1]} × ..., element i the mixed-radix digits of i."""
+    digits = np.stack(np.unravel_index(np.arange(np.prod(orders)), orders))
+    sums = (digits[:, :, None] + digits[:, None, :]) % np.array(orders)[:, None, None]
+    return np.ravel_multi_index(tuple(sums), orders)
+
+
+def _dihedral_table(m):
+    """The dihedral group of order 2m, element s·m + r the rotation r followed by s reflections."""
+    r, s = np.arange(2 * m) % m, np.arange(2 * m) // m
+    return (s[:, None] ^ s) * m + (r[:, None] + np.where(s[:, None] == 1, -r, r)) % m
+
+
+@pytest.mark.parametrize(
+    "table",
+    [lambda: resolve_group("z:12").mul, lambda: _cyclic_product_table(2, 6),
+     lambda: _cyclic_product_table(2, 2, 2), lambda: _cyclic_product_table(3, 3),
+     lambda: resolve_group("s:4").mul, lambda: resolve_group("sl2:3").mul,
+     lambda: _dihedral_table(50)],
+    ids=["z:12", "z2xz6", "z2xz2xz2", "z3xz3", "s:4", "sl2:3", "dihedral-100"],
+)
+def test_exact_table_matches_the_float_oracle_on_a_relabelled_file(tmp_path, table):
+    # non-cyclic abelian groups extend characters along two or three generators, and
+    # the relabelling moves the identity off element 0
+    mul = np.asarray(table())
+    perm = np.random.default_rng(9).permutation(len(mul))  # element i becomes perm[i]
+    relabelled = np.empty_like(mul)
+    relabelled[np.ix_(perm, perm)] = perm[mul]
+    group = group_from_table(relabelled)
+    assert group.identity != 0
+    path = tmp_path / "table.txt"
+    path.write_text(format_cayley_table(group))
+    _assert_matches_float_oracle(resolve_group(f"file:{path}"))
+
+
+def test_many_class_dihedral_file_table_takes_seconds(tmp_path):
+    # order 1000, 253 classes: one Krylov solve for the characteristic polynomial and one
+    # DFT per cyclic subgroup keep it O(k³); k int64 k×k products for the polynomial take 40 s
+    m = 500
+    path = tmp_path / "dihedral.txt"
+    path.write_text(format_cayley_table(group_from_table(_dihedral_table(m))))
+    group = resolve_group(f"file:{path}")
+    classes = conjugacy_classes(group)
+    started = time.perf_counter()
+    table = character_table(group, classes)
+    assert time.perf_counter() - started < 15.0
+    assert table.degrees.tolist() == [1] * 4 + [2] * (m // 2 - 1)
+    # a degree-2 row takes 2cos(2πhj/m) at the rotation r^j, for one h in 1 .. m/2 - 1
+    at_rotation = table.values[4:][:, classes.class_of[np.arange(m)]].real
+    h = np.rint(np.arccos(at_rotation[:, 1] / 2) * m / (2 * np.pi))
+    assert sorted(h.tolist()) == list(range(1, m // 2))
+    expected = 2 * np.cos(2 * np.pi * np.outer(h, np.arange(m)) / m)
+    assert np.abs(table.values[4:][:, classes.class_of[np.arange(m)]] - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("token", ["s:3", "s:4", "a:5"])
+def test_every_perturbed_class_algebra_entry_is_caught(monkeypatch, token):
+    group = resolve_group(token)
+    classes = conjugacy_classes(group)
+    k = classes.num_classes
+    for i in range(k):
+        for j in range(k):
+            def perturbed(group, classes, coeffs, i=i, j=j):
+                combined = class_algebra(group, classes, coeffs)
+                combined[i, j] += 1  # a nonzero change mod every p
+                return combined
+
+            monkeypatch.setattr(quasimix.spectra, "class_algebra", perturbed)
+            with pytest.raises(SpectralInconsistencyError):
+                character_table(group, classes)
+
+
+@pytest.mark.parametrize("table", [np.add.outer(np.arange(6), np.arange(6)) % 6,
+                                   _cyclic_product_table(2, 2, 2)], ids=["z:6", "z2xz2xz2"])
+def test_every_perturbed_abelian_exponent_is_caught(monkeypatch, table):
+    group = group_from_table(table)
+    classes = conjugacy_classes(group)
+    n = group.order
+    for r in range(n):
+        for x in range(n):
+            def perturbed(group, r=r, x=x):
+                exps, gens = _abelian_exponents(group)
+                exps[r, x] = (exps[r, x] + 1) % n
+                return exps, gens
+
+            monkeypatch.setattr(quasimix.spectra, "_abelian_exponents", perturbed)
+            with pytest.raises(SpectralInconsistencyError, match="not additive"):
+                character_table(group, classes)
+
+
+def test_spectral_data_still_validates_the_orthogonality_keyword(s3):
+    # kept for callers that pass it; the exact table itself has no tolerance
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="orthogonality tolerance must be finite and > 0"):
+            spectral_data(s3, ortho_tol=bad)
+
+
 def test_s3_character_table_values(s3_spectral):
     rows = _round_row_set(s3_spectral.table.values)
     assert rows == {
@@ -328,17 +461,16 @@ def test_wrong_perfectness_flag_is_caught(s3_spectral, a5):
 class _ConstantWeights:
     """Stub generator whose 'random' class-matrix weights are all equal."""
 
-    def uniform(self, low, high, size):
-        return np.ones(size)
+    def integers(self, low, high, size):
+        return np.ones(size, dtype=np.int64)
 
 
-def test_equal_weights_collide_and_raise():
-    g = build_cyclic(4)
-    cc = conjugacy_classes(g)
-    # All-equal weights sum the class matrices to the all-ones matrix, whose
-    # spectrum {4, 0, 0, 0} never separates the three nontrivial characters.
+def test_equal_weights_collide_and_raise(s3):
+    cc = conjugacy_classes(s3)
+    # All-equal weights sum the class matrices to the sum of the whole group, whose
+    # eigenvalues 6, 0, 0 never separate the two nontrivial characters.
     with pytest.raises(DegenerateSpectrumError, match="eigenvalue collision"):
-        character_table(g, cc, rng=_ConstantWeights())
+        character_table(s3, cc, rng=_ConstantWeights())
 
 
 def test_isotypic_projections_on_abelian(z6):
