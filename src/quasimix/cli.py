@@ -227,7 +227,8 @@ def build_parser() -> _Parser:
                         help="trials per check >= 1 (default 200)")
     verify.add_argument("--seed", type=_at_least(0), default=0, help="trial seed >= 0 (default 0)")
     verify.add_argument("--threads", type=_at_least(1), default=1,
-                        help="worker threads >= 1 (default 1)")
+                        help="recorded in settings.threads and selects nothing, since trials "
+                        "run serially; >= 1, default 1 (to be removed: ROADMAP item 6)")
     verify.add_argument("--csv", default=None, help="also write per-trial rows to this CSV file")
     verify.add_argument(
         "--timings", action="store_true", help="record wall-clock runtimes (breaks byte-stability)"

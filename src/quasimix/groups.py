@@ -44,9 +44,7 @@ class FiniteGroup:
     """A finite group on elements 0..order-1 with dense multiplication tables.
 
     ``mul[i, j]`` is the product i*j, ``inv[i]`` the inverse of i.  Instances
-    are immutable after construction; derived tables are cached lazily (the
-    races that can occur when two threads fill a cache are benign because both
-    compute the same array).
+    are immutable after construction; derived tables are cached lazily.
     """
 
     order: int

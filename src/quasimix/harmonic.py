@@ -10,7 +10,6 @@ quasi-randomness degree D.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -208,14 +207,12 @@ class Harmonic:
         self.inv = self.group.inv
         self.conj = self.group.conjugation_table()
         self._basis: Optional[FourierBasis] = None
-        self._basis_lock = threading.Lock()
 
     def fourier(self) -> FourierBasis:
-        """The group's unitary irreducible representations (built once, thread-safe)."""
-        with self._basis_lock:
-            if self._basis is None:
-                self._basis = fourier_basis(self.group, self.spectral.classes, self.spectral.table)
-            return self._basis
+        """The group's unitary irreducible representations (built on first use)."""
+        if self._basis is None:
+            self._basis = fourier_basis(self.group, self.spectral.classes, self.spectral.table)
+        return self._basis
 
     # -- degree-driven bounds ------------------------------------------------
 

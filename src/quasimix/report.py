@@ -5,17 +5,14 @@ JSON documents quasimix writes.  Every number in a verify report is a pure
 function of (group, checks, trials, seed): each trial draws from its own
 generator keyed by (seed, check tag, trial index), trials are reduced in index
 order, and floats are rendered with 17 significant digits — so two runs with
-the same arguments agree byte for byte, regardless of thread count.
+the same arguments agree byte for byte.
 """
 
 import csv
 import json
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,17 +118,6 @@ def _run_one_trial(
     return spec.evaluate(harmonic, spec.functions(point)), tuple(f.values for f in point)
 
 
-def _pooled(trial_of: Callable, trials: int, threads: int) -> Iterator:
-    """trial_of over range(trials) on a pool, in trial order, at most 2·threads trials ahead."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = deque()
-        for trial in range(trials):
-            window.append(pool.submit(trial_of, trial))
-            if len(window) > 2 * threads:
-                yield window.popleft().result()
-        yield from (future.result() for future in window)
-
-
 def theorem_vacuity_note(harmonic: Harmonic) -> Optional[str]:
     """The headline bound is weaker than the trivial ceiling at desk-scale D."""
     coefficient, power = BOUNDS["theorem"]
@@ -181,11 +167,11 @@ def run_verification(
 ) -> VerificationOutcome:
     """Run the selected checks and assemble the canonical report structure.
 
-    Trials are independent; with threads > 1 they are dispatched to a pool,
-    at most 2·threads ahead of the reduction, but reduced in trial order, so
-    the emitted numbers do not depend on the thread count.  runtime_s stays
-    null unless timings is requested, keeping default reports byte-stable
-    across machines.
+    Trials run one after another and each is reduced as it completes.
+    threads selects nothing: it must be >= 1 and is recorded in
+    settings.threads, and it stays only until ROADMAP item 6 removes its last
+    callers from the benchmark.  runtime_s stays null unless timings is
+    requested, keeping default reports byte-stable across machines.
     """
     for check in checks:
         if check not in CHECKS:
@@ -204,13 +190,12 @@ def run_verification(
 
     for check in plan:
         started = time.perf_counter()
-        trial_of = partial(_run_one_trial, harmonic, check, seed)
         # corollary expands to two named records; each trial is reduced into
-        # them as it arrives, in trial order, and its inputs are kept only
-        # when it is the check's first failing trial
+        # them as it completes, and its inputs are kept only when it is the
+        # check's first failing trial
         reduced: Dict[str, Tuple[int, BoundCheck, float, bool]] = {}
-        runs = map(trial_of, range(trials)) if threads == 1 else _pooled(trial_of, trials, threads)
-        for trial, (bound_checks, inputs) in enumerate(runs):
+        for trial in range(trials):
+            bound_checks, inputs = _run_one_trial(harmonic, check, seed, trial)
             for bc in bound_checks:
                 name = bc.quantity_name
                 worst_trial, worst, top, ok = reduced.get(name, (trial, bc, bc.observed, True))

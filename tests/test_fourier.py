@@ -1,8 +1,5 @@
 """The Fourier basis (unitary irreps from the Cayley table) and the Plancherel kernels."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -226,17 +223,7 @@ def test_real_probe_weights_cannot_split_a_quaternionic_row(monkeypatch):
 # -- the lazy build ----------------------------------------------------------------
 
 
-def test_basis_is_built_on_first_use_only():
-    harmonic = Harmonic(spectral_data(resolve_group("a:4")))
-    assert harmonic._basis is None
-    first = harmonic.fourier()
-    assert harmonic.fourier() is first
-    # the basis seed is fixed: a second Harmonic builds bit-identical matrices
-    again = Harmonic(spectral_data(resolve_group("a:4"))).fourier()
-    assert np.array_equal(again.matrix, first.matrix)
-
-
-def test_concurrent_first_use_builds_once(monkeypatch):
+def test_basis_is_built_on_first_use_only(monkeypatch):
     calls = []
 
     def counting(*args):
@@ -244,24 +231,11 @@ def test_concurrent_first_use_builds_once(monkeypatch):
         return fourier_basis(*args)
 
     monkeypatch.setattr(quasimix.harmonic, "fourier_basis", counting)
-    harmonic = Harmonic(spectral_data(resolve_group("a:5")))
-    results = []
-    start = threading.Barrier(8)
-
-    def worker():
-        start.wait(timeout=10)
-        results.append(harmonic.fourier())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(results) == 8 and all(r is results[0] for r in results)
+    harmonic = Harmonic(spectral_data(resolve_group("a:4")))
+    assert harmonic._basis is None and calls == []
+    first = harmonic.fourier()
+    assert harmonic.fourier() is first
     assert len(calls) == 1
+    # the basis seed is fixed: a second Harmonic builds bit-identical matrices
+    again = Harmonic(spectral_data(resolve_group("a:4"))).fourier()
+    assert np.array_equal(again.matrix, first.matrix)

@@ -4,7 +4,9 @@ Usage: python tools/command_matrix.py OUTDIR
 
 The matrix is the invariant a pure refactor must keep byte for byte:
   - verify --check all --trials 3 --seed 7 on z:6, s:4, a:5 and sl2:5,
-    once with --csv and once with --threads 2;
+    once with --csv and once with --threads 2; trials run serially, so each
+    --threads 2 report must equal its --csv twin's once "threads": 2 reads 1
+    (CI compares them with cmp);
   - search --budget 120 --seed 3 for every objective in this checkout's
     quasimix.adversary.OBJECTIVES on z:60, z:12, s:4, a:5, sl2:5, sl2:7,
     psl2:11 and s:6;
