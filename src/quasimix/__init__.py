@@ -25,7 +25,6 @@ from .spectra import (
     SpectralInconsistencyError,
     character_table,
     class_algebra,
-    conjugation_multiplicity,
     isotypic_project,
     quasirandomness_degree,
     spectral_data,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .harmonic import BoundCheck, GroupFunction, Harmonic, _disc_clip, _unit_norm
 from .report import CHECK_ORDER, CHECKS
-from .spectra import conjugation_multiplicity, isotypic_project
+from .spectra import isotypic_project
 
 __all__ = [
     "SearchConfig",
@@ -96,7 +96,7 @@ def _structured_start(
     # unit pairs: a unit vector inside the lowest-degree nontrivial isotypic
     # component that the conjugation action contains; table rows run in degree order
     rows = (r for r in range(len(table.degrees)) if r != table.trivial_row)
-    row = next((r for r in rows if conjugation_multiplicity(table, r) > 0), None)
+    row = next((r for r in rows if table.conjugation_multiplicities[r] > 0), None)
     # drawn before the fallback too, so an abelian group's restarts keep their random stream
     raw = rng.standard_normal(harmonic.n) + 1j * rng.standard_normal(harmonic.n)
     if row is None:

@@ -33,7 +33,6 @@ __all__ = [
     "quasirandomness_degree",
     "spectral_data",
     "isotypic_project",
-    "conjugation_multiplicity",
 ]
 
 DEFAULT_ATTEMPTS = 20
@@ -64,12 +63,15 @@ class CharacterTable:
 
     Rows are sorted by (degree, rounded real parts, rounded imaginary parts); columns
     follow the canonical conjugacy-class order.  ``trivial_row`` indexes the
-    all-ones row.
+    all-ones row.  ``conjugation_multiplicities[r]`` is the exact multiplicity of
+    character r in the conjugation action on functions, sum_j chi_r(g_j^-1) over
+    the classes: the action fixes |centralizer(g)| points at g.
     """
 
     values: np.ndarray  # (k, k) complex128
     degrees: np.ndarray  # (k,) int64
     trivial_row: int
+    conjugation_multiplicities: np.ndarray  # (k,) int64
 
 
 @dataclass(frozen=True)
@@ -133,13 +135,20 @@ def class_algebra(
     return np.concatenate(rows)
 
 
+def _stable_order(keys, n: int) -> np.ndarray:
+    """The order of n rows under one stable sort per key column in turn: the last key decides
+    first, and rows equal on every key keep their index order."""
+    order = np.arange(n)
+    for key in keys:
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
+
+
 def _sorted_rows(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Stable row order by degree, then the real parts, then the imaginary parts, each rounded
     to 6 digits, column by column: one stable sort per key, so no rounded table is formed."""
-    order = np.arange(len(rows))
-    for key in (*rows.imag.T[::-1], *rows.real.T[::-1], degrees):  # the last key sorts first
-        order = order[np.argsort(np.round(key[order], 6), kind="stable")]
-    return order
+    keys = (*rows.imag.T[::-1], *rows.real.T[::-1], degrees)  # the last key sorts first
+    return _stable_order((np.round(key, 6) for key in keys), len(rows))
 
 
 def _abelian_exponents(group: FiniteGroup) -> Tuple[np.ndarray, List[int]]:
@@ -174,8 +183,10 @@ def _abelian_rows(group: FiniteGroup) -> np.ndarray:
     """Route A: the characters of a group whose classes are all singletons, in table order.
 
     Exponents additive on the generators make every row a homomorphism G -> Z/n, and n
-    distinct ones are all n characters of an abelian group.  Rows are sorted on one lift
-    and lifted again in order, in row chunks, so no two n×n complex tables coexist."""
+    distinct ones are all n characters of an abelian group.  The rows are sorted on their
+    exponents and lifted once, in row chunks: a rounded real or imaginary part depends only
+    on the exponent, so ranking the n rounded values once keeps every comparison and every
+    tie of _sorted_rows' keys (every degree is 1), and ranks below 2^16 sort by radix."""
     n = group.order
     exps, gens = _abelian_exponents(group)
     for g in gens:
@@ -185,14 +196,13 @@ def _abelian_rows(group: FiniteGroup) -> np.ndarray:
     if len(np.unique(exps[:, gens], axis=0)) != n:
         raise SpectralInconsistencyError("abelian characters are not distinct")
     roots = np.exp(2j * np.pi * np.arange(n) / n)
-
-    def lift(order):
-        values = np.empty((n, n), dtype=np.complex128)
-        for rows in row_chunks(n, n):
-            values[rows] = roots[exps[order[rows]]]
-        return values
-
-    return lift(_sorted_rows(lift(np.arange(n)), np.ones(n, dtype=np.int64)))
+    ranks = [np.unique(np.round(part, 6), return_inverse=True)[1].astype(np.min_scalar_type(n))
+             for part in (roots.imag, roots.real)]
+    order = _stable_order((rank[exps[:, x]] for rank in ranks for x in range(n - 1, -1, -1)), n)
+    values = np.empty((n, n), dtype=np.complex128)
+    for rows in row_chunks(n, n):
+        values[rows] = roots[exps[order[rows]]]
+    return values
 
 
 def _solve_mod(m: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
@@ -250,6 +260,8 @@ def _modular_rows(group: FiniteGroup, classes: ConjugacyStructure, rng: np.rando
     chi = degrees[:, None] * v % p
     if not np.array_equal((chi * sizes % p) @ chi[:, inv_class].T % p, n * eye):
         raise SpectralInconsistencyError(f"characters are not orthogonal mod {p}")
+    # sum_j chi(g_j^-1) is a multiplicity in [0, k·d], and k·d <= max(k², n) < p
+    mults = chi[:, inv_class].sum(axis=1) % p
 
     # a primitive e-th root of unity: some x^((p-1)/e) has order exactly e
     z = next(w for w in (pow(x, (p - 1) // e, p) for x in range(2, p))
@@ -267,7 +279,7 @@ def _modular_rows(group: FiniteGroup, classes: ConjugacyStructure, rng: np.rando
         values[:, powers] = mult @ np.exp(2j * np.pi * ls / o)
         lifted[powers] = True
     rank = _sorted_rows(values, degrees)
-    return values[rank], degrees[rank]
+    return values[rank], degrees[rank], mults[rank]
 
 
 def character_table(
@@ -281,15 +293,21 @@ def character_table(
     J. Symbolic Comput. 9 (1990)).  Both certify their integers exactly and round only the
     roots of unity a value sums.  ``rng`` draws the class-algebra combination."""
     _check_class_constancy(group, classes)
-    if classes.num_classes == group.order:
-        rows, degrees = _abelian_rows(group), np.ones(group.order, dtype=np.int64)
+    n = group.order
+    if classes.num_classes == n:
+        # conjugation fixes every function on an abelian group: all n are in the trivial row,
+        # which sorts last
+        rows, degrees = _abelian_rows(group), np.ones(n, dtype=np.int64)
+        mults = np.append(np.zeros(n - 1, dtype=np.int64), n)
     else:
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence((0, _SPECTRA_TAG)))
-        rows, degrees = _modular_rows(group, classes, rng)
+        rows, degrees, mults = _modular_rows(group, classes, rng)
+    if int(mults @ degrees) != n:  # the conjugation action on functions has dimension n
+        raise SpectralInconsistencyError("sum of multiplicity times degree is not the order")
     # every other linear character has a real part at most cos(2π/n) somewhere, which
     # rounds below 1 up to MAX_ORDER, so the trivial row sorts last of degree 1
-    return CharacterTable(rows, degrees, int((degrees == 1).sum()) - 1)
+    return CharacterTable(rows, degrees, int((degrees == 1).sum()) - 1, mults)
 
 
 def quasirandomness_degree(table: CharacterTable, group_is_perfect: bool) -> QuasiRandomnessDegree:
@@ -338,24 +356,6 @@ def isotypic_project(
     conj = group.conjugation_table()
     parts = (weights[h] @ values.take(conj[h]) for h in row_chunks(group.order, group.order))
     return reduce(np.add, parts)
-
-
-def conjugation_multiplicity(table: CharacterTable, row: int) -> int:
-    """Multiplicity of character ``row`` in the conjugation action on functions.
-
-    The conjugation action fixes |centralizer(g)| points at g, and pairing
-    that fixed-point count with the character reduces to a plain sum of the
-    conjugated character values over the classes.
-    """
-    total = np.conj(table.values[row]).sum()
-    if abs(total.imag) > 1e-6 or abs(total.real - round(total.real)) > 1e-6:
-        raise SpectralInconsistencyError(
-            f"conjugation multiplicity of row {row} is not a clean integer: {total}"
-        )
-    m = int(round(total.real))
-    if m < 0:
-        raise SpectralInconsistencyError(f"negative multiplicity {m} for row {row}")
-    return m
 
 
 @dataclass(eq=False)

@@ -31,7 +31,6 @@ from quasimix.spectra import (
     _check_class_constancy,
     _sorted_rows,
     class_algebra,
-    conjugation_multiplicity,
     isotypic_project,
     spectral_data,
 )
@@ -506,7 +505,7 @@ def is_multiplicity_free(group, classes, table, row, rng):
     svals = np.linalg.svd(mat, compute_uv=False)
     rank = 0 if svals[0] < 1e-9 else int((svals > 1e-6 * svals[0]).sum())
     free = rank == degree
-    if free != (conjugation_multiplicity(table, row) == 1):
+    if free != (table.conjugation_multiplicities[row] == 1):
         raise SpectralInconsistencyError(
             f"rank-based multiplicity detection disagrees with the character sum on row {row}"
         )
@@ -782,6 +781,28 @@ DEFAULT_ORTHO_TOL = 1e-8
 DEFAULT_DEGREE_TOL = 1e-6
 
 
+def float_conjugation_multiplicities(values):
+    """Multiplicity of each character row in the conjugation action on functions, from
+    the lifted values: the route ``spectra`` took before the table carried the exact ones.
+
+    The conjugation action fixes |centralizer(g)| points at g, and pairing
+    that fixed-point count with the character reduces to a plain sum of the
+    conjugated character values over the classes.
+    """
+    mults = []
+    for row, chi in enumerate(values):
+        total = np.conj(chi).sum()
+        if abs(total.imag) > 1e-6 or abs(total.real - round(total.real)) > 1e-6:
+            raise SpectralInconsistencyError(
+                f"conjugation multiplicity of row {row} is not a clean integer: {total}"
+            )
+        m = int(round(total.real))
+        if m < 0:
+            raise SpectralInconsistencyError(f"negative multiplicity {m} for row {row}")
+        mults.append(m)
+    return np.array(mults, dtype=np.int64)
+
+
 def float_character_table(
     group: FiniteGroup,
     classes: ConjugacyStructure,
@@ -886,7 +907,9 @@ def float_character_table(
             failure = "column orthogonality residue too large"
             continue
 
-        return CharacterTable(rows, degrees, int(trivial_rows[0]))
+        return CharacterTable(
+            rows, degrees, int(trivial_rows[0]), float_conjugation_multiplicities(rows)
+        )
 
     raise DegenerateSpectrumError(
         f"no usable spectrum after {DEFAULT_ATTEMPTS} attempts (last failure: {failure})"

@@ -370,7 +370,7 @@ def _projected_rows(monkeypatch):
     "token", ("s:3", "s:4", "a:4", "a:5", "sl2:3", "sl2:5", "sl2:7", "psl2:11", "z:12")
 )
 def test_structured_start_row_matches_projection_probe(monkeypatch, token):
-    # conjugation_multiplicity picks the row the old probe found by projecting
+    # the exact multiplicities pick the row the old probe found by projecting
     # a random vector onto every row; an abelian group has none, and its start
     # falls back to a random one after the same draw
     h = harmonic_for(resolve_group(token))

@@ -192,7 +192,9 @@ def test_wrong_degree_fails_the_rank_cross_check(token):
     row = next(r for r in range(len(table.degrees)) if table.degrees[r] > 1)
     degrees = table.degrees.copy()
     degrees[row] += 1
-    wrong = CharacterTable(table.values, degrees, table.trivial_row)
+    wrong = CharacterTable(
+        table.values, degrees, table.trivial_row, table.conjugation_multiplicities
+    )
     d = int(table.degrees[row])
     with pytest.raises(SpectralInconsistencyError) as caught:
         fourier_basis(group, data.classes, wrong)

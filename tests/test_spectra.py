@@ -32,12 +32,12 @@ from quasimix.groups import (
 from quasimix.spectra import (
     DegenerateSpectrumError,
     _abelian_exponents,
+    _abelian_rows,
     _pair_counts,
     _sorted_rows,
     SpectralInconsistencyError,
     character_table,
     class_algebra,
-    conjugation_multiplicity,
     isotypic_project,
     quasirandomness_degree,
     spectral_data,
@@ -124,9 +124,10 @@ def test_character_tables_match_tensor_oracle_path(monkeypatch, s4, a5, sl2_5, s
 
 
 def test_sorted_rows_matches_tuple_key_oracle(
-    monkeypatch, z6, s3, s4, a4, a5, sl2_5, sl2_7, psl2_7
+    monkeypatch, tmp_path, z6, s3, s4, a4, a5, sl2_5, sl2_7, psl2_7
 ):
-    # each table's rows as character_table sorts them, and again in a shuffled order
+    # each modular table's rows as character_table sorts them, and again in a shuffled order;
+    # route A (z:6) sorts on its exponents and never calls _sorted_rows
     seen = []
 
     def spy(rows, degrees):
@@ -136,13 +137,29 @@ def test_sorted_rows_matches_tuple_key_oracle(
     monkeypatch.setattr(quasimix.spectra, "_sorted_rows", spy)
     for group in (z6, s3, s4, a4, a5, sl2_5, sl2_7, psl2_7):
         spectral_data(group)
-    assert len(seen) == 8
+    assert len(seen) == 7
     rng = np.random.default_rng(8)
     for rows, degrees in seen:
         assert np.array_equal(_sorted_rows(rows, degrees), tuple_sorted_rows(rows, degrees))
         shuffle = rng.permutation(len(rows))
         rows, degrees = rows[shuffle], degrees[shuffle]
         assert np.array_equal(_sorted_rows(rows, degrees), tuple_sorted_rows(rows, degrees))
+
+    # route A's table, from its exponents as given and shuffled, is their lift in the
+    # oracle's order, on one generator and on two
+    for group in (z6, _relabelled_file_group(tmp_path, _cyclic_product_table(2, 6))):
+        n = group.order
+        exps, gens = _abelian_exponents(group)
+        assert len(gens) == (1 if group is z6 else 2)
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        for shuffle in (np.arange(n), rng.permutation(n)):
+            monkeypatch.setattr(
+                quasimix.spectra, "_abelian_exponents", lambda _: (exps[shuffle], gens)
+            )
+            lifted = roots[exps[shuffle]]
+            expect = lifted[tuple_sorted_rows(lifted, np.ones(n, dtype=np.int64))]
+            assert np.array_equal(_abelian_rows(group), expect)
+    assert len(seen) == 7
 
 
 def test_sorted_rows_breaks_rounding_ties_as_the_oracle():
@@ -252,6 +269,9 @@ def _assert_matches_float_oracle(group):
     assert np.array_equal(exact.degrees, ref.degrees), group.name
     assert exact.trivial_row == ref.trivial_row, group.name
     assert np.abs(exact.values - ref.values).max() < 1e-10, group.name  # rows in one order
+    mults = exact.conjugation_multiplicities
+    assert mults.dtype == np.int64, group.name
+    assert np.array_equal(mults, ref.conjugation_multiplicities), group.name
 
 
 @pytest.mark.parametrize("token", PINNED_TOKENS)
@@ -264,6 +284,19 @@ def _cyclic_product_table(*orders):
     digits = np.stack(np.unravel_index(np.arange(np.prod(orders)), orders))
     sums = (digits[:, :, None] + digits[:, None, :]) % np.array(orders)[:, None, None]
     return np.ravel_multi_index(tuple(sums), orders)
+
+
+def _relabelled_file_group(tmp_path, mul):
+    """The group of ``mul`` relabelled so its identity is not element 0, read through file:."""
+    mul = np.asarray(mul)
+    perm = np.random.default_rng(9).permutation(len(mul))  # element i becomes perm[i]
+    relabelled = np.empty_like(mul)
+    relabelled[np.ix_(perm, perm)] = perm[mul]
+    group = group_from_table(relabelled)
+    assert group.identity != 0
+    path = tmp_path / "table.txt"
+    path.write_text(format_cayley_table(group))
+    return resolve_group(f"file:{path}")
 
 
 def _dihedral_table(m):
@@ -283,15 +316,7 @@ def _dihedral_table(m):
 def test_exact_table_matches_the_float_oracle_on_a_relabelled_file(tmp_path, table):
     # non-cyclic abelian groups extend characters along two or three generators, and
     # the relabelling moves the identity off element 0
-    mul = np.asarray(table())
-    perm = np.random.default_rng(9).permutation(len(mul))  # element i becomes perm[i]
-    relabelled = np.empty_like(mul)
-    relabelled[np.ix_(perm, perm)] = perm[mul]
-    group = group_from_table(relabelled)
-    assert group.identity != 0
-    path = tmp_path / "table.txt"
-    path.write_text(format_cayley_table(group))
-    _assert_matches_float_oracle(resolve_group(f"file:{path}"))
+    _assert_matches_float_oracle(_relabelled_file_group(tmp_path, table()))
 
 
 def test_many_class_dihedral_file_table_takes_seconds(tmp_path):
@@ -534,11 +559,8 @@ def test_isotypic_project_rejects_bad_shape(s3_spectral, s3):
 
 
 def test_conjugation_multiplicities(s3_spectral, a4):
-    table = s3_spectral.table
-    assert [conjugation_multiplicity(table, r) for r in range(3)] == [1, 3, 1]
-    a4_data = spectral_data(a4)
-    ms = [conjugation_multiplicity(a4_data.table, r) for r in range(4)]
-    assert ms == [1, 1, 4, 2]
+    assert s3_spectral.table.conjugation_multiplicities.tolist() == [1, 3, 1]
+    assert spectral_data(a4).table.conjugation_multiplicities.tolist() == [1, 1, 4, 2]
 
 
 def test_multiplicities_account_for_all_functions(s4, sl2_5):
@@ -546,11 +568,8 @@ def test_multiplicities_account_for_all_functions(s4, sl2_5):
     # multiplicity-weighted degrees must add up to the group order.
     for group in (s4, sl2_5):
         data = spectral_data(group)
-        total = sum(
-            conjugation_multiplicity(data.table, r) * int(data.table.degrees[r])
-            for r in range(data.classes.num_classes)
-        )
-        assert total == group.order
+        table = data.table
+        assert int(table.conjugation_multiplicities @ table.degrees) == group.order
 
 
 def test_multiplicity_free_detection(s3_spectral, s3, a4):
@@ -575,6 +594,5 @@ def test_sl2_5_has_no_multiplicity_free_nontrivial_rows(sl2_5):
     for r in range(data.classes.num_classes):
         if r == triv:
             continue
-        m = conjugation_multiplicity(data.table, r)
-        assert m != 1
+        assert data.table.conjugation_multiplicities[r] != 1
         assert not is_multiplicity_free(sl2_5, data.classes, data.table, r, rng)
