@@ -46,7 +46,6 @@ SPLIT_GAP = 1e-3
 """Smallest relative gap that separates one irreducible eigenspace of the commutant."""
 PROBE_SIZE = 3
 """Elements (each with its inverse) in the support of one commutant probe."""
-_CHUNK_ENTRIES = 1 << 20  # int64 entries per pair-count batch (8 MB)
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -89,7 +88,7 @@ class QuasiRandomnessDegree:
 
 def _pair_counts(group: FiniteGroup, classes: ConjugacyStructure, targets: np.ndarray):
     """Yield exact counts[b, i, j] = #{x in C_i : x^-1 * z_b in C_j} for the targets z_b,
-    in order, in batches whose temporaries hold at most _CHUNK_ENTRIES entries.
+    in order, in row_chunks batches of the (targets, max(n, k²)) temporaries.
 
     x = z_b * w is a bijection with x^-1 * z_b = w^-1, so the count runs over w
     with i = class(z_b * w), read from the contiguous rows mul[z_b], and
@@ -98,9 +97,8 @@ def _pair_counts(group: FiniteGroup, classes: ConjugacyStructure, targets: np.nd
     k = classes.num_classes
     cls = classes.class_of.astype(np.int64)
     left_code, right_code = cls * k, cls[group.inv]  # code i*k + j of a pair (i, j)
-    step = max(1, _CHUNK_ENTRIES // max(group.order, k * k))
-    for start in range(0, len(targets), step):
-        batch = targets[start : start + step]
+    for rows in row_chunks(len(targets), max(group.order, k * k)):
+        batch = targets[rows]
         codes = left_code[group.mul[batch]]  # [b, w] -> class(z_b * w) * k
         codes += right_code
         codes += (np.arange(len(batch)) * k * k)[:, None]
@@ -108,18 +106,19 @@ def _pair_counts(group: FiniteGroup, classes: ConjugacyStructure, targets: np.nd
         yield counts.reshape(-1, k, k)
 
 
-def _check_class_constancy(group: FiniteGroup, classes: ConjugacyStructure) -> None:
-    """Every element's pair counts must equal those of its class's first member.
-
-    Conjugation maps the pairs for z onto those for g z g^-1, so on a true
-    class partition they agree; singleton classes (all, if abelian) are skipped.
-    """
-    for c in np.nonzero(classes.class_sizes > 1)[0]:
-        members = np.nonzero(classes.class_of == c)[0]
-        expect = next(_pair_counts(group, classes, members[:1]))
-        for counts in _pair_counts(group, classes, members[1:]):
-            if (counts != expect).any():
-                raise SpectralInconsistencyError("class product counts not constant on classes")
+def _check_classes(group: FiniteGroup, classes: ConjugacyStructure) -> None:
+    """Certify in O(n·k) that class c is the orbit of z = representatives[c]: every g^-1 z g is in
+    c, and |c|·|C(z)| = n, C(z) = {g : g^-1 z g = z}, so by orbit-stabilizer the orbit fills c."""
+    n, k = group.order, classes.num_classes
+    reps, cls, sizes = classes.representatives, classes.class_of, classes.class_sizes
+    if not (len(sizes) == k and np.array_equal(cls[reps], np.arange(k))
+            and np.array_equal(sizes, np.bincount(cls))):
+        raise SpectralInconsistencyError("class_of, representatives and class_sizes disagree")
+    for rows in row_chunks(k, n):
+        conj = group.mul[group.inv, group.mul[reps[rows]]]  # [b, g] = g^-1 * z_b * g
+        if ((cls[conj] != np.arange(k)[rows, None]).any()
+                or ((conj == reps[rows, None]).sum(axis=1) * sizes[rows] != n).any()):
+            raise SpectralInconsistencyError("a class is not its representative's conjugacy class")
 
 
 def class_algebra(
@@ -288,11 +287,11 @@ def character_table(
     *,
     rng: Optional[np.random.Generator] = None,
 ) -> CharacterTable:
-    """The exact character table: route A (_abelian_rows) when every class is a singleton,
-    else Dixon's modular method (_modular_rows; Dixon, Numer. Math. 10 (1967); Schneider,
-    J. Symbolic Comput. 9 (1990)).  Both certify their integers exactly and round only the
-    roots of unity a value sums.  ``rng`` draws the class-algebra combination."""
-    _check_class_constancy(group, classes)
+    """The exact character table: route A (_abelian_rows, whose n distinct homomorphisms G -> Z/n
+    make G abelian) when every class is a singleton, else Dixon's modular method (_modular_rows
+    on classes _check_classes certifies; Dixon, Numer. Math. 10 (1967); Schneider, J. Symbolic
+    Comput. 9 (1990)).  Both certify their integers exactly and round only the roots of unity a
+    value sums.  ``rng`` draws the class-algebra combination."""
     n = group.order
     if classes.num_classes == n:
         # conjugation fixes every function on an abelian group: all n are in the trivial row,
@@ -300,6 +299,7 @@ def character_table(
         rows, degrees = _abelian_rows(group), np.ones(n, dtype=np.int64)
         mults = np.append(np.zeros(n - 1, dtype=np.int64), n)
     else:
+        _check_classes(group, classes)
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence((0, _SPECTRA_TAG)))
         rows, degrees, mults = _modular_rows(group, classes, rng)

@@ -28,7 +28,7 @@ from quasimix.spectra import (
     FourierBasis,
     SpectralInconsistencyError,
     _check_basis,
-    _check_class_constancy,
+    _check_classes,
     _sorted_rows,
     class_algebra,
     isotypic_project,
@@ -827,7 +827,7 @@ def float_character_table(
     """
     if not 0.0 < ortho_tol < np.inf:  # also catches nan, which would disable every residue test
         raise ValueError(f"orthogonality tolerance must be finite and > 0, got {ortho_tol}")
-    _check_class_constancy(group, classes)
+    _check_classes(group, classes)
     n = group.order
     k = classes.num_classes
     sizes = classes.class_sizes.astype(np.float64)

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quasimix._numutil
 import quasimix.spectra
 from oracles import (
     brute_class_average,
@@ -193,9 +194,9 @@ def test_pair_counts_match_column_oracle_over_every_target(monkeypatch, token):
     classes = conjugacy_classes(group)
     targets = np.random.default_rng(0).permutation(group.order)
     expect = column_pair_counts(group, classes, targets)
-    # the default cap holds every target in one batch; the second holds 7 to a batch
-    for cap in (quasimix.spectra._CHUNK_ENTRIES, 7 * max(group.order, classes.num_classes**2)):
-        monkeypatch.setattr(quasimix.spectra, "_CHUNK_ENTRIES", cap)
+    # row_chunks' default cap, then one that holds 7 targets to a batch
+    for cap in (quasimix._numutil.TEMP_ENTRIES, 7 * max(group.order, classes.num_classes**2)):
+        monkeypatch.setattr(quasimix._numutil, "TEMP_ENTRIES", cap)
         got = np.concatenate(list(_pair_counts(group, classes, targets)))
         assert got.dtype == expect.dtype and np.array_equal(got, expect), cap
 
@@ -232,8 +233,77 @@ def test_misassigned_class_fails_constancy_check(s3):
         class_sizes=np.bincount(class_of, minlength=3).astype(np.int64),
         num_classes=3,
     )
-    with pytest.raises(SpectralInconsistencyError, match="not constant on classes"):
+    with pytest.raises(
+        SpectralInconsistencyError, match="not its representative's conjugacy class"
+    ):
         character_table(s3, broken)
+
+
+def _partition(labels):
+    """The partition of the elements by label, each part represented by its first member;
+    nothing checks that the parts are conjugacy classes."""
+    _, reps, class_of, sizes = np.unique(
+        labels, return_index=True, return_inverse=True, return_counts=True
+    )
+    return ConjugacyStructure(class_of.astype(np.int32), reps, sizes.astype(np.int64), len(reps))
+
+
+def _wrong_partition(wrong):
+    """A group and a partition of it that is not its conjugacy partition."""
+    if wrong == "swapped":  # a member of each 12-element class of a:5 filed with the other's
+        group = resolve_group("a:5")
+        cc = conjugacy_classes(group)
+        first, second = np.nonzero(cc.class_sizes == 12)[0]
+        last = [np.nonzero(cc.class_of == c)[0][-1] for c in (first, second)]
+        class_of = cc.class_of.copy()
+        class_of[last] = second, first
+        return group, ConjugacyStructure(class_of, cc.representatives, cc.class_sizes, 5)
+    group = build_symmetric(3)
+    cc = conjugacy_classes(group)
+    split = cc.class_of.copy()
+    split[np.nonzero(split == 1)[0][-1]] = 3  # a transposition on its own
+    fused = _partition(np.arange(group.order) != group.identity)
+    return group, {
+        "fused": fused,
+        "split": _partition(split),
+        # the sizes of the orbits of the representatives, not of the fused parts
+        "sizes": ConjugacyStructure(fused.class_of, fused.representatives, np.array([1, 3]), 2),
+        "representatives": ConjugacyStructure(
+            cc.class_of, cc.representatives[[0, 2, 1]], cc.class_sizes, 3
+        ),
+    }[wrong]
+
+
+@pytest.mark.parametrize("wrong", ["fused", "split", "sizes", "representatives", "swapped"])
+def test_class_certificate_rejects_wrong_partitions_before_class_algebra(monkeypatch, wrong):
+    # the pair counts of s:3's fused partition {e}, G∖{e} and of its split one are constant on
+    # their parts, so only the orbit-stabilizer certificate, not the degree test, names the
+    # fault; "swapped" keeps every class size and centralizer, so only the orbit test fails
+    group, classes = _wrong_partition(wrong)
+    calls = []
+    real = quasimix.spectra.class_algebra
+    monkeypatch.setattr(
+        quasimix.spectra, "class_algebra", lambda *args: calls.append(args) or real(*args)
+    )
+    with pytest.raises(
+        SpectralInconsistencyError, match="disagree|not its representative's conjugacy class"
+    ):
+        character_table(group, classes)
+    assert calls == []
+
+
+@pytest.mark.parametrize("token", ["a:5", "s:6"])
+def test_pair_counts_run_on_the_representatives_only(monkeypatch, token):
+    # the class certificate reads no pair counts: class_algebra's k targets are the only ones
+    group = resolve_group(token)
+    classes = conjugacy_classes(group)
+    targets = []
+    real = quasimix.spectra._pair_counts
+    monkeypatch.setattr(
+        quasimix.spectra, "_pair_counts", lambda g, c, t: targets.append(t) or real(g, c, t)
+    )
+    character_table(group, classes)
+    assert targets and all(np.array_equal(t, classes.representatives) for t in targets)
 
 
 def test_cyclic_256_spectral_data_stays_small(subprocess_peak_mb):
