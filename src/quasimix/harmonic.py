@@ -11,7 +11,7 @@ quasi-randomness degree D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,6 +207,7 @@ class Harmonic:
         self.inv = self.group.inv
         self.conj = self.group.conjugation_table()
         self._basis: Optional[FourierBasis] = None
+        self._blocks: List[np.ndarray] = []  # _gathered's scratch, one row chunk per term
 
     def fourier(self) -> FourierBasis:
         """The group's unitary irreducible representations (built on first use)."""
@@ -273,9 +274,23 @@ class Harmonic:
 
         blocks[i][g, x] = values_i(p_i(g, x)); no block is wider than one
         row_chunks slice, and np.take gathers about twice as fast as fancy indexing.
+        The blocks are views of complex scratch arrays this object keeps, so a caller
+        uses each chunk's blocks before it takes the next.  A fresh block per chunk
+        (1 MB from n = 256 on) faulted in new pages on every gather whenever glibc
+        malloc's dynamic mmap and trim thresholds had not yet risen that high, which
+        left sl2:7's searches two to three times slower.
         """
+        first = next(row_chunks(self.n, self.n))
+        while len(self._blocks) < len(terms):
+            self._blocks.append(np.empty((first.stop, self.n), dtype=np.complex128))
         for rows in row_chunks(self.n, self.n):
-            yield rows, [values.take(self._points(point, rows)) for values, point in terms]
+            yield rows, [
+                # mode="clip" writes straight into out, where "raise" would buffer; every
+                # index is a table entry, so none is clipped
+                values.take(self._points(point, rows), out=block[: rows.stop - rows.start],
+                            mode="clip")
+                for (values, point), block in zip(terms, self._blocks)
+            ]
 
     def _coefficients(self, a: np.ndarray, b: np.ndarray, point: str) -> np.ndarray:
         """c[g] = (1/n) Σ_x a(x)·conj b(p(g, x)) for every g, p one of _gathered's points."""

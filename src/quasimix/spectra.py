@@ -294,6 +294,12 @@ def character_table(
     value sums.  ``rng`` draws the class-algebra combination."""
     n = group.order
     if classes.num_classes == n:
+        # route A's column c is element c, the labelling conjugacy_classes gives singletons
+        ids = np.arange(n)
+        if not (np.array_equal(classes.class_of, ids)
+                and np.array_equal(classes.representatives, ids)
+                and np.array_equal(classes.class_sizes, np.ones(n))):
+            raise SpectralInconsistencyError("singleton classes are not numbered by their element")
         # conjugation fixes every function on an abelian group: all n are in the trivial row,
         # which sorts last
         rows, degrees = _abelian_rows(group), np.ones(n, dtype=np.int64)

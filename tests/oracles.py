@@ -439,6 +439,16 @@ def loop_substitution_distance(group, f2, h):
 
 # -- test inputs and test-only wrappers around the package -----------------------
 
+# Latin square, two-sided identity 0, every element self-inverse — but not
+# associative: (1*1)*2 = 2 while 1*(1*2) = 1*3 = 4.
+NONASSOC_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
 
 def harmonic_for(group, *, seed=0):
     """Build the full spectral bundle for a group and wrap it for bound checks."""

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import threading
 import tracemalloc
 
@@ -13,6 +14,7 @@ import quasimix.adversary
 import quasimix.cli
 import quasimix.harmonic
 import quasimix.spectra
+from oracles import NONASSOC_LOOP
 from quasimix.cli import main, resolve_group
 from quasimix.groups import build_symmetric
 from quasimix.harmonic import BoundCheck, GroupFunction, Harmonic
@@ -284,6 +286,17 @@ def test_huge_cayley_entry_exits_one_naming_the_line(tmp_path, capsys, command, 
     assert main([command, "--group", f"file:{path}"]) == 1
     err = capsys.readouterr().err
     assert err == f"quasimix: error: line 4: entry {int(entry)} is outside 0..1\n"
+
+
+def test_non_group_file_table_exits_one_naming_a_failing_triple(tmp_path, capsys):
+    path = tmp_path / "loop.txt"
+    path.write_text("5\n" + "".join(" ".join(map(str, row)) + "\n" for row in NONASSOC_LOOP))
+    assert main(["analyze", "--group", f"file:{path}"]) == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"quasimix: error: associativity fails at triple \((\d), (\d), (\d)\)\n", err)
+    assert found, err
+    x, s, y = map(int, found.groups())
+    assert NONASSOC_LOOP[NONASSOC_LOOP[x][s]][y] != NONASSOC_LOOP[x][NONASSOC_LOOP[s][y]]
 
 
 def test_search_cli_is_deterministic(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    NONASSOC_LOOP,
     all_pairs_commutator_subgroup,
     brute_conjugacy_partition,
     inverse,
@@ -36,17 +37,8 @@ from quasimix.groups import (
     _generators,
     _validated_group,
 )
+from quasimix.report import group_summary
 from quasimix.spectra import spectral_data
-
-# Latin square, two-sided identity 0, every element self-inverse — but not
-# associative: (1*1)*2 = 2 while 1*(1*2) = 1*3 = 4.
-NONASSOC_LOOP = [
-    [0, 1, 2, 3, 4],
-    [1, 0, 3, 4, 2],
-    [2, 4, 0, 1, 3],
-    [3, 2, 4, 0, 1],
-    [4, 3, 1, 2, 0],
-]
 
 # Latin square with identity 0 where element 2's right inverse is not a left
 # inverse: 2*3 = 0 but 3*2 = 1.
@@ -68,7 +60,6 @@ def test_cyclic_basics():
             assert product(g, a, b) == (a + b) % 6
         assert inverse(g, a) == (-a) % 6
     assert g.name == "z:6"
-    assert g.assoc_check == "exhaustive"
 
 
 def test_trivial_group():
@@ -144,9 +135,7 @@ def test_builders_match_row_loop_oracles(token):
     assert group.mul.dtype == oracle.mul.dtype and group.mul.shape == oracle.mul.shape
     assert group.mul.tobytes() == oracle.mul.tobytes()
     assert np.array_equal(group.inv, oracle.inv)
-    assert (group.identity, group.name, group.assoc_check) == (
-        oracle.identity, oracle.name, oracle.assoc_check
-    )
+    assert (group.identity, group.name) == (oracle.identity, oracle.name)
 
 
 def test_alternating_7_build_stays_small(subprocess_peak_mb):
@@ -244,9 +233,91 @@ def test_rejects_one_sided_inverse():
         group_from_table(ONE_SIDED_INVERSE)
 
 
+def _assert_names_a_violation(table, message):
+    """The triple (x, s, y) a rejection names has (x*s)*y != x*(s*y) in ``table``."""
+    found = re.fullmatch(r"associativity fails at triple \((\d+), (\d+), (\d+)\)", message)
+    assert found, message
+    x, s, y = map(int, found.groups())
+    mul = np.asarray(table)
+    assert mul[mul[x, s], y] != mul[x, mul[s, y]], (x, s, y)
+
+
 def test_rejects_non_associative_loop():
-    with pytest.raises(CayleyTableError, match=r"associativity fails at triple \(1, 1, 2\)"):
+    with pytest.raises(CayleyTableError, match="associativity fails at triple") as err:
         group_from_table(NONASSOC_LOOP)
+    _assert_names_a_violation(NONASSOC_LOOP, str(err.value))
+
+
+def test_rejects_a_loop_that_few_triples_reveal():
+    # one intercalate of z:4096 swapped: rows 5 and 2053 meet columns 7 and 2055 in the
+    # entries 12 and 2060, so the table stays a Latin square with identity 0 and the same
+    # inverses, yet is a loop, not a group.  At most 16 of every 4096² triples read a
+    # swapped entry, so 10^5 sampled triples would expect at most 0.1 violations.
+    mul = build_cyclic(4096).mul.copy()
+    mul[np.ix_([5, 2053], [7, 2055])] = mul[np.ix_([5, 2053], [2055, 7])]
+    with pytest.raises(CayleyTableError, match="associativity fails at triple") as err:
+        group_from_table(mul)
+    _assert_names_a_violation(mul, str(err.value))
+
+
+def _spy_on_certificate(monkeypatch):
+    """Record, for each element validation certifies, whether it passed."""
+    certified = []
+    real = quasimix.groups._generators
+
+    def spy(group, rng, within=None, certify=None):
+        def record(s):
+            certified.append([s, False])
+            certify(s)
+            certified[-1][1] = True
+
+        return real(group, rng, within, certify=record if certify is not None else None)
+
+    monkeypatch.setattr(quasimix.groups, "_generators", spy)
+    return certified
+
+
+def _middle_nucleus(table):
+    """Brute force: the elements s with (x*s)*y = x*(s*y) for every x and y."""
+    mul = np.asarray(table)
+    return {s for s in range(len(mul)) if np.array_equal(mul[mul[:, s]], mul[:, mul[s]])}
+
+
+@pytest.mark.parametrize("token", BUILT_IN_TOKENS + ["s:7", "z:1", "z:2", "z:256", "z:5040"])
+def test_associativity_certificate_draws_at_most_log2_order_plus_one(monkeypatch, token):
+    certified = _spy_on_certificate(monkeypatch)
+    group = resolve_group(token)
+    drawn = [s for s, _ in certified]
+    assert all(ok for _, ok in certified)
+    assert len(set(drawn)) == len(drawn)  # one certification each
+    assert len(drawn) <= int(np.log2(group.order)) + 1, drawn
+    # the certified elements and their inverses are the generators that label the classes
+    rng = np.random.default_rng(np.random.SeedSequence(quasimix.groups._CLASSES_TAG))
+    gens, _ = _generators(group, rng)
+    assert sorted(gens) == sorted({*drawn, *group.inv[drawn].tolist()})
+
+
+def test_associativity_certificate_stops_at_the_first_element_outside_the_nucleus(monkeypatch):
+    certified = _spy_on_certificate(monkeypatch)
+    with pytest.raises(CayleyTableError, match="associativity fails at triple") as err:
+        group_from_table(NONASSOC_LOOP)
+    nucleus = _middle_nucleus(NONASSOC_LOOP)
+    *passed, (last, ok) = certified
+    assert all(ok and s in nucleus for s, ok in passed)
+    assert not ok and last not in nucleus  # the raise is the last draw
+    assert f", {last}, " in str(err.value)
+
+
+def test_columns_are_sorted_only_when_a_later_check_fails(monkeypatch):
+    calls = []
+    real = quasimix.groups._check_columns
+    monkeypatch.setattr(quasimix.groups, "_check_columns", lambda mul: calls.append(1) or real(mul))
+    build_symmetric(4)
+    group_from_table(build_cyclic(300).mul)
+    assert calls == []
+    with pytest.raises(CayleyTableError, match="associativity fails"):
+        group_from_table(NONASSOC_LOOP)
+    assert calls == [1]
 
 
 def test_relabeled_copy_is_valid():
@@ -291,9 +362,10 @@ def _check_relabeled_copy(g, rng):
 
 
 def test_randomized_assoc_mode_for_large_groups():
-    g = build_cyclic(300)
-    assert g.assoc_check == "randomized(100000)"
-    assert g.order == 300
+    # every order is certified exactly: no sampled mode above some order
+    for token in ("z:300", "s:6"):
+        summary = group_summary(spectral_data(resolve_group(token)))
+        assert summary["associativity_check"] == "exhaustive", token
 
 
 def test_conjugation_table_matches_scalar_definition(s3):
@@ -514,8 +586,7 @@ def test_loader_reads_rows_straight_into_an_int32_table():
 
 def test_validation_finds_inverses_in_row_chunks():
     # one n×n bool array (mul == identity) would be 25.4 MB at the order cap; every
-    # validation step works in row chunks, so the randomized associativity check's
-    # index arrays set the peak
+    # validation step, the associativity certificate's included, works in row chunks
     n = MAX_ORDER
     idx = np.arange(n, dtype=np.int32)
     mul = np.add.outer(idx, idx) % n

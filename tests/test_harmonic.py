@@ -1,5 +1,7 @@
 """Function containers, conditional expectations, and the inequality chain left-hand sides."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,8 @@ from quasimix.harmonic import (
     sample_disc,
     sample_unit,
 )
-from quasimix.spectra import isotypic_project
+from quasimix._numutil import row_chunks
+from quasimix.spectra import isotypic_project, spectral_data
 
 
 def _rand_disc(n, seed):
@@ -528,6 +531,24 @@ def test_chain_kernels_stay_small_on_alternating_7(subprocess_peak_mb):
         "assert all(0.0 < c.observed < c.bound for c in checks), checks\n"
     )
     assert subprocess_peak_mb(script) < 150.0
+
+
+def test_gathers_reuse_their_blocks_across_calls():
+    # each row chunk of a gather is taken into scratch the Harmonic keeps: after the
+    # first call, no call allocates a fresh (rows, n) complex block, 1 MB on sl2:7
+    h = Harmonic(spectral_data(resolve_group("sl2:7")))
+    rng = np.random.default_rng(0)
+    f1, f2, f3 = (sample_disc(h.n, rng) for _ in range(3))
+    first = h.theorem_lhs(f1, f2, f3).observed, h.step4_final(centered(f1), f2).observed
+    tracemalloc.start()
+    try:
+        again = h.theorem_lhs(f1, f2, f3).observed, h.step4_final(centered(f1), f2).observed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    block_bytes = next(row_chunks(h.n, h.n)).stop * h.n * np.dtype(np.complex128).itemsize
+    assert peak < block_bytes, (peak, block_bytes)
 
 
 # -- structural exactness ----------------------------------------------------

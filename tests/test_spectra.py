@@ -239,6 +239,19 @@ def test_misassigned_class_fails_constancy_check(s3):
         character_table(s3, broken)
 
 
+@pytest.mark.parametrize("field", ["class_of", "representatives"])
+def test_singleton_classes_must_be_numbered_by_element(monkeypatch, z6, field):
+    # route A's column c holds element c's values, so classes whose labels permute the
+    # elements would get the canonical table under the wrong columns
+    swap = np.array([0, 2, 1, 3, 4, 5])
+    cc = conjugacy_classes(z6)
+    class_of = swap.astype(np.int32) if field == "class_of" else cc.class_of
+    relabelled = ConjugacyStructure(class_of, swap, cc.class_sizes, 6)
+    monkeypatch.setattr(quasimix.spectra, "_abelian_rows", lambda group: pytest.fail("reached"))
+    with pytest.raises(SpectralInconsistencyError, match="not numbered by their element"):
+        character_table(z6, relabelled)
+
+
 def _partition(labels):
     """The partition of the elements by label, each part represented by its first member;
     nothing checks that the parts are conjugacy classes."""
