@@ -97,7 +97,7 @@ def _check_middle(mul: np.ndarray, s: int) -> None:
     """Raise unless (x*s)*y = x*(s*y) for every x and y: s is in the middle nucleus."""
     n = len(mul)
     for rows in row_chunks(n, n):
-        bad = mul[mul[rows, s]] != mul[rows][:, mul[s]]
+        bad = mul[mul[rows, s]] != np.take(mul[rows], mul[s], axis=1)
         if bad.any():
             x, y = np.argwhere(bad)[0]
             raise CayleyTableError(
@@ -180,10 +180,8 @@ def _group_of_latin_rows(mul: np.ndarray, name: str) -> FiniteGroup:
     if not (np.array_equal(mul[identity], expect) and np.array_equal(mul[:, identity], expect)):
         raise CayleyTableError("no two-sided identity element")
 
+    # rows are Latin, so each row holds the identity once: inv[i] is a right inverse of i
     inv = np.concatenate([np.argmax(mul[rows] == identity, axis=1) for rows in row_chunks(n, n)])
-    if not np.array_equal(mul[expect, inv], np.full(n, identity, np.int32)):
-        i = int(np.argmax(mul[expect, inv] != identity))
-        raise CayleyTableError(f"element {i} has no right inverse")
     if not np.array_equal(mul[inv, expect], np.full(n, identity, np.int32)):
         i = int(np.argmax(mul[inv, expect] != identity))
         raise CayleyTableError(f"inverse of element {i} is not two-sided")
@@ -211,17 +209,42 @@ def build_cyclic(n: int) -> FiniteGroup:
 def _element_table(elements: np.ndarray, compose, key) -> np.ndarray:
     """Multiplication table of the group whose elements are ``elements``, in order.
 
-    ``compose(a, b)`` multiplies each element of the chunk a by each element of b;
-    ``key`` maps elements (their trailing axes) to distinct integers, and a dense
-    key -> index array turns each product back into its position.
+    ``compose(a, b)`` multiplies each element of a by each element of b; ``key`` maps
+    elements (their trailing axes) to distinct integers, and a dense key -> index array
+    turns each product back into its position.  Only a few seed rows are composed: the
+    smallest element whose row is unknown becomes a seed, and a breadth-first search by
+    left multiplication by the seeds fills each row it reaches from the known rows by
+    row(s*i) = row(s)[row(i)], since (s*i)*j = s*(i*j).  The known rows are then the
+    subgroup the seeds generate, which each new seed, lying outside it, at least
+    doubles: at most floor(log2 n) + 1 rows are composed.
     """
     n = len(elements)
     keys = key(elements)
     index = np.full(int(keys.max()) + 1, -1, dtype=np.int32)
     index[keys] = np.arange(n, dtype=np.int32)
     mul = np.empty((n, n), dtype=np.int32)
-    for rows in row_chunks(n, elements.size):  # every temporary <= TEMP_ENTRIES
-        mul[rows] = index[key(compose(elements[rows], elements))]
+    known = np.zeros(n, dtype=bool)
+    seeds: List[int] = []
+    while not known.all():
+        s = int(np.argmin(known))  # the smallest element whose row is unknown
+        mul[s] = index[key(compose(elements[s : s + 1], elements))[0]]
+        known[s] = True
+        seeds.append(s)
+        frontier = np.flatnonzero(known)  # the new seed acts on every known row
+        while len(frontier):
+            filled = []
+            for t in seeds:  # children grouped by seed: each fill reads the one row mul[t]
+                children = mul[t, frontier]
+                fresh = ~known[children]
+                children, parents = children[fresh], frontier[fresh]
+                known[children] = True
+                # the int32 parent rows, np.take's intp copy and the int32 result take 16
+                # bytes an entry; quarter chunks keep them within 256 KB, since a large
+                # group's set-up peaks while its table is built
+                for rows in row_chunks(len(children), 4 * n):
+                    mul[children[rows]] = mul[t].take(mul[parents[rows]])
+                filled.append(children)
+            frontier = np.concatenate(filled)
     return mul
 
 

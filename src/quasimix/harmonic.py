@@ -208,6 +208,7 @@ class Harmonic:
         self.conj = self.group.conjugation_table()
         self._basis: Optional[FourierBasis] = None
         self._blocks: List[np.ndarray] = []  # _gathered's scratch, one row chunk per term
+        self._index: Optional[np.ndarray] = None  # and its point indices, one row chunk
 
     def fourier(self) -> FourierBasis:
         """The group's unitary irreducible representations (built on first use)."""
@@ -263,11 +264,15 @@ class Harmonic:
         )
         return (sums / self.spectral.classes.class_sizes)[cls]
 
-    def _points(self, point: str, rows: slice) -> np.ndarray:
-        """Element indices of the point p(g, x) for g in rows: "gx", "xg", "gxg^-1" or "xg^-1"."""
-        if point == "xg^-1":
-            return self.mul.T[self.inv[rows]]
-        return {"gx": self.mul, "xg": self.mul.T, "gxg^-1": self.conj}[point][rows]
+    def _points(self, point: str, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Write into the intp block ``out`` the element indices of the point p(g, x) for
+        g in rows: "gx", "xg", "gxg^-1" or "xg^-1"."""
+        if point == "xg^-1":  # column g^-1 of mul, one copy per g: fancy indexing the
+            for row, column in zip(out, self.inv[rows].tolist()):  # columns makes a block
+                row[:] = self.mul[:, column]
+        else:
+            np.copyto(out, {"gx": self.mul, "xg": self.mul.T, "gxg^-1": self.conj}[point][rows])
+        return out
 
     def _gathered(self, *terms):
         """Yield (rows, blocks) over row chunks of g, one block per (values, point) term.
@@ -275,19 +280,24 @@ class Harmonic:
         blocks[i][g, x] = values_i(p_i(g, x)); no block is wider than one
         row_chunks slice, and np.take gathers about twice as fast as fancy indexing.
         The blocks are views of complex scratch arrays this object keeps, so a caller
-        uses each chunk's blocks before it takes the next.  A fresh block per chunk
-        (1 MB from n = 256 on) faulted in new pages on every gather whenever glibc
-        malloc's dynamic mmap and trim thresholds had not yet risen that high, which
-        left sl2:7's searches two to three times slower.
+        uses each chunk's blocks before it takes the next.  The point indices go
+        through an intp block that it also keeps, since np.take copies indices of any
+        other dtype to a fresh intp array.  A fresh block per chunk (1 MB from n = 256
+        on) faulted in new pages on every gather whenever glibc malloc's dynamic mmap
+        and trim thresholds had not yet risen that high, which left sl2:7's searches
+        two to three times slower.
         """
         first = next(row_chunks(self.n, self.n))
+        if self._index is None:
+            self._index = np.empty((first.stop, self.n), dtype=np.intp)
         while len(self._blocks) < len(terms):
             self._blocks.append(np.empty((first.stop, self.n), dtype=np.complex128))
         for rows in row_chunks(self.n, self.n):
+            index = self._index[: rows.stop - rows.start]
             yield rows, [
                 # mode="clip" writes straight into out, where "raise" would buffer; every
                 # index is a table entry, so none is clipped
-                values.take(self._points(point, rows), out=block[: rows.stop - rows.start],
+                values.take(self._points(point, rows, index), out=block[: len(index)],
                             mode="clip")
                 for (values, point), block in zip(terms, self._blocks)
             ]

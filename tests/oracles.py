@@ -601,6 +601,19 @@ def loop_permutation_table(m, even_only=False):
     return group_from_table(mul, name=f"{'a' if even_only else 's'}:{m}")
 
 
+def chunked_element_table(elements, compose, key):
+    """``groups._element_table`` by composing every row: ``compose`` on row chunks of
+    ``elements`` against all of them, each temporary at most TEMP_ENTRIES entries."""
+    n = len(elements)
+    keys = key(elements)
+    index = np.full(int(keys.max()) + 1, -1, dtype=np.int32)
+    index[keys] = np.arange(n, dtype=np.int32)
+    mul = np.empty((n, n), dtype=np.int32)
+    for rows in row_chunks(n, elements.size):
+        mul[rows] = index[key(compose(elements[rows], elements))]
+    return mul
+
+
 def _sl2_codes(mats, p):
     a, b, c, d = mats.T
     return ((a * p + b) * p + c) * p + d

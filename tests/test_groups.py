@@ -11,6 +11,7 @@ from oracles import (
     NONASSOC_LOOP,
     all_pairs_commutator_subgroup,
     brute_conjugacy_partition,
+    chunked_element_table,
     inverse,
     loop_permutation_table,
     loop_sl2_table,
@@ -136,6 +137,47 @@ def test_builders_match_row_loop_oracles(token):
     assert group.mul.tobytes() == oracle.mul.tobytes()
     assert np.array_equal(group.inv, oracle.inv)
     assert (group.identity, group.name) == (oracle.identity, oracle.name)
+
+
+def _table_builder(token):
+    """The unvalidated table builder of a permutation or matrix token."""
+    family, arg = token.split(":")
+    if family in ("s", "a"):
+        return lambda: quasimix.groups._permutation_table(int(arg), even_only=family == "a")
+    return lambda: quasimix.groups._sl2_table(int(arg), projective=family == "psl2")
+
+
+@pytest.mark.parametrize("token", ["s:7", "a:7", "sl2:13", "psl2:13"])
+def test_largest_tables_match_the_chunked_oracle(monkeypatch, token):
+    # s:7 is the one built-in token the row-loop oracles above skip; the chunked oracle
+    # composes every row from the same elements, compose and key
+    build = _table_builder(token)
+    table = build()
+    monkeypatch.setattr(quasimix.groups, "_element_table", chunked_element_table)
+    oracle = build()
+    assert table.dtype == oracle.dtype and table.shape == oracle.shape
+    assert table.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("token", BUILT_IN_TOKENS + ["s:7"])
+def test_table_builder_composes_at_most_log2_order_plus_one_rows(monkeypatch, token):
+    calls, orders = [], []
+    real = quasimix.groups._element_table
+
+    def spy(elements, compose, key):
+        orders.append(len(elements))
+
+        def counted(a, b):
+            calls.append((len(a), len(b)))
+            return compose(a, b)
+
+        return real(elements, counted, key)
+
+    monkeypatch.setattr(quasimix.groups, "_element_table", spy)
+    _table_builder(token)()
+    (n,) = orders
+    assert 1 <= len(calls) <= int(np.log2(n)) + 1, calls
+    assert all(call == (1, n) for call in calls)  # one element against every element
 
 
 def test_alternating_7_build_stays_small(subprocess_peak_mb):

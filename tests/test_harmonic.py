@@ -254,8 +254,8 @@ def test_step2_gather_check_catches_a_phase_and_a_wrong_point(monkeypatch, s3_ha
         s3_harmonic.step2_squared(f1, f2, f3)
     monkeypatch.undo()
 
-    def swapped(self, point, rows, _points=Harmonic._points):
-        return _points(self, "gx" if point == "xg" else point, rows)  # f3 at gx, not xg
+    def swapped(self, point, rows, out, _points=Harmonic._points):
+        return _points(self, "gx" if point == "xg" else point, rows, out)  # f3 at gx, not xg
 
     monkeypatch.setattr(Harmonic, "_points", swapped)
     with pytest.raises(RuntimeError, match="step2 gather check failed at g="):
@@ -534,21 +534,33 @@ def test_chain_kernels_stay_small_on_alternating_7(subprocess_peak_mb):
 
 
 def test_gathers_reuse_their_blocks_across_calls():
-    # each row chunk of a gather is taken into scratch the Harmonic keeps: after the
-    # first call, no call allocates a fresh (rows, n) complex block, 1 MB on sl2:7
+    # each row chunk of a gather is taken into complex scratch the Harmonic keeps, through
+    # an intp index block it also keeps: np.take copies int32 indices to a fresh intp
+    # array, and fancy indexing "xg^-1" rows makes a fresh int32 block.  After the first
+    # call, no check allocates even one int32 index block (262 KB on sl2:7).
     h = Harmonic(spectral_data(resolve_group("sl2:7")))
     rng = np.random.default_rng(0)
     f1, f2, f3 = (sample_disc(h.n, rng) for _ in range(3))
-    first = h.theorem_lhs(f1, f2, f3).observed, h.step4_final(centered(f1), f2).observed
-    tracemalloc.start()
-    try:
-        again = h.theorem_lhs(f1, f2, f3).observed, h.step4_final(centered(f1), f2).observed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert again == first
-    block_bytes = next(row_chunks(h.n, h.n)).stop * h.n * np.dtype(np.complex128).itemsize
-    assert peak < block_bytes, (peak, block_bytes)
+    u, v = sample_unit(h.n, rng), sample_unit(h.n, rng)
+    checks = {
+        "theorem": lambda: h.theorem_lhs(f1, f2, f3).observed,
+        "step1": lambda: h.step1_reduced_lhs(centered(f1), f2, f3).observed,
+        "step2": lambda: h.step2_squared(centered(f1), f2, f3).observed,
+        "step4": lambda: h.step4_final(centered(f1), f2).observed,
+        "lemma": lambda: h.lemma_gap(u, v).observed,
+        "corollary": lambda: [c.observed for c in h.corollary_lhs(u, v)],
+    }
+    index_bytes = next(row_chunks(h.n, h.n)).stop * h.n * np.dtype(np.int32).itemsize
+    for name, check in checks.items():
+        first = check()
+        tracemalloc.start()
+        try:
+            again = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first, name
+        assert peak < index_bytes, (name, peak, index_bytes)
 
 
 # -- structural exactness ----------------------------------------------------
