@@ -93,32 +93,21 @@ def _find_duplicate(row: np.ndarray) -> int:
     return int(np.argmax(counts > 1))
 
 
-def _check_middle(mul: np.ndarray, s: int) -> None:
-    """Raise unless (x*s)*y = x*(s*y) for every x and y: s is in the middle nucleus."""
-    n = len(mul)
-    for rows in row_chunks(n, n):
-        bad = mul[mul[rows, s]] != np.take(mul[rows], mul[s], axis=1)
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
-            raise CayleyTableError(
-                f"associativity fails at triple {(rows.start + int(x), s, int(y))}"
-            )
-
-
 def group_from_table(mul, name: str = "table") -> FiniteGroup:
     """Validate a raw multiplication table and wrap it as a FiniteGroup.
 
-    Checks, in order: integer dtype, shape, entry range, Latin-square rows,
-    two-sided identity, two-sided inverses, then exact associativity: each
-    generator s that ``_generators`` draws must satisfy (x*s)*y = x*(s*y) for
-    all x, y.  The elements that do form the loop's middle nucleus, a subgroup
-    (closed under products and inverses), so once the generators reach every
-    element the table is associative.  Each drawn s at least doubles the
-    subgroup reached, so at most floor(log2 n) + 1 are checked: O(n^2 log n).
-    A group's columns are Latin, so the columns are checked only when a later
-    check fails, and a column defect is reported ahead of it.  Violations raise
-    CayleyTableError naming an offending index.  The group holds its own int32
-    copy, so the caller's array is neither frozen nor aliased.
+    Checks, in order: integer dtype, shape, entry range, a two-sided identity,
+    two-sided inverses, then exact associativity in one pass along a tree
+    (``_check_associative``).  Seeds drawn as ``_generators`` draws them, each
+    with its inverse, must satisfy (a*z)*b = a*(z*b) for all z, pairwise; every
+    other row must equal row(t)[row(p)] along the breadth-first tree, child t*p of
+    parent p, that left multiplication by the seeds grows from the identity.  Each
+    row is compared once, and each seed at least doubles the group the earlier
+    ones certify: O(n^2) on any table.  That needs no Latin rows or columns, and
+    a group has both, so the lines are sorted only when a check fails; a row,
+    then a column, that is not a permutation is reported ahead of it.  Violations
+    raise CayleyTableError naming an offending index.  The group holds its own
+    int32 copy, so the caller's array is neither frozen nor aliased.
     """
     mul = np.asarray(mul)
     if not np.issubdtype(mul.dtype, np.integer):  # before any cast, which would truncate
@@ -143,36 +132,29 @@ def _check_shape_and_range(mul: np.ndarray) -> None:
 def _validated_group(mul: np.ndarray, name: str) -> FiniteGroup:
     """group_from_table's checks on a fresh int32 table, which the group then owns."""
     _check_shape_and_range(mul)
-    n = mul.shape[0]
-    expect = np.arange(n, dtype=np.int32)
-    for rows in row_chunks(n, n):  # sorted blocks of rows
-        bad = (np.sort(mul[rows], axis=1) != expect).any(axis=1)
-        if bad.any():
-            i = rows.start + int(np.argmax(bad))
-            raise CayleyTableError(
-                f"row {i} is not a permutation (element {_find_duplicate(mul[i])} repeats)"
-            )
     try:
-        return _group_of_latin_rows(mul, name)
+        return _certified_group(mul, name)
     except CayleyTableError:
-        _check_columns(mul)  # a group's columns are Latin: a column defect is named first
+        _check_latin(mul)  # a group's rows and columns are Latin: a line defect is named first
         raise
 
 
-def _check_columns(mul: np.ndarray) -> None:
+def _check_latin(mul: np.ndarray) -> None:
+    """Raise naming the first row, then the first column, that is not a permutation."""
     n = mul.shape[0]
     expect = np.arange(n, dtype=np.int32)
-    for cols in row_chunks(n, n):  # sorted blocks of columns
-        bad = (np.sort(mul[:, cols], axis=0) != expect[:, None]).any(axis=0)
-        if bad.any():
-            j = cols.start + int(np.argmax(bad))
-            raise CayleyTableError(
-                f"column {j} is not a permutation (element {_find_duplicate(mul[:, j])} repeats)"
-            )
+    for kind, lines in (("row", mul), ("column", mul.T)):
+        for block in row_chunks(n, n):  # sorted blocks of lines
+            bad = (np.sort(lines[block], axis=1) != expect).any(axis=1)
+            if bad.any():
+                i = block.start + int(np.argmax(bad))
+                raise CayleyTableError(
+                    f"{kind} {i} is not a permutation (element {_find_duplicate(lines[i])} repeats)"
+                )
 
 
-def _group_of_latin_rows(mul: np.ndarray, name: str) -> FiniteGroup:
-    """The identity, inverse and associativity checks on a table whose rows are Latin."""
+def _certified_group(mul: np.ndarray, name: str) -> FiniteGroup:
+    """The identity, inverse and associativity checks, which together certify a group."""
     n = mul.shape[0]
     expect = np.arange(n, dtype=np.int32)
     # the one row fixing 0 if column 0 is Latin; if not, no group: a check below fails
@@ -180,16 +162,75 @@ def _group_of_latin_rows(mul: np.ndarray, name: str) -> FiniteGroup:
     if not (np.array_equal(mul[identity], expect) and np.array_equal(mul[:, identity], expect)):
         raise CayleyTableError("no two-sided identity element")
 
-    # rows are Latin, so each row holds the identity once: inv[i] is a right inverse of i
+    # the first identity in each row; a row without one fails the two-sided check
     inv = np.concatenate([np.argmax(mul[rows] == identity, axis=1) for rows in row_chunks(n, n)])
-    if not np.array_equal(mul[inv, expect], np.full(n, identity, np.int32)):
-        i = int(np.argmax(mul[inv, expect] != identity))
-        raise CayleyTableError(f"inverse of element {i} is not two-sided")
+    bad = (mul[expect, inv] != identity) | (mul[inv, expect] != identity)
+    if bad.any():
+        raise CayleyTableError(f"inverse of element {int(np.argmax(bad))} is not two-sided")
 
-    group = FiniteGroup(n, mul, inv, identity, name)
+    _check_associative(mul, identity, inv)
+    return FiniteGroup(n, mul, inv, identity, name)
+
+
+def _check_associative(mul: np.ndarray, identity: int, inv: np.ndarray) -> None:
+    """Raise unless the table, whose identity e and inverses are two-sided, is associative.
+
+    Each round draws a seed s from the elements not yet known, from the stream
+    ``_generators`` draws from, and adds s and its inverse to the seeds S (on a group,
+    S ends as the generators that label the classes).  (B) (a*z)*b = a*(z*b) must hold for all
+    z and each new pair a, b in S.  (A) A breadth-first search by left multiplication
+    by S from every known element makes each new element x = t*p known by one edge,
+    and row(x) must equal row(t)[row(p)].  Why that suffices: by (A) every row map L_x
+    is a composition of maps L_s; by (B) each L_s commutes with each z -> z*t, t in S,
+    so every L_x commutes with every composition d of those; every element is d(e) for
+    some d, since t*d(e) = d(t) = (d after z -> z*t)(e).  L_x after L_y and L_{x*y}
+    both commute with every d and send e to x*y, so they agree on every d(e): the
+    table is associative.  After each round that passes, the known elements form a
+    group, which the next seed, lying outside it, at least doubles: at most
+    floor(log2 n) + 1 rounds, n - 1 row compares and O(n log^2 n) other work, on any
+    table.
+    """
+    n = mul.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(_CLASSES_TAG))
-    _generators(group, rng, certify=lambda s: _check_middle(group.mul, s))
-    return group
+    known = np.zeros(n, dtype=bool)
+    known[identity] = True
+    gens: List[int] = []
+    while not known.all():
+        s = int(rng.choice(np.flatnonzero(~known)))
+        new = [s] if inv[s] == s else [s, int(inv[s])]
+        gens += new
+        _check_pairs(mul, gens, len(new))
+        # the new seeds act on every known row; each child joins the tree by one edge
+        _check_edges(mul, gens, _tree_layers(mul, gens, known, np.flatnonzero(known)))
+
+
+def _check_pairs(mul: np.ndarray, gens: List[int], new: int) -> None:
+    """Raise unless (a*z)*b = a*(z*b) for every z and every pair a, b of ``gens`` that
+    holds one of its last ``new`` members."""
+    columns = mul[:, gens]  # [z, j] = z * gens[j]
+    old = len(gens) - new
+    for i, a in enumerate(gens):
+        js = np.arange(0 if i >= old else old, len(gens))
+        bad = columns[mul[a]][:, js] != mul[a][columns[:, js]]
+        if bad.any():
+            z, j = np.argwhere(bad)[0]
+            raise CayleyTableError(f"associativity fails at triple {(a, int(z), gens[js[j]])}")
+
+
+def _check_edges(mul: np.ndarray, gens: List[int], layers) -> None:
+    """Raise unless row(t*p) = row(t)[row(p)] on each edge of ``layers``, child t*p of p."""
+    children, gen_index, parents = map(np.concatenate, zip(*layers))
+    for k, t in enumerate(gens):  # edges grouped by seed: each compare reads one row mul[t]
+        xs, ps = children[gen_index == k], parents[gen_index == k]
+        # the int32 rows, take's intp copy, its int32 result and the mask take 21 bytes
+        # an entry: quarter chunks keep them near 340 KB, below the table build's peak
+        for rows in row_chunks(len(xs), 4 * mul.shape[0]):
+            bad = mul[xs[rows]] != mul[t].take(mul[ps[rows]])
+            if bad.any():
+                c, y = np.argwhere(bad)[0]
+                raise CayleyTableError(
+                    f"associativity fails at triple {(t, int(ps[rows][c]), int(y))}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -388,38 +429,41 @@ def format_cayley_table(group: FiniteGroup) -> str:
 # generators, conjugacy and commutators
 
 
-def _generators(group: FiniteGroup, rng: np.random.Generator, within=None, certify=None):
+def _generators(group: FiniteGroup, rng: np.random.Generator, within=None):
     """Random unreached elements of the mask ``within`` (every element if None), each with
     its inverse, until they generate what it generates; with their spanning tree.
 
     The tree is the breadth-first layers (children, generator index, parents) from the
     identity, child = gens[index] * parent; its elements are the generated subgroup.
-    ``certify(s)``, when given, runs on each drawn s before the next search; validation
-    passes its associativity check there, so the group may still be an unchecked loop.
     """
     gens: List[int] = []
     while True:
         seen = np.zeros(group.order, dtype=bool)
         seen[group.identity] = True
-        frontier = np.array([group.identity], dtype=np.int64)
-        layers = []
-        while gens:
-            flat = group.mul[np.asarray(gens)[:, None], frontier[None, :]].ravel()
-            fresh = np.flatnonzero(~seen[flat])
-            if not len(fresh):
-                break
-            children, first = np.unique(flat[fresh], return_index=True)
-            gen_index, parent = np.divmod(fresh[first], len(frontier))
-            layers.append((children, gen_index, frontier[parent]))
-            seen[children] = True
-            frontier = children.astype(np.int64)
+        layers = _tree_layers(group.mul, gens, seen, np.array([group.identity], dtype=np.int64))
         unreached = ~seen if within is None else within & ~seen
         if not unreached.any():
             return gens, layers
         s = int(rng.choice(np.flatnonzero(unreached)))
-        if certify is not None:
-            certify(s)
         gens += [s] if group.inv[s] == s else [s, int(group.inv[s])]
+
+
+def _tree_layers(mul: np.ndarray, gens: List[int], seen: np.ndarray, frontier: np.ndarray):
+    """Breadth-first layers (children, generator index, parents) of left multiplication
+    by ``gens`` from ``frontier``, child = gens[index] * parent: each element not yet
+    ``seen`` joins by one edge, and is marked seen."""
+    gens = np.asarray(gens, dtype=np.int64)
+    layers = []
+    while True:
+        flat = mul[gens[:, None], frontier[None, :]].ravel()
+        fresh = np.flatnonzero(~seen[flat])
+        if not len(fresh):
+            return layers
+        children, first = np.unique(flat[fresh], return_index=True)
+        gen_index, parent = np.divmod(fresh[first], len(frontier))
+        layers.append((children, gen_index, frontier[parent]))
+        seen[children] = True
+        frontier = children.astype(np.int64)
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyStructure:

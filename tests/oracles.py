@@ -13,7 +13,13 @@ from typing import Optional
 import numpy as np
 
 from quasimix.adversary import SearchResult, _structured_start, evaluate_inputs
-from quasimix.groups import ConjugacyStructure, FiniteGroup, _generators, group_from_table
+from quasimix.groups import (
+    _CLASSES_TAG,
+    ConjugacyStructure,
+    FiniteGroup,
+    _generators,
+    group_from_table,
+)
 from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic, _disc_clip, _unit_norm
 from quasimix.report import CHECKS
 from quasimix._numutil import abs2, row_chunks
@@ -448,6 +454,72 @@ NONASSOC_LOOP = [
     [3, 2, 4, 0, 1],
     [4, 3, 1, 2, 0],
 ]
+
+
+def brute_is_group(table):
+    """Whether a table is a group, over all n³ triples: associative, with a two-sided
+    identity and two-sided inverses."""
+    mul = np.asarray(table)
+    idx = np.arange(len(mul))
+    if not np.array_equal(mul[mul], mul[:, mul]):  # [x, y, z]: (x*y)*z and x*(y*z)
+        return False
+    units = np.flatnonzero((mul == idx).all(axis=1) & (mul.T == idx).all(axis=1))
+    return len(units) > 0 and ((mul == units[0]) & (mul.T == units[0])).any(axis=1).all()
+
+
+def _line_defect(kind, lines):
+    for i, line in enumerate(lines):
+        counts = np.bincount(line, minlength=len(line))
+        if (counts != 1).any():
+            return f"{kind} {i} is not a permutation (element {int(np.argmax(counts > 1))} repeats)"
+    return None
+
+
+def middle_nucleus_verdict(table):
+    """The message the middle-nucleus certificate rejects a table with, None if it accepts.
+
+    This was validation's path: Latin rows, a two-sided identity, two-sided inverses, then
+    (x*s)*y = x*(s*y) for all x and y for each s drawn, as ``groups._generators`` draws,
+    from the elements the earlier draws and their inverses do not generate.  Such s form
+    the middle nucleus of the loop, a subgroup, so draws that generate every element
+    certify the table.  A column defect is named ahead of any failure after the rows.
+    """
+    mul = np.asarray(table)
+    rows = _line_defect("row", mul)
+    if rows is not None:
+        return rows
+    later = _middle_nucleus_checks(mul)
+    return later and (_line_defect("column", mul.T) or later)
+
+
+def _middle_nucleus_checks(mul):
+    n = len(mul)
+    idx = np.arange(n)
+    identity = int(np.argmax(mul[:, 0] == 0))
+    if not (np.array_equal(mul[identity], idx) and np.array_equal(mul[:, identity], idx)):
+        return "no two-sided identity element"
+    inv = np.argmax(mul == identity, axis=1)  # the rows are Latin: a right inverse each
+    if (mul[inv, idx] != identity).any():
+        return f"inverse of element {int(np.argmax(mul[inv, idx] != identity))} is not two-sided"
+    rng = np.random.default_rng(np.random.SeedSequence(_CLASSES_TAG))
+    gens = []
+    while True:
+        reached = np.zeros(n, dtype=bool)
+        reached[identity] = True
+        while True:  # left multiplication by gens, from the identity, to a fixed point
+            grown = reached.copy()
+            grown[mul[np.ix_(gens, np.flatnonzero(reached))]] = True
+            if np.array_equal(grown, reached):
+                break
+            reached = grown
+        if reached.all():
+            return None
+        s = int(rng.choice(np.flatnonzero(~reached)))
+        bad = mul[mul[:, s]] != mul[:, mul[s]]  # [x, y]: (x*s)*y and x*(s*y)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            return f"associativity fails at triple {(int(x), s, int(y))}"
+        gens += [s] if inv[s] == s else [s, int(inv[s])]
 
 
 def harmonic_for(group, *, seed=0):

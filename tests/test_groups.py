@@ -1,8 +1,12 @@
 """Cayley-table construction, validation, builders, and conjugacy structure."""
 
+import importlib.util
+import pathlib
 import re
+import time
 import tracemalloc
 from itertools import permutations
+from itertools import product as product_of
 
 import numpy as np
 import pytest
@@ -11,11 +15,13 @@ from oracles import (
     NONASSOC_LOOP,
     all_pairs_commutator_subgroup,
     brute_conjugacy_partition,
+    brute_is_group,
     chunked_element_table,
     inverse,
     loop_permutation_table,
     loop_sl2_table,
     column_minimum_conjugacy_classes,
+    middle_nucleus_verdict,
     product,
     product_closure,
     representative_commutator_subgroup,
@@ -282,6 +288,7 @@ def _assert_names_a_violation(table, message):
     x, s, y = map(int, found.groups())
     mul = np.asarray(table)
     assert mul[mul[x, s], y] != mul[x, mul[s, y]], (x, s, y)
+    return x, s, y
 
 
 def test_rejects_non_associative_loop():
@@ -303,63 +310,185 @@ def test_rejects_a_loop_that_few_triples_reveal():
 
 
 def _spy_on_certificate(monkeypatch):
-    """Record, for each element validation certifies, whether it passed."""
-    certified = []
-    real = quasimix.groups._generators
+    """Record each check the associativity certificate runs, in order, as
+    [name, gens, argument, passed]: ``_check_pairs`` opens each seed round and
+    ``_check_edges`` compares the rows of the round's tree."""
+    calls = []
+    for name in ("_check_pairs", "_check_edges"):
 
-    def spy(group, rng, within=None, certify=None):
-        def record(s):
-            certified.append([s, False])
-            certify(s)
-            certified[-1][1] = True
+        def spy(mul, gens, arg, real=getattr(quasimix.groups, name), name=name):
+            calls.append([name, list(gens), arg, False])
+            real(mul, gens, arg)
+            calls[-1][3] = True
 
-        return real(group, rng, within, certify=record if certify is not None else None)
-
-    monkeypatch.setattr(quasimix.groups, "_generators", spy)
-    return certified
+        monkeypatch.setattr(quasimix.groups, name, spy)
+    return calls
 
 
-def _middle_nucleus(table):
-    """Brute force: the elements s with (x*s)*y = x*(s*y) for every x and y."""
-    mul = np.asarray(table)
-    return {s for s in range(len(mul)) if np.array_equal(mul[mul[:, s]], mul[:, mul[s]])}
+def _edges(gens, layers):
+    """(t, child, parent) for each edge of a round's tree, child = t * parent."""
+    return [(gens[k], int(x), int(p)) for xs, ks, ps in layers for x, k, p in zip(xs, ks, ps)]
 
 
 @pytest.mark.parametrize("token", BUILT_IN_TOKENS + ["s:7", "z:1", "z:2", "z:256", "z:5040"])
 def test_associativity_certificate_draws_at_most_log2_order_plus_one(monkeypatch, token):
-    certified = _spy_on_certificate(monkeypatch)
+    calls = _spy_on_certificate(monkeypatch)
     group = resolve_group(token)
-    drawn = [s for s, _ in certified]
-    assert all(ok for _, ok in certified)
-    assert len(set(drawn)) == len(drawn)  # one certification each
-    assert len(drawn) <= int(np.log2(group.order)) + 1, drawn
-    # the certified elements and their inverses are the generators that label the classes
+    assert all(ok for *_, ok in calls)
+    rounds = len(calls) // 2
+    assert [name for name, *_ in calls] == ["_check_pairs", "_check_edges"] * rounds
+    assert rounds <= int(np.log2(group.order)) + 1, calls
+    edges = [edge for name, gens, layers, _ in calls[1::2] for edge in _edges(gens, layers)]
+    assert all(group.mul[t, p] == x for t, x, p in edges)
+    # each non-identity row is compared exactly once, the identity's never
+    assert sorted(x for _, x, _ in edges) == sorted(set(range(group.order)) - {group.identity})
+    # the seeds and their inverses are the generators that label the classes
     rng = np.random.default_rng(np.random.SeedSequence(quasimix.groups._CLASSES_TAG))
-    gens, _ = _generators(group, rng)
-    assert sorted(gens) == sorted({*drawn, *group.inv[drawn].tolist()})
+    assert (calls[-1][1] if calls else []) == _generators(group, rng)[0]
 
 
-def test_associativity_certificate_stops_at_the_first_element_outside_the_nucleus(monkeypatch):
-    certified = _spy_on_certificate(monkeypatch)
+def test_associativity_certificate_stops_at_the_first_failing_pair_or_edge(monkeypatch):
+    calls = _spy_on_certificate(monkeypatch)
     with pytest.raises(CayleyTableError, match="associativity fails at triple") as err:
         group_from_table(NONASSOC_LOOP)
-    nucleus = _middle_nucleus(NONASSOC_LOOP)
-    *passed, (last, ok) = certified
-    assert all(ok and s in nucleus for s, ok in passed)
-    assert not ok and last not in nucleus  # the raise is the last draw
-    assert f", {last}, " in str(err.value)
+    *passed, (name, gens, arg, ok) = calls
+    assert all(ok for *_, ok in passed) and not ok  # the raise is the last check run
+    x, s, y = _assert_names_a_violation(NONASSOC_LOOP, str(err.value))
+    if name == "_check_pairs":  # a pair x, y of the seeds holding a new one, at some s
+        new = gens[len(gens) - arg :]
+        assert {x, y} <= set(gens) and {x, y} & set(new)
+    else:  # an edge, child x*s of parent s
+        assert (x, s) in {(t, p) for t, _, p in _edges(gens, arg)}
 
 
 def test_columns_are_sorted_only_when_a_later_check_fails(monkeypatch):
+    # and the rows too: on a group no line is sorted
     calls = []
-    real = quasimix.groups._check_columns
-    monkeypatch.setattr(quasimix.groups, "_check_columns", lambda mul: calls.append(1) or real(mul))
+    real = quasimix.groups._check_latin
+    monkeypatch.setattr(quasimix.groups, "_check_latin", lambda mul: calls.append(1) or real(mul))
     build_symmetric(4)
     group_from_table(build_cyclic(300).mul)
+    build_symmetric(7)
     assert calls == []
     with pytest.raises(CayleyTableError, match="associativity fails"):
         group_from_table(NONASSOC_LOOP)
     assert calls == [1]
+    with pytest.raises(CayleyTableError, match=r"^row 1 is not a permutation"):
+        group_from_table([[0, 1], [1, 1]])
+    assert calls == [1, 1]
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square of order n whose first row and column read 0..n-1."""
+    square = np.zeros((n, n), dtype=np.int64)
+    square[0] = square[:, 0] = np.arange(n)
+
+    def fill(cell):
+        if cell == n * n:
+            yield square.copy()
+            return
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            yield from fill(cell + 1)
+            return
+        for v in set(range(n)) - set(square[i, :j]) - set(square[:i, j]):
+            square[i, j] = v
+            yield from fill(cell + 1)
+
+    yield from fill(0)
+
+
+def _random_tables(count, seed):
+    """Tables of order 4 to 6 with identity 0 and a random inverse pairing, the other
+    entries uniform, each with a row or a column that is not a permutation."""
+    rng = np.random.default_rng(seed)
+    while count:
+        n = int(rng.integers(4, 7))
+        mul = rng.integers(0, n, size=(n, n))
+        mul[0] = mul[:, 0] = np.arange(n)
+        others = rng.permutation(np.arange(1, n))
+        pairs = int(rng.integers(0, len(others) // 2 + 1))
+        idx = np.arange(n)
+        inv = idx.copy()
+        inv[others[: 2 * pairs]] = others[: 2 * pairs].reshape(-1, 2)[:, ::-1].ravel()
+        mul[idx, inv] = 0
+        if (np.sort(mul) == idx).all() and (np.sort(mul.T) == idx).all():
+            continue  # a Latin square
+        count -= 1
+        yield mul
+
+
+def _verdict(table):
+    try:
+        group_from_table(table)
+    except CayleyTableError as err:
+        return str(err)
+    return None
+
+
+def test_verdicts_match_brute_force_and_the_middle_nucleus_certificate():
+    order_3 = (
+        np.array([[0, 1, 2], [1, a, b], [2, c, d]])
+        for a, b, c, d in product_of(range(3), repeat=4)
+    )
+    latin = [*_reduced_latin_squares(4), *_reduced_latin_squares(5)]
+    assert len(latin) == 4 + 56
+    accepted = 0
+    for table in [*order_3, *latin, *_random_tables(2000, seed=35)]:
+        got, old = _verdict(table), middle_nucleus_verdict(table)
+        assert (got is None) == brute_is_group(table), table
+        if got is not None and got.startswith("associativity"):
+            assert old.startswith("associativity fails at triple"), (got, old)
+            _assert_names_a_violation(table, got)
+        else:
+            assert got == old, table
+        accepted += got is None
+    # Z/3 once; all 4 reduced squares of order 4 (Z/4 three ways, and V4); Z/5 six ways
+    assert accepted == 1 + 4 + 6
+
+
+def test_absorbing_rows_fail_in_one_seed_round(monkeypatch):
+    # identity 0, inverse pairs x and 5039 - x, and s*y = s for every other y: the rows
+    # are far from Latin, yet every element has a two-sided inverse.  Left multiplication
+    # by a seed and its inverse reaches no new element past them, so a certificate that
+    # only searched would draw about n/2 seeds; the pair check fails on the first.
+    calls = _spy_on_certificate(monkeypatch)
+    mul = _rejections().absorbing_table(5039)
+    start = time.perf_counter()
+    with pytest.raises(
+        CayleyTableError, match=r"^row 1 is not a permutation \(element 1 repeats\)$"
+    ):
+        group_from_table(mul)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    assert 1 <= sum(name == "_check_pairs" for name, *_ in calls) <= 2, calls
+
+
+def _rejections():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "rejections.py"
+    spec = importlib.util.spec_from_file_location("rejections", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rejection_listing_names_each_axiom_it_breaks():
+    tool = _rejections()
+    lines = {
+        label: tool.verdict(table, group_from_table, CayleyTableError)
+        for label, table in tool.tables()
+    }
+    assert lines == {
+        "row": "row 1 is not a permutation (element 1 repeats)",
+        "column": "column 0 is not a permutation (element 0 repeats)",
+        "row-second-block-z300": "row 250 is not a permutation (element 258 repeats)",
+        "column-second-block-z300": "column 240 is not a permutation (element 265 repeats)",
+        "identity": "no two-sided identity element",
+        "one-sided-inverse": "inverse of element 2 is not two-sided",
+        "nonassociative-loop": tool.VIOLATED,
+        "intercalate-z4096": tool.VIOLATED,
+        "absorbing-rows-5039": "row 1 is not a permutation (element 1 repeats)",
+    }
 
 
 def test_relabeled_copy_is_valid():
