@@ -146,8 +146,8 @@ def sample_unit(n: int, rng: np.random.Generator) -> GroupFunction:
 def _fourier_grams(basis: FourierBasis, coeffs: np.ndarray):
     """Yield (d, V*V) for each run of degree d: the Gram V(ρ)*V(ρ) of every row's block.
 
-    ``coeffs`` holds Fourier coefficients ``values @ basis.matrix`` row by row; a
-    degree-1 block is a scalar, whose Gram is |V|².
+    ``coeffs`` holds Fourier coefficients ``basis.transform(values)`` row by row, in
+    the column layout of ``basis.runs``; a degree-1 block is a scalar, whose Gram is |V|².
     """
     for d, cols in basis.runs:
         block = coeffs[:, cols]
@@ -195,7 +195,8 @@ class Harmonic:
 
     Wraps a SpectralData bundle and exposes the inequality left-hand sides as
     methods, all pure: results depend only on the inputs.  The group's Fourier
-    basis is built on the first call that needs it and kept with this object.
+    basis is built on the first call that needs it and kept with this object,
+    and so is the half sweep of step3 and step4sub (_half_sweep).
     """
 
     spectral: SpectralData
@@ -207,6 +208,7 @@ class Harmonic:
         self.inv = self.group.inv
         self.conj = self.group.conjugation_table()
         self._basis: Optional[FourierBasis] = None
+        self._sweep: Optional[Tuple[np.ndarray, np.ndarray]] = None  # _half_sweep's (h, weight)
         self._blocks: List[np.ndarray] = []  # _gathered's scratch, one row chunk per term
         self._index: Optional[np.ndarray] = None  # and its point indices, one row chunk
 
@@ -215,6 +217,14 @@ class Harmonic:
         if self._basis is None:
             self._basis = fourier_basis(self.group, self.spectral.classes, self.spectral.table)
         return self._basis
+
+    def _half_sweep(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The h of step3's and step4sub's sweep, the lesser of each pair {h, h⁻¹}, and its
+        weight, 2, or 1 where h² = e: (n + #{h : h² = e})/2 rows (built on first use)."""
+        if self._sweep is None:
+            h = np.flatnonzero(np.arange(self.n) <= self.inv)
+            self._sweep = (h, np.where(self.inv[h] == h, 1.0, 2.0))
+        return self._sweep
 
     # -- degree-driven bounds ------------------------------------------------
 
@@ -264,9 +274,9 @@ class Harmonic:
         )
         return (sums / self.spectral.classes.class_sizes)[cls]
 
-    def _points(self, point: str, rows: slice, out: np.ndarray) -> np.ndarray:
+    def _points(self, point: str, rows, out: np.ndarray) -> np.ndarray:
         """Write into the intp block ``out`` the element indices of the point p(g, x) for
-        g in rows: "gx", "xg", "gxg^-1" or "xg^-1"."""
+        g in rows, a slice or an index array: "gx", "xg", "gxg^-1" or "xg^-1"."""
         if point == "xg^-1":  # column g^-1 of mul, one copy per g: fancy indexing the
             for row, column in zip(out, self.inv[rows].tolist()):  # columns makes a block
                 row[:] = self.mul[:, column]
@@ -274,11 +284,13 @@ class Harmonic:
             np.copyto(out, {"gx": self.mul, "xg": self.mul.T, "gxg^-1": self.conj}[point][rows])
         return out
 
-    def _gathered(self, *terms):
+    def _gathered(self, *terms, g: Optional[np.ndarray] = None):
         """Yield (rows, blocks) over row chunks of g, one block per (values, point) term.
 
-        blocks[i][g, x] = values_i(p_i(g, x)); no block is wider than one
-        row_chunks slice, and np.take gathers about twice as fast as fancy indexing.
+        blocks[i][j, x] = values_i(p_i(g_j, x)), g_j = g[rows][j] for an index array g of
+        elements.  g = None is every element, g_j = rows.start + j, and slices the tables
+        where an index array copies its rows first.  No block is wider than one row_chunks
+        slice, and np.take gathers about twice as fast as fancy indexing.
         The blocks are views of complex scratch arrays this object keeps, so a caller
         uses each chunk's blocks before it takes the next.  The point indices go
         through an intp block that it also keeps, since np.take copies indices of any
@@ -292,12 +304,13 @@ class Harmonic:
             self._index = np.empty((first.stop, self.n), dtype=np.intp)
         while len(self._blocks) < len(terms):
             self._blocks.append(np.empty((first.stop, self.n), dtype=np.complex128))
-        for rows in row_chunks(self.n, self.n):
+        for rows in row_chunks(self.n if g is None else len(g), self.n):
             index = self._index[: rows.stop - rows.start]
+            elements = rows if g is None else g[rows]
             yield rows, [
                 # mode="clip" writes straight into out, where "raise" would buffer; every
                 # index is a table entry, so none is clipped
-                values.take(self._points(point, rows, index), out=block[: len(index)],
+                values.take(self._points(point, elements, index), out=block[: len(index)],
                             mode="clip")
                 for (values, point), block in zip(terms, self._blocks)
             ]
@@ -405,21 +418,27 @@ class Harmonic:
         b_h(x) = f1(x)·conj(f1(xh⁻¹)); by Plancherel over the irreps ρ it equals
         Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h) with V_h = Σ_x conj a_h(x)ρ(x) and
         Y_h = Σ_x b_h(x)ρ(x), so observed = Σ_h Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h)/n⁵,
-        taken with one GEMM against the Fourier basis per block of h.  The
-        value is real and ≥ 0 (a trace of two positive matrices); the imaginary
-        residue is checked against 1e-9 before discarding.
+        taken with one real GEMM against the Fourier basis per block of h.  The
+        h⁻¹ term equals the h term (the term of ρ at h⁻¹ is the conjugate of the
+        term of ρ̄ at h), so the sum runs over one h of each pair {h, h⁻¹}, with
+        weight 2, or 1 where h² = e.  The value is real and ≥ 0 (a trace of two
+        positive matrices); the imaginary residue is checked against 1e-9 before
+        discarding.
         """
         self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
         basis = self.fourier()
+        hs, weights = self._half_sweep()
         total = 0.0 + 0.0j
         terms = ((f2.values, "gxg^-1"), (np.conj(f1.values), "xg^-1"))
-        for _, (f2_conj, conj_f1_t) in self._gathered(*terms):
+        for rows, (f2_conj, conj_f1_t) in self._gathered(*terms, g=hs):
             conj_a = np.conj(f2.values) * f2_conj
             b = f1.values * conj_f1_t
-            coeffs = np.concatenate([conj_a, b]) @ basis.matrix  # rows V_h, then rows Y_h
+            coeffs = basis.transform(np.concatenate([conj_a, b]))  # rows V_h, then rows Y_h
+            weight = weights[rows, None]
             for d, gram in _fourier_grams(basis, coeffs):
-                total += d * np.vdot(gram[len(b) :], gram[: len(b)])
+                y_grams = gram[len(b) :].reshape(len(b), -1)
+                total += d * np.vdot(weight * y_grams, gram[: len(b)])
         return self._check("step3", _real_nonnegative(total / self.n**5, "step3_intermediate"))
 
     def step4_final(self, f1: GroupFunction, f2: GroupFunction) -> BoundCheck:
@@ -436,16 +455,18 @@ class Harmonic:
         return self._check("step4", float(np.mean(abs2(inner_t) * abs2(inner_c))))
 
     def _substitution_distances(self, f2: GroupFunction, f2_conj: np.ndarray) -> np.ndarray:
-        """The step-4 substitution distance at every h of the rows f2_conj[h, x] = f2(hxh⁻¹).
+        """The step-4 substitution distance at each h of the rows f2_conj[j, x] = f2(hxh⁻¹).
 
         observed_h = ‖E(F2·conj(F2)S̃^hT̃^h | Δ) − |(1/n) Σ f2·conj(f2(h·h⁻¹))|²‖ in L²(μ⊗μ),
         the twisted diagonal expectation's distance from its scalar mean.  E(·|Δ)
         reduces the pair function to the profile φ_h(z) = (1/n) Σ_x a_h(x)·conj(a_h(xz)),
         and subtracting the scalar removes exactly its trivial Fourier component,
-        so by Plancherel observed_h² = Σ_{ρ≠1} d_ρ·‖V_h*V_h‖²_F / n⁴.
+        so by Plancherel observed_h² = Σ_{ρ≠1} d_ρ·‖V_h*V_h‖²_F / n⁴, one real GEMM of
+        step3's kind.  a_{h⁻¹}(hyh⁻¹) = conj a_h(y), so V_{h⁻¹} in ρ is the conjugate of
+        ρ(h)·V_h·ρ(h)⁻¹ in ρ̄, with the same Frobenius norms: observed_{h⁻¹} = observed_h.
         """
         basis = self.fourier()
-        coeffs = (np.conj(f2.values) * f2_conj) @ basis.matrix
+        coeffs = basis.transform(np.conj(f2.values) * f2_conj)
         coeffs[:, basis.trivial_column] = 0.0
         total = np.zeros(len(coeffs))
         for d, gram in _fourier_grams(basis, coeffs):
@@ -453,11 +474,16 @@ class Harmonic:
         return np.sqrt(total) / self.n**2
 
     def step4_substitution_sweep(self, f2: GroupFunction) -> BoundCheck:
-        """The worst over every h in the group of _substitution_distances; bound = D^(-1/2)."""
+        """The worst of _substitution_distances over every h in the group; bound = D^(-1/2).
+
+        The distance at h⁻¹ is the distance at h, so the sweep takes its maximum over
+        one h of each pair {h, h⁻¹}.
+        """
         self._require(f2, "f2", disc=True)
+        hs, _ = self._half_sweep()
         worst = max(
             float(self._substitution_distances(f2, f2_conj).max())
-            for _, (f2_conj,) in self._gathered((f2.values, "gxg^-1"))
+            for _, (f2_conj,) in self._gathered((f2.values, "gxg^-1"), g=hs)
         )
         return self._check("step4_lemma_substitution", worst)
 

@@ -366,26 +366,94 @@ def isotypic_project(
 
 @dataclass(eq=False)
 class FourierBasis:
-    """Unitary irreducible representations, one per character-table row, as one matrix.
+    """Unitary irreducible representations, one per character-table row, as one real matrix.
 
-    ``matrix[x, offset_r + i*d_r + j]`` = ρ_r(x)[i, j], rows r in table order
-    (d_r² columns each, Σd_r² = n), so ``values @ matrix`` holds the Fourier
-    coefficients Σ_x f(x)ρ(x) of every row of ``values`` at once.  ``runs``
-    lists (d, column slice) for each run of consecutive rows of equal degree;
+    The Fourier coefficients Σ_x f(x)ρ_r(x) of a function f are n complex numbers;
+    ρ_r(x)[i, j] is at column ``offsets[r] + i*d_r + j`` (d_r² columns a row, Σd_r² = n).
+    The rows of Frobenius–Schur indicator +1 come first, in table order, with real
+    orthogonal ρ_r: ``matrix`` holds their R = ``real_columns`` columns as they are.  The
+    other rows follow, in table order, in complex form: ``matrix`` holds the real parts of
+    columns R to n in its columns R to n, and their imaginary parts in its columns n to
+    2n − R.  So ``matrix`` is n×(2n − R) float64 (8n·(2n − R) bytes), and ``transform``
+    takes the coefficients of many functions with one real GEMM.  ``runs`` lists
+    (d, column slice) for each run of consecutive blocks of equal degree and one type;
     ``trivial_column`` is the column of the trivial representation.
     """
 
-    matrix: np.ndarray  # (n, n) complex128
+    matrix: np.ndarray  # (n, 2n - real_columns) float64
+    real_columns: int
+    offsets: np.ndarray  # (k,) int64: the first column of each table row
     runs: Tuple[Tuple[int, slice], ...]
     trivial_column: int
 
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        """The (b, n) complex Fourier coefficients of the b rows of ``values``.
+
+        One GEMM of [Re values; Im values] against ``matrix``: a real column's two products
+        are its coefficient's real and imaginary parts, and on a complex column ρ = A + iB,
+        (Re f + i·Im f)·ρ = (Re f·A − Im f·B) + i·(Re f·B + Im f·A).
+        """
+        n, b, r = len(self.matrix), len(values), self.real_columns
+        stacked = np.concatenate([values.real, values.imag]) @ self.matrix
+        top, bottom = stacked[:b], stacked[b:]
+        coeffs = np.empty((b, n), dtype=np.complex128)
+        coeffs.real[:, :r], coeffs.imag[:, :r] = top[:, :r], bottom[:, :r]
+        np.subtract(top[:, r:n], bottom[:, n:], out=coeffs.real[:, r:])
+        np.add(top[:, n:], bottom[:, r:n], out=coeffs.imag[:, r:])
+        return coeffs
+
+
+def _rho(basis: FourierBasis, rows, cols: slice) -> np.ndarray:
+    """The entries of coefficient columns ``cols``, all of one type, at the elements ``rows``:
+    as stored on the real columns, real part plus i times imaginary part on the others."""
+    part = basis.matrix[rows, cols]
+    if cols.start < basis.real_columns:
+        return part
+    shift = basis.matrix.shape[1] - len(basis.matrix)
+    return part + 1j * basis.matrix[rows, cols.start + shift : cols.stop + shift : cols.step]
+
+
+def _indicators(group: FiniteGroup, classes: ConjugacyStructure, table: CharacterTable):
+    """The Frobenius–Schur indicator ν(χ) = (1/n)·Σ_x χ(x²) of every row, as exact integers.
+
+    ν is +1, 0 or −1 as χ is the character of a real, a complex or a quaternionic irrep
+    (Serre, Linear Representations of Finite Groups (1977), §13.2).  Column orthogonality,
+    Σ_χ χ(1)·χ(g) = n·[g = e], gives Σ_χ ν(χ)·χ(1) = #{x : x² = e}, an identity between
+    integers.  SpectralInconsistencyError is raised unless every ν rounds to −1, 0 or 1,
+    that count holds, and every row of ν = +1 is real.  One O(n) pass over x ↦ x².
+    """
+    n, k = group.order, classes.num_classes
+    squares = np.bincount(classes.class_of[np.diagonal(group.mul)], minlength=k)
+    sums = table.values @ squares / n
+    nu = np.rint(sums.real)
+    off = ~((np.abs(sums - nu) <= TRACE_TOL) & np.isin(nu, (-1, 0, 1)))  # nan is off too
+    if off.any():
+        row = int(np.argmax(off))
+        raise SpectralInconsistencyError(
+            f"row {row}: Frobenius–Schur indicator {complex(sums[row]):.6g} is not -1, 0 or 1"
+        )
+    nu, identity = nu.astype(np.int64), classes.class_of[group.identity]
+    # χ(1) from the values: a wrong degree is the rank check's to name (_isotypic_factor)
+    count = int(nu @ np.rint(table.values[:, identity].real).astype(np.int64))
+    involutions = int(squares[identity])
+    if count != involutions:
+        raise SpectralInconsistencyError(
+            f"Frobenius–Schur count {count} is not #{{x : x² = e}} = {involutions}"
+        )
+    nonreal = (nu == 1) & (np.abs(table.values.imag) > TRACE_TOL).any(axis=1)
+    if nonreal.any():
+        row = int(np.argmax(nonreal))
+        raise SpectralInconsistencyError(f"row {row} has indicator +1 but a non-real character")
+    return nu
+
 
 def _probe_weights(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Complex Gaussian weights for a commutant probe.
+    """Complex Gaussian weights for the commutant probe of a row whose indicator is not +1.
 
     They must be complex: on a quaternionic row, real weights give a probe that
     commutes with the row's antiunitary structure, so every eigenvalue is double
-    (Kramers) and no draw splits the row.
+    (Kramers) and no draw splits the row.  A row of indicator +1 is built in real
+    arithmetic, and its probe takes real weights (_irreducible_frame).
     """
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
@@ -401,12 +469,13 @@ def _isotypic_factor(group: FiniteGroup, phi: np.ndarray, d: int, row: int) -> n
     table's degree for this row is wrong.  Otherwise L*L - I is below
     n·tol = BASIS_TOL·d² in norm, and one Newton-Schulz step,
     L <- L (3I - L*L)/2 (Björck and Bowie, SIAM J. Numer. Anal. 8 (1971)),
-    squares that residue down to rounding with two GEMMs.
+    squares that residue down to rounding with two GEMMs.  L has phi's dtype: a
+    real chi makes P real symmetric, and the factor real.
     """
     n = group.order
     m = d * d
     tol = BASIS_TOL * m / n
-    factor = np.empty((n, m), dtype=np.complex128)
+    factor = np.empty((n, m), dtype=phi.dtype)
     residual = np.full(n, phi[group.identity].real)
     for k in range(m):
         p = int(np.argmax(residual))
@@ -427,7 +496,7 @@ def _isotypic_factor(group: FiniteGroup, phi: np.ndarray, d: int, row: int) -> n
             f"(residual {residual.max():.3g} after {m} pivots)"
         )
 
-    gram = np.zeros((m, m), dtype=np.complex128)
+    gram = np.zeros((m, m), dtype=factor.dtype)
     for rows in row_chunks(n, m):
         gram += factor[rows].conj().T @ factor[rows]
     step = (3 * np.eye(m) - gram) / 2
@@ -446,7 +515,10 @@ def _irreducible_frame(
     eigenvalues of multiplicity d; its lowest eigenspace is irreducible.  c is
     supported on PROBE_SIZE random elements t and their inverses, so on the
     frame L, (R L)[x] = sum_t c(t)·L[x t] costs O(n·d²) per support element.
-    Draws whose lowest cluster is not separated are retried.
+    A real phi (indicator +1) gives a real frame and takes real weights, c(t^-1) =
+    c(t): R is then real symmetric in the commutant M_d(R) of the real component,
+    so its lowest eigenspace is a real irreducible copy.  Any other row takes the
+    complex _probe_weights.  Draws whose lowest cluster is not separated are retried.
     """
     n = group.order
     m = d * d
@@ -454,9 +526,12 @@ def _irreducible_frame(
     failure = "no attempt made"
     for _ in range(DEFAULT_ATTEMPTS):
         t = rng.integers(0, n, size=PROBE_SIZE)
-        c = _probe_weights(rng, PROBE_SIZE)
+        if np.iscomplexobj(frame):
+            c = _probe_weights(rng, PROBE_SIZE)
+        else:
+            c = rng.standard_normal(PROBE_SIZE)
         support, weights = np.concatenate([t, group.inv[t]]), np.concatenate([c, c.conj()])
-        herm = np.zeros((m, m), dtype=np.complex128)
+        herm = np.zeros((m, m), dtype=frame.dtype)
         for rows in row_chunks(n, m):
             at = group.mul[rows][:, support]  # x t for each support element t
             image = sum(w * frame[at[:, j]] for j, w in enumerate(weights))  # (R L)[rows]
@@ -488,32 +563,31 @@ def _check_basis(
     every x makes rho a homomorphism; unitary rho(s) makes every rho(g) unitary;
     tr rho = chi on orthonormal table rows makes each block irreducible and the
     rows inequivalent.  So Schur orthogonality holds: E*E = I for E scaled by
-    sqrt(d/n) per column, with no n×n product formed.
+    sqrt(d/n) per column, with no n×n product formed.  Each run is read in its
+    own type, so the real blocks are certified in real arithmetic.
     """
     n = group.order
-    E = basis.matrix
     homomorphism = unitarity = 0.0
     for d, cols in basis.runs:
-        for s in gens:
-            rho_s = E[s, cols].reshape(-1, d, d)
+        rho_gens = [_rho(basis, s, cols).reshape(-1, d, d) for s in gens]
+        for rho_s in rho_gens:
             residue = rho_s @ rho_s.conj().transpose(0, 2, 1) - np.eye(d)
             unitarity = max(unitarity, float(np.abs(residue).max()))
-            for rows in row_chunks(n, n):
-                if d == 1:
-                    lhs = E[s, cols] * E[rows, cols]
-                else:
-                    lhs = rho_s @ E[rows, cols].reshape(-1, len(rho_s), d, d)
-                rhs = E[group.mul[s, rows], cols].reshape(lhs.shape)
+        for rows in row_chunks(n, n):
+            block = _rho(basis, rows, cols).reshape(rows.stop - rows.start, -1, d, d)
+            for s, rho_s in zip(gens, rho_gens):
+                lhs = rho_s * block if d == 1 else rho_s @ block
+                rhs = _rho(basis, group.mul[s, rows], cols).reshape(lhs.shape)
                 homomorphism = max(homomorphism, float(np.abs(lhs - rhs).max()))
     if homomorphism > BASIS_TOL:
         raise SpectralInconsistencyError(f"Fourier basis homomorphism residue {homomorphism:.3g}")
     if unitarity > BASIS_TOL:
         raise SpectralInconsistencyError(f"Fourier basis unitarity residue {unitarity:.3g}")
 
-    offsets = np.cumsum(table.degrees**2) - table.degrees**2
-    traces = np.stack(
-        [E[:, off : off + d * d : d + 1].sum(axis=1) for off, d in zip(offsets, table.degrees)]
-    )
+    traces = np.stack([
+        _rho(basis, slice(None), slice(int(off), int(off + d * d), int(d + 1))).sum(axis=1)
+        for off, d in zip(basis.offsets, table.degrees)
+    ])
     worst = float(np.abs(traces - table.values[:, classes.class_of]).max())
     if worst > TRACE_TOL:
         raise SpectralInconsistencyError(
@@ -530,34 +604,55 @@ def fourier_basis(
     subspace of the regular representation is split off (Dixon, Math. Comp. 24
     (1970), numerically), rho(s) = W* lambda(s) W is formed on a few random
     generators s, and every rho(x) follows along a breadth-first tree over them:
-    rho(s y) = rho(s) rho(y).  _check_basis certifies the result on those generators.
+    rho(s y) = rho(s) rho(y).  A row of Frobenius–Schur indicator +1 (_indicators)
+    runs all of this in real arithmetic, so its rho is real orthogonal; the other
+    rows run it in complex.  _check_basis certifies the result on the generators.
     Random draws come from a fixed seed, so the basis is a function of the table.
     """
     n = group.order
+    real = _indicators(group, classes, table) == 1
     rng = np.random.default_rng(np.random.SeedSequence(_FOURIER_TAG))
     gens, layers = _generators(group, rng)
     degrees = table.degrees
-    offsets = np.concatenate([[0], np.cumsum(degrees**2)])
-    E = np.empty((n, n), dtype=np.complex128)
+    order = np.argsort(~real, kind="stable")  # the real rows first, each type in table order
+    ends = np.cumsum(degrees[order] ** 2)
+    offsets = np.empty(len(degrees), dtype=np.int64)
+    offsets[order] = ends - degrees[order] ** 2
+    real_columns = int((degrees[real] ** 2).sum())
+    shift = n - real_columns  # from a complex column's real part to its imaginary part
+    E = np.empty((n, n + shift))
     for r, d in enumerate(degrees):
         chi = table.values[r][classes.class_of]
+        cols = slice(int(offsets[r]), int(offsets[r] + d * d))
+        if real[r]:
+            chi = chi.real
+            rho = E[:, cols].reshape(n, d, d)  # a view: filled in place
+        else:
+            rho = np.empty((n, d, d), dtype=np.complex128)
         if d == 1:
-            E[:, offsets[r]] = chi
-            continue
-        frame = _irreducible_frame(group, (d / n) * chi.conj(), int(d), rng, r)
-        # (lambda(s) W)[y] = W[s^-1 y]
-        rho_gens = np.stack([frame.conj().T @ frame[group.mul[group.inv[s]]] for s in gens])
-        rho = E[:, offsets[r] : offsets[r + 1]].reshape(n, d, d)  # a view: filled in place
-        rho[group.identity] = np.eye(d)
-        for children, gen_index, parents in layers:
-            rho[children] = rho_gens[gen_index] @ rho[parents]
+            rho[:, 0, 0] = chi
+        else:
+            frame = _irreducible_frame(group, (d / n) * chi.conj(), int(d), rng, r)
+            # (lambda(s) W)[y] = W[s^-1 y]
+            rho_gens = np.stack([frame.conj().T @ frame[group.mul[group.inv[s]]] for s in gens])
+            rho[group.identity] = np.eye(d)
+            for children, gen_index, parents in layers:
+                rho[children] = rho_gens[gen_index] @ rho[parents]
+        if not real[r]:
+            E[:, cols] = rho.real.reshape(n, -1)
+            E[:, cols.start + shift : cols.stop + shift] = rho.imag.reshape(n, -1)
 
-    starts = np.flatnonzero(np.diff(degrees, prepend=0))
-    ends = np.append(starts[1:], len(degrees))
+    # runs of one degree and one type, over the blocks in column order
+    new = np.diff(degrees[order], prepend=0) != 0
+    new[1:] |= real[order][1:] != real[order][:-1]
+    starts = np.flatnonzero(new)
+    stops = np.append(starts[1:], len(degrees))
+    bounds = np.concatenate([[0], ends])
     runs = tuple(
-        (int(degrees[a]), slice(int(offsets[a]), int(offsets[b]))) for a, b in zip(starts, ends)
+        (int(degrees[order[a]]), slice(int(bounds[a]), int(bounds[b])))
+        for a, b in zip(starts, stops)
     )
-    basis = FourierBasis(E, runs, int(offsets[table.trivial_row]))
+    basis = FourierBasis(E, real_columns, offsets, runs, int(offsets[table.trivial_row]))
     _check_basis(group, classes, table, basis, gens)
     return basis
 

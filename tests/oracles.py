@@ -20,7 +20,14 @@ from quasimix.groups import (
     _generators,
     group_from_table,
 )
-from quasimix.harmonic import ConstraintError, GroupFunction, Harmonic, _disc_clip, _unit_norm
+from quasimix.harmonic import (
+    ConstraintError,
+    GroupFunction,
+    Harmonic,
+    _disc_clip,
+    _fourier_grams,
+    _unit_norm,
+)
 from quasimix.report import CHECKS
 from quasimix._numutil import abs2, row_chunks
 from quasimix.spectra import (
@@ -35,6 +42,7 @@ from quasimix.spectra import (
     SpectralInconsistencyError,
     _check_basis,
     _check_classes,
+    _irreducible_frame,
     _sorted_rows,
     class_algebra,
     isotypic_project,
@@ -842,8 +850,35 @@ def projection_fourier_basis(group, classes, table):
     """The Fourier basis by the dense-projection route: O(n²·d²) work per non-linear row.
 
     The same tree fill and cross-checks as ``fourier_basis``, from frames
-    found by a Gaussian projection, a QR and a dense commutant probe.
+    found by a Gaussian projection, a QR and a dense commutant probe, every row
+    in complex arithmetic.
     """
+    def frame(r, d, rng):
+        return _projected_irreducible_frame(group, classes.class_of, table.values[r], d, rng)
+
+    return _complex_tree_basis(group, classes, table, frame)
+
+
+def complex_fourier_basis(group, classes, table):
+    """The Fourier basis with every row built in complex arithmetic, real-type rows too.
+
+    This was ``fourier_basis``' route before the rows of Frobenius–Schur indicator +1
+    were built in real arithmetic: the package's pivoted Cholesky and commutant probe on
+    the complex phi = (d/n)·conj chi, with the complex _probe_weights, then the same tree
+    fill.  It is certified by _check_basis and stored with no real column.
+    """
+    n = group.order
+
+    def frame(r, d, rng):
+        phi = (d / n) * table.values[r][classes.class_of].conj()
+        return _irreducible_frame(group, phi, d, rng, r)
+
+    return _complex_tree_basis(group, classes, table, frame)
+
+
+def _complex_tree_basis(group, classes, table, frame_of):
+    """A certified FourierBasis, all of whose rows are complex, from frame_of(r, d, rng): an n×d
+    orthonormal frame of an irreducible subspace of row r, from which the tree fills ρ."""
     n = group.order
     rng = np.random.default_rng(np.random.SeedSequence(_FOURIER_TAG))
     gens, layers = _generators(group, rng)
@@ -851,11 +886,10 @@ def projection_fourier_basis(group, classes, table):
     offsets = np.concatenate([[0], np.cumsum(degrees**2)])
     E = np.empty((n, n), dtype=np.complex128)
     for r, d in enumerate(degrees):
-        chi = table.values[r]
         if d == 1:
-            E[:, offsets[r]] = chi[classes.class_of]
+            E[:, offsets[r]] = table.values[r][classes.class_of]
             continue
-        frame = _projected_irreducible_frame(group, classes.class_of, chi, int(d), rng)
+        frame = frame_of(r, int(d), rng)
         rho_gens = np.stack([frame.conj().T @ frame[group.mul[group.inv[s]]] for s in gens])
         rho = E[:, offsets[r] : offsets[r + 1]].reshape(n, d, d)
         rho[group.identity] = np.eye(d)
@@ -867,9 +901,61 @@ def projection_fourier_basis(group, classes, table):
     runs = tuple(
         (int(degrees[a]), slice(int(offsets[a]), int(offsets[b]))) for a, b in zip(starts, ends)
     )
-    basis = FourierBasis(E, runs, int(offsets[table.trivial_row]))
+    matrix = np.concatenate([E.real, E.imag], axis=1)  # real_columns = 0: every column complex
+    basis = FourierBasis(matrix, 0, offsets[:-1], runs, int(offsets[table.trivial_row]))
     _check_basis(group, classes, table, basis, gens)
     return basis
+
+
+def complex_basis(basis):
+    """The n×n complex matrix E[x, c] = entry c of ρ(x) of a FourierBasis, the coefficient
+    columns in the basis's own order (that of ``runs`` and ``offsets``)."""
+    n = len(basis.matrix)
+    E = basis.matrix[:, :n].astype(np.complex128)
+    E.imag[:, basis.real_columns :] = basis.matrix[:, n:]
+    return E
+
+
+def repacked(basis, E):
+    """A FourierBasis in the layout of ``basis`` that holds the complex matrix E of
+    complex_basis' form: the real parts of E's real columns, and both parts of the others."""
+    matrix = np.concatenate([E.real, E.imag[:, basis.real_columns :]], axis=1)
+    return FourierBasis(matrix, basis.real_columns, basis.offsets, basis.runs,
+                        basis.trivial_column)
+
+
+def full_sweep_step3_terms(h, basis, f1, f2):
+    """step3's term at every h, summing to its observed value: every h, no pair {h, h⁻¹}
+    folded, and a complex GEMM against complex_basis, gathered straight from the tables.
+
+    The term at h is Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h)/n⁵ with V_h = Σ_x conj a_h(x)ρ(x),
+    Y_h = Σ_x b_h(x)ρ(x), a_h(x) = f2(x)·conj f2(hxh⁻¹), b_h(x) = f1(x)·conj f1(xh⁻¹).
+    """
+    n, E = h.n, complex_basis(basis)
+    conj_f1, terms = np.conj(f1.values), np.zeros(n, dtype=np.complex128)
+    for rows in row_chunks(n, n):
+        conj_a = np.conj(f2.values) * f2.values[h.conj[rows]]
+        b = f1.values * conj_f1[h.mul[:, h.inv[rows]].T]
+        coeffs = np.concatenate([conj_a, b]) @ E
+        for d, gram in _fourier_grams(basis, coeffs):
+            pair = np.conj(gram[len(b) :]) * gram[: len(b)]
+            terms[rows] += d * pair.reshape(len(b), -1).sum(axis=1)
+    return terms / n**5
+
+
+def full_sweep_substitution_distances(h, basis, f2):
+    """step4sub's distance at every h, by a complex GEMM against complex_basis: the
+    norm of the non-trivial Fourier coefficients of a_h, as _substitution_distances."""
+    n, E = h.n, complex_basis(basis)
+    out = np.empty(n)
+    for rows in row_chunks(n, n):
+        coeffs = (np.conj(f2.values) * f2.values[h.conj[rows]]) @ E
+        coeffs[:, basis.trivial_column] = 0.0
+        total = np.zeros(len(coeffs))
+        for d, gram in _fourier_grams(basis, coeffs):
+            total += d * abs2(gram).reshape(len(coeffs), -1).sum(axis=1)
+        out[rows] = np.sqrt(total) / n**2
+    return out
 
 
 DEFAULT_ORTHO_TOL = 1e-8

@@ -1,15 +1,22 @@
 """The Fourier basis (unitary irreps from the Cayley table) and the Plancherel kernels."""
 
+import re
+
 import numpy as np
 import pytest
 
 import quasimix.harmonic
 import quasimix.spectra
 from oracles import (
+    complex_basis,
+    complex_fourier_basis,
     cond_exp_conj,
+    full_sweep_step3_terms,
+    full_sweep_substitution_distances,
     loop_step3_intermediate,
     loop_substitution_distance,
     projection_fourier_basis,
+    repacked,
     sample_interior_disc,
     substitution_distance,
 )
@@ -19,9 +26,9 @@ from quasimix.harmonic import GroupFunction, Harmonic, centered, sample_disc
 from quasimix.spectra import (
     CharacterTable,
     DegenerateSpectrumError,
-    FourierBasis,
     SpectralInconsistencyError,
     _check_basis,
+    _indicators,
     fourier_basis,
     spectral_data,
 )
@@ -41,45 +48,72 @@ def built(request):
     return group, data, fourier_basis(group, data.classes, data.table)
 
 
-def _blocks(basis, rows, d, cols):
-    return basis.matrix[rows][:, cols].reshape(len(rows), -1, d, d)
+def _blocks(E, rows, d, cols):
+    return E[rows][:, cols].reshape(len(rows), -1, d, d)
 
 
 def test_basis_is_a_homomorphism_on_sampled_pairs(built):
     group, _, basis = built
+    E = complex_basis(basis)
     rng = np.random.default_rng(0)
     x, y = rng.integers(0, group.order, size=(2, 2000))
     for d, cols in basis.runs:
-        lhs = _blocks(basis, x, d, cols) @ _blocks(basis, y, d, cols)
-        assert np.abs(lhs - _blocks(basis, group.mul[x, y], d, cols)).max() < 1e-12
+        lhs = _blocks(E, x, d, cols) @ _blocks(E, y, d, cols)
+        assert np.abs(lhs - _blocks(E, group.mul[x, y], d, cols)).max() < 1e-12
 
 
 def test_basis_is_unitary_with_schur_orthogonality(built):
-    group, data, basis = built
-    degrees = np.repeat(data.table.degrees, data.table.degrees**2)
-    gram = basis.matrix.conj().T @ basis.matrix * np.sqrt(np.outer(degrees, degrees)) / group.order
+    group, _, basis = built
+    E = complex_basis(basis)
+    degrees = np.concatenate([np.full(cols.stop - cols.start, d) for d, cols in basis.runs])
+    gram = E.conj().T @ E * np.sqrt(np.outer(degrees, degrees)) / group.order
     assert np.abs(gram - np.eye(group.order)).max() < 1e-12
 
 
 def test_basis_traces_are_the_characters(built):
     group, data, basis = built
-    table, start = data.table, 0
+    E, table = complex_basis(basis), data.table
     for r, d in enumerate(table.degrees):
-        trace = basis.matrix[:, start : start + d * d : d + 1].sum(axis=1)
+        start = basis.offsets[r]
+        trace = E[:, start : start + d * d : d + 1].sum(axis=1)
         assert np.abs(trace - table.values[r][data.classes.class_of]).max() < 1e-10
-        start += d * d
-    assert start == group.order
+    spans = sorted(zip(basis.offsets, basis.offsets + table.degrees**2))  # the blocks tile [0, n)
+    assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+    assert spans[-1][1] == group.order
+
+
+def test_real_type_blocks_are_real_orthogonal_and_stored_once(built):
+    # rows of indicator +1 fill the first real_columns columns, as float64 entries
+    # that are orthogonal on the generators; every other column is stored as a real
+    # and an imaginary part, so the basis holds 8n·(2n − R) bytes, at most 16n²
+    group, data, basis = built
+    n, table = group.order, data.table
+    real = _indicators(group, data.classes, table) == 1
+    width = int((table.degrees[real] ** 2).sum())
+    assert basis.real_columns == width
+    assert basis.matrix.dtype == np.float64 and basis.matrix.shape == (n, 2 * n - width)
+    assert basis.matrix.nbytes == 8 * n * (2 * n - width) <= 16 * n * n
+    assert (basis.offsets[real] < width).all() and (basis.offsets[~real] >= width).all()
+    gens, _ = _generators(group, np.random.default_rng(1))
+    for d, cols in basis.runs:
+        if cols.start < width:
+            rho = basis.matrix[gens][:, cols].reshape(-1, d, d)  # z:1 has no generators
+            assert np.abs(rho @ rho.transpose(0, 2, 1) - np.eye(d)).max(initial=0.0) < 1e-12
+    if group.name == "s:6":
+        assert basis.matrix.nbytes == 8 * n * n
 
 
 def _mutants(group, data, basis):
-    """Corrupted copies of a correct basis, one per cross-check that must catch it."""
+    """Corrupted copies of a correct basis's complex matrix, one per cross-check that must
+    catch it; each stays within the types of the basis, so repacked keeps every entry."""
     table = data.table
     d, cols = basis.runs[-1]
-    one_entry = basis.matrix.copy()
+    E = complex_basis(basis)
+    one_entry = E.copy()
     one_entry[group.order // 2, cols.start] += 1e-6
     yield "homomorphism", one_entry
 
-    skewed = basis.matrix.copy()  # S·ρ·S⁻¹ with S not unitary: still a representation
+    skewed = E.copy()  # S·ρ·S⁻¹ with S real and not unitary: still a representation
     scale = np.eye(d)
     scale[0, 0] = 2.0
     first = slice(cols.start, cols.start + d * d)
@@ -87,12 +121,14 @@ def _mutants(group, data, basis):
     skewed[:, first] = (scale @ block @ np.linalg.inv(scale)).reshape(-1, d * d)
     yield "unitarity", skewed
 
-    # two inequivalent irreps of one degree, exchanged: still unitary representations
-    r = next(r for r in range(1, len(table.degrees)) if table.degrees[r] == table.degrees[r - 1])
-    offsets = np.concatenate([[0], np.cumsum(table.degrees**2)])
-    a, b = slice(offsets[r - 1], offsets[r]), slice(offsets[r], offsets[r + 1])
-    swapped = basis.matrix.copy()
-    swapped[:, a], swapped[:, b] = basis.matrix[:, b], basis.matrix[:, a]
+    # two inequivalent irreps of one degree and type, exchanged: still unitary representations
+    real = basis.offsets < basis.real_columns
+    r = next(r for r in range(1, len(table.degrees))
+             if table.degrees[r] == table.degrees[r - 1] and real[r] == real[r - 1])
+    size = int(table.degrees[r]) ** 2
+    a, b = (slice(basis.offsets[s], basis.offsets[s] + size) for s in (r - 1, r))
+    swapped = E.copy()
+    swapped[:, a], swapped[:, b] = E[:, b], E[:, a]
     yield "trace", swapped
 
 
@@ -105,7 +141,8 @@ def test_corrupted_blocks_are_caught(token):
     _check_basis(group, data.classes, data.table, basis, gens)
     caught = []
     for check, matrix in _mutants(group, data, basis):
-        mutant = FourierBasis(matrix, basis.runs, basis.trivial_column)
+        mutant = repacked(basis, matrix)
+        assert np.array_equal(complex_basis(mutant), matrix)
         with pytest.raises(SpectralInconsistencyError, match=check):
             _check_basis(group, data.classes, data.table, mutant, gens)
         caught.append(check)
@@ -159,6 +196,100 @@ def test_substitution_matches_loop_oracle(kernel_harmonic):
         assert _agree(kernel_harmonic.step4_substitution_sweep(f2).observed, everywhere), name
 
 
+# -- the half sweep over {h, h⁻¹} against the full, all-complex sweep --------------
+
+# one h of each pair {h, h⁻¹}: (n + #{h : h² = e})/2 of them
+_SWEEP_ROWS = {"a:5": 38, "sl2:7": 169, "psl2:11": 358, "s:6": 398}
+
+
+@pytest.fixture(scope="module")
+def full_sweeps(built):
+    """On one centered phase f1 and one phase f2: the harmonic on the built basis, and
+    the per-h step3 terms and step4sub distances over every h on the all-complex basis."""
+    group, data, basis = built
+    harmonic = Harmonic(data)
+    harmonic._basis = basis
+    rng = np.random.default_rng(36)
+    f1, f2 = centered(sample_disc(group.order, rng)), sample_disc(group.order, rng)
+    oracle = complex_fourier_basis(group, data.classes, data.table)
+    assert oracle.real_columns == 0
+    terms = full_sweep_step3_terms(harmonic, oracle, f1, f2)
+    distances = full_sweep_substitution_distances(harmonic, oracle, f2)
+    return harmonic, f1, f2, terms, distances
+
+
+def test_half_sweep_terms_are_equal_at_h_and_its_inverse(full_sweeps):
+    harmonic, _, _, terms, distances = full_sweeps
+    inv, n = harmonic.inv, harmonic.n
+    assert np.abs(terms - terms[inv]).max() <= 1e-12 * np.abs(terms).max()
+    assert np.abs(distances - distances[inv]).max() <= 1e-12 * distances.max()
+    hs, weights = harmonic._half_sweep()
+    involutions = int((inv == np.arange(n)).sum())  # h = h⁻¹, so h² = e
+    assert len(hs) == (n + involutions) // 2 == _SWEEP_ROWS.get(harmonic.group.name, len(hs))
+    assert np.array_equal(np.sort(np.concatenate([hs, inv[hs[weights == 2]]])), np.arange(n))
+
+
+def test_half_sweep_matches_the_full_all_complex_sweep(full_sweeps):
+    harmonic, f1, f2, terms, distances = full_sweeps
+    assert abs(terms.sum().imag) <= 1e-12 * abs(terms.sum())
+    assert _agree(harmonic.step3_intermediate(f1, f2).observed, terms.sum().real)
+    assert _agree(harmonic.step4_substitution_sweep(f2).observed, distances.max())
+
+
+# -- the Frobenius–Schur certificate -------------------------------------------------
+
+# (rows of indicator -1, rows of indicator 0); every other row has indicator +1
+_INDICATOR_COUNTS = {
+    "a:5": (0, 0), "s:6": (0, 0), "sl2:5": (4, 0), "sl2:7": (3, 4), "psl2:11": (0, 2),
+    "a:7": (0, 2), "sl2:13": (8, 0),
+}
+
+
+@pytest.mark.parametrize("token", sorted(_INDICATOR_COUNTS))
+def test_frobenius_schur_indicators_are_the_known_ones(token):
+    group = resolve_group(token)
+    data = spectral_data(group)
+    nu = _indicators(group, data.classes, data.table)
+    squares = data.table.values[:, data.classes.class_of[np.diagonal(group.mul)]]
+    assert np.abs(squares.mean(axis=1) - nu).max() < 1e-9  # (1/n)·Σ_x χ(x²), unrounded
+    assert ((nu == -1).sum(), (nu == 0).sum()) == _INDICATOR_COUNTS[token]
+
+
+def _forced(table, row, values):
+    """The table with row ``row``'s values replaced."""
+    forced = table.values.copy()
+    forced[row] = values
+    return CharacterTable(forced, table.degrees, table.trivial_row,
+                          table.conjugation_multiplicities)
+
+
+def test_a_forced_indicator_fails_the_frobenius_schur_certificate():
+    # every a:5 row has indicator +1.  Halving a row's values halves its indicator;
+    # moving its value on a class c of squares by -2n/#{x : x² in c} takes it to -1,
+    # where the count of x with x² = e fails; an imaginary part on a class that no
+    # square reaches keeps +1 on a row that is no longer real
+    group = resolve_group("a:5")
+    data = spectral_data(group)
+    table, n = data.table, group.order
+    row = 1 + (table.trivial_row == 1)
+    squares = np.bincount(data.classes.class_of[np.diagonal(group.mul)],
+                          minlength=data.classes.num_classes)
+    identity = data.classes.class_of[group.identity]
+    squared = next(c for c in range(len(squares)) if squares[c] and c != identity)
+    flipped, lifted = table.values[row].copy(), table.values[row].copy()
+    flipped[squared] -= 2 * n / squares[squared]
+    lifted[np.flatnonzero(squares == 0)[0]] += 0.5j
+    d = int(table.degrees[row])
+    cases = [
+        (table.values[row] / 2, f"row {row}: Frobenius–Schur indicator 0.5"),
+        (flipped, re.escape(f"count {16 - 2 * d} is not #{{x : x² = e}} = 16")),
+        (lifted, re.escape(f"row {row} has indicator +1 but a non-real character")),
+    ]
+    for values, message in cases:
+        with pytest.raises(SpectralInconsistencyError, match=message):
+            fourier_basis(group, data.classes, _forced(table, row, values))
+
+
 # -- the basis build against the dense-projection oracle ---------------------------
 
 
@@ -174,7 +305,7 @@ def test_cholesky_basis_matches_projection_oracle(token):
     gens, _ = _generators(group, np.random.default_rng(1))
     for harmonic in (fast, oracle):
         _check_basis(group, data.classes, data.table, harmonic.fourier(), gens)
-    assert not np.array_equal(fast.fourier().matrix, oracle.fourier().matrix)
+    assert not np.array_equal(complex_basis(fast.fourier()), complex_basis(oracle.fourier()))
     for name, f1, f2 in _inputs(fast, 5):
         ref = oracle.step3_intermediate(f1, f2).observed
         assert _agree(fast.step3_intermediate(f1, f2).observed, ref), (token, name)
