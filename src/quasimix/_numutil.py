@@ -22,8 +22,9 @@ TEMP_ENTRIES = 1 << 16
 """Entries per row chunk of an n-wide temporary (1 MB of complex128)."""
 
 
-def row_chunks(rows: int, width: int):
-    """Consecutive row slices of a (rows, width) array, each holding at most TEMP_ENTRIES."""
-    step = max(1, TEMP_ENTRIES // max(1, width))
+def row_chunks(rows: int, width: int, floor: int = 1):
+    """Consecutive row slices of a (rows, width) array, each holding at most TEMP_ENTRIES,
+    or ``floor`` rows where that is more."""
+    step = max(floor, TEMP_ENTRIES // max(1, width))
     for start in range(0, rows, step):
         yield slice(start, min(rows, start + step))

@@ -34,6 +34,10 @@ BOUND_TOL = 1e-12
 """Relative allowance of a bound verdict: absorbs float rounding of a tight bound, nothing more."""
 IMAG_RESIDUE_TOL = 1e-9
 STEP2_IDENTITY_TOL = 1e-10
+GEMM_ROWS = 64
+"""The fewest h a chunk of step3 and step4sub takes: their GEMM then has at least 256 and
+128 operand rows.  Against a 5040×5040 float64 matrix, OpenBLAS on 2 cores ran 79 GFlop/s
+at 52 rows, 95 at 128 and 110 at 256."""
 # Record name → (coefficient, power): its bound is coefficient·D^power, times _check's norms.
 BOUNDS: Dict[str, Tuple[float, float]] = {
     "lemma": (1.0, -0.5),
@@ -143,19 +147,54 @@ def sample_unit(n: int, rng: np.random.Generator) -> GroupFunction:
     return GroupFunction(vals / _unit_norm(vals))
 
 
-def _fourier_grams(basis: FourierBasis, coeffs: np.ndarray):
-    """Yield (d, V*V) for each run of degree d: the Gram V(ρ)*V(ρ) of every row's block.
+def _gemm_buffers(basis: FourierBasis, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A real operand of ``rows`` rows for _real_grams, and the product it makes with the basis."""
+    n, width = basis.matrix.shape
+    return np.empty((rows, n)), np.empty((rows, width))
 
-    ``coeffs`` holds Fourier coefficients ``basis.transform(values)`` row by row, in
-    the column layout of ``basis.runs``; a degree-1 block is a scalar, whose Gram is |V|².
+
+def _real_grams(basis: FourierBasis, blocks, operand: np.ndarray, product: np.ndarray,
+                drop_trivial: bool = False):
+    """Yield (d, parts) for each run of degree d: real matrices whose Frobenius pairings are
+    those of the Grams V*V of the Fourier coefficients V = Σ_x f(x)ρ(x) of every row f.
+
+    ``blocks`` are complex (rows, n) arrays; their rows, stacked in order, are the rows of
+    each part, a (rows, blocks of the run, d, d) array.  One real GEMM takes
+    [Re blocks; Im blocks] @ ``matrix`` into ``product``.  V = T + iB: on a run of real
+    columns T and B are the product's two halves, and on a complex run ρ = P + iQ they are
+    Re f·P − Im f·Q and Re f·Q + Im f·P, formed in place in those halves.  So V*V = S + iA with S = TᵀT + BᵀB symmetric and
+    A = TᵀB − BᵀT antisymmetric, and parts is (S, A), or (T² + B²,) at d = 1, where A = 0.
+    For V*V and Y*Y, ⟨V*V, Y*Y⟩ = ⟨S_V, S_Y⟩ + ⟨A_V, A_Y⟩, since the two cross terms pair
+    a symmetric with an antisymmetric matrix, and ‖V*V‖²_F = ‖S‖²_F + ‖A‖²_F: no complex
+    array is formed.  With ``drop_trivial`` the trivial representation's coefficient is
+    taken as 0.
     """
+    rows, n, r = sum(len(block) for block in blocks), len(basis.matrix), basis.real_columns
+    start = 0
+    for block in blocks:
+        np.copyto(operand[start : start + len(block)], block.real)
+        np.copyto(operand[rows + start : rows + start + len(block)], block.imag)
+        start += len(block)
+    np.matmul(operand[: 2 * rows], basis.matrix, out=product[: 2 * rows])
+    if drop_trivial:  # the trivial representation is real: one column of each half
+        product[: 2 * rows, basis.trivial_column] = 0.0
+    re, im = product[:rows], product[rows : 2 * rows]
     for d, cols in basis.runs:
-        block = coeffs[:, cols]
+        t, b = re[:, cols], im[:, cols]
+        if cols.start >= r:  # in place: neither writes what the other still reads
+            shifted = slice(cols.start + n - r, cols.stop + n - r)
+            np.subtract(t, im[:, shifted], out=t)
+            np.add(b, re[:, shifted], out=b)
         if d == 1:
-            yield d, abs2(block)
-        else:
-            v = block.reshape(len(coeffs), -1, d, d)
-            yield d, np.conj(np.swapaxes(v, 2, 3)) @ v
+            yield d, (t * t + b * b,)
+            continue
+        t, b = (x.reshape(rows, -1, d, d) for x in (t, b))
+        t_transposed = np.swapaxes(t, 2, 3)
+        s = t_transposed @ t
+        s += np.swapaxes(b, 2, 3) @ b
+        a = t_transposed @ b
+        a -= np.swapaxes(a, 2, 3)  # numpy buffers an operand that overlaps the output
+        yield d, (s, a)
 
 
 def _real_nonnegative(value: complex, what: str, scale: float = 1.0) -> float:
@@ -284,27 +323,34 @@ class Harmonic:
             np.copyto(out, {"gx": self.mul, "xg": self.mul.T, "gxg^-1": self.conj}[point][rows])
         return out
 
-    def _gathered(self, *terms, g: Optional[np.ndarray] = None):
+    def _chunk_rows(self, floor: int = 1) -> int:
+        """The most rows a chunk of _gathered(..., floor=floor) holds."""
+        return next(row_chunks(self.n, self.n, floor)).stop
+
+    def _gathered(self, *terms, g: Optional[np.ndarray] = None, floor: int = 1):
         """Yield (rows, blocks) over row chunks of g, one block per (values, point) term.
 
         blocks[i][j, x] = values_i(p_i(g_j, x)), g_j = g[rows][j] for an index array g of
         elements.  g = None is every element, g_j = rows.start + j, and slices the tables
         where an index array copies its rows first.  No block is wider than one row_chunks
-        slice, and np.take gathers about twice as fast as fancy indexing.
+        slice with ``floor``: step3 and step4sub take GEMM_ROWS rows at least, so that
+        their GEMM runs at speed, and every other kernel takes row_chunks' own.
+        np.take gathers about twice as fast as fancy indexing.
         The blocks are views of complex scratch arrays this object keeps, so a caller
-        uses each chunk's blocks before it takes the next.  The point indices go
-        through an intp block that it also keeps, since np.take copies indices of any
-        other dtype to a fresh intp array.  A fresh block per chunk (1 MB from n = 256
-        on) faulted in new pages on every gather whenever glibc malloc's dynamic mmap
-        and trim thresholds had not yet risen that high, which left sl2:7's searches
-        two to three times slower.
+        uses each chunk's blocks before it takes the next; the caller may overwrite
+        them.  The point indices go through an intp block that it also keeps, since
+        np.take copies indices of any other dtype to a fresh intp array.  A fresh block
+        per chunk (1 MB from n = 256 on) faulted in new pages on every gather whenever
+        glibc malloc's dynamic mmap and trim thresholds had not yet risen that high,
+        which left sl2:7's searches two to three times slower.
         """
-        first = next(row_chunks(self.n, self.n))
-        if self._index is None:
-            self._index = np.empty((first.stop, self.n), dtype=np.intp)
+        size = self._chunk_rows(floor)
+        if self._index is None or len(self._index) < size:  # the blocks grow with it
+            self._index = np.empty((size, self.n), dtype=np.intp)
+            self._blocks = []
         while len(self._blocks) < len(terms):
-            self._blocks.append(np.empty((first.stop, self.n), dtype=np.complex128))
-        for rows in row_chunks(self.n if g is None else len(g), self.n):
+            self._blocks.append(np.empty((size, self.n), dtype=np.complex128))
+        for rows in row_chunks(self.n if g is None else len(g), self.n, floor):
             index = self._index[: rows.stop - rows.start]
             elements = rows if g is None else g[rows]
             yield rows, [
@@ -417,28 +463,30 @@ class Harmonic:
         correlation pairing of a_h(x) = f2(x)·conj(f2(hxh⁻¹)) with
         b_h(x) = f1(x)·conj(f1(xh⁻¹)); by Plancherel over the irreps ρ it equals
         Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h) with V_h = Σ_x conj a_h(x)ρ(x) and
-        Y_h = Σ_x b_h(x)ρ(x), so observed = Σ_h Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h)/n⁵,
-        taken with one real GEMM against the Fourier basis per block of h.  The
-        h⁻¹ term equals the h term (the term of ρ at h⁻¹ is the conjugate of the
-        term of ρ̄ at h), so the sum runs over one h of each pair {h, h⁻¹}, with
-        weight 2, or 1 where h² = e.  The value is real and ≥ 0 (a trace of two
-        positive matrices); the imaginary residue is checked against 1e-9 before
-        discarding.
+        Y_h = Σ_x b_h(x)ρ(x), so observed = Σ_h Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h)/n⁵.
+        A chunk of h takes one real GEMM against the Fourier basis, and each trace is
+        the pairing of the two Grams' real parts (_real_grams): a real number, since
+        tr(PQ) is real for Hermitian P and Q.  The h⁻¹ term equals the h term (the term
+        of ρ at h⁻¹ is the conjugate of the term of ρ̄ at h), so the sum runs over one h
+        of each pair {h, h⁻¹}, with weight 2, or 1 where h² = e.  The value is ≥ 0 (a
+        trace of two positive matrices); a negative rounding residue is clamped to 0.
         """
         self._require(f1, "f1", two_disc=True, mean_zero=True, unit_l2=True)
         self._require(f2, "f2", disc=True)
         basis = self.fourier()
         hs, weights = self._half_sweep()
-        total = 0.0 + 0.0j
+        operand, product = _gemm_buffers(basis, 4 * self._chunk_rows(GEMM_ROWS))
+        conj_f2 = np.conj(f2.values)
+        total = 0.0
         terms = ((f2.values, "gxg^-1"), (np.conj(f1.values), "xg^-1"))
-        for rows, (f2_conj, conj_f1_t) in self._gathered(*terms, g=hs):
-            conj_a = np.conj(f2.values) * f2_conj
-            b = f1.values * conj_f1_t
-            coeffs = basis.transform(np.concatenate([conj_a, b]))  # rows V_h, then rows Y_h
-            weight = weights[rows, None]
-            for d, gram in _fourier_grams(basis, coeffs):
-                y_grams = gram[len(b) :].reshape(len(b), -1)
-                total += d * np.vdot(weight * y_grams, gram[: len(b)])
+        for rows, (conj_a, b) in self._gathered(*terms, g=hs, floor=GEMM_ROWS):
+            conj_a *= conj_f2
+            b *= f1.values
+            weight, m = weights[rows], len(b)
+            for d, parts in _real_grams(basis, (conj_a, b), operand, product):  # V_h, then Y_h
+                for part in parts:
+                    pairs = np.einsum("ij,ij->i", part[:m].reshape(m, -1), part[m:].reshape(m, -1))
+                    total += d * float(weight @ pairs)
         return self._check("step3", _real_nonnegative(total / self.n**5, "step3_intermediate"))
 
     def step4_final(self, f1: GroupFunction, f2: GroupFunction) -> BoundCheck:
@@ -454,23 +502,29 @@ class Harmonic:
         inner_c = self._coefficients(f2.values, f2.values, "gxg^-1")
         return self._check("step4", float(np.mean(abs2(inner_t) * abs2(inner_c))))
 
-    def _substitution_distances(self, f2: GroupFunction, f2_conj: np.ndarray) -> np.ndarray:
-        """The step-4 substitution distance at each h of the rows f2_conj[j, x] = f2(hxh⁻¹).
+    def _substitution_distances(
+        self, conj_a: np.ndarray, operand: np.ndarray, product: np.ndarray
+    ) -> np.ndarray:
+        """The step-4 substitution distance at each h of the rows conj_a[j, x] = conj a_h(x).
 
+        a_h(x) = f2(x)·conj f2(hxh⁻¹), and ``operand`` and ``product`` are _gemm_buffers
+        of at least 2·len(conj_a) rows.
         observed_h = ‖E(F2·conj(F2)S̃^hT̃^h | Δ) − |(1/n) Σ f2·conj(f2(h·h⁻¹))|²‖ in L²(μ⊗μ),
         the twisted diagonal expectation's distance from its scalar mean.  E(·|Δ)
         reduces the pair function to the profile φ_h(z) = (1/n) Σ_x a_h(x)·conj(a_h(xz)),
         and subtracting the scalar removes exactly its trivial Fourier component,
         so by Plancherel observed_h² = Σ_{ρ≠1} d_ρ·‖V_h*V_h‖²_F / n⁴, one real GEMM of
-        step3's kind.  a_{h⁻¹}(hyh⁻¹) = conj a_h(y), so V_{h⁻¹} in ρ is the conjugate of
-        ρ(h)·V_h·ρ(h)⁻¹ in ρ̄, with the same Frobenius norms: observed_{h⁻¹} = observed_h.
+        step3's kind with ‖V*V‖²_F = ‖S‖²_F + ‖A‖²_F (_real_grams).  a_{h⁻¹}(hyh⁻¹) =
+        conj a_h(y), so V_{h⁻¹} in ρ is the conjugate of ρ(h)·V_h·ρ(h)⁻¹ in ρ̄, with the
+        same Frobenius norms: observed_{h⁻¹} = observed_h.
         """
+        m = len(conj_a)
+        total = np.zeros(m)
         basis = self.fourier()
-        coeffs = basis.transform(np.conj(f2.values) * f2_conj)
-        coeffs[:, basis.trivial_column] = 0.0
-        total = np.zeros(len(coeffs))
-        for d, gram in _fourier_grams(basis, coeffs):
-            total += d * abs2(gram).reshape(len(coeffs), -1).sum(axis=1)
+        for d, parts in _real_grams(basis, (conj_a,), operand, product, drop_trivial=True):
+            for part in parts:
+                flat = part.reshape(m, -1)
+                total += d * np.einsum("ij,ij->i", flat, flat)
         return np.sqrt(total) / self.n**2
 
     def step4_substitution_sweep(self, f2: GroupFunction) -> BoundCheck:
@@ -481,10 +535,12 @@ class Harmonic:
         """
         self._require(f2, "f2", disc=True)
         hs, _ = self._half_sweep()
-        worst = max(
-            float(self._substitution_distances(f2, f2_conj).max())
-            for _, (f2_conj,) in self._gathered((f2.values, "gxg^-1"), g=hs)
-        )
+        operand, product = _gemm_buffers(self.fourier(), 2 * self._chunk_rows(GEMM_ROWS))
+        conj_f2 = np.conj(f2.values)
+        worst = 0.0
+        for _, (conj_a,) in self._gathered((f2.values, "gxg^-1"), g=hs, floor=GEMM_ROWS):
+            conj_a *= conj_f2
+            worst = max(worst, float(self._substitution_distances(conj_a, operand, product).max()))
         return self._check("step4_lemma_substitution", worst)
 
 

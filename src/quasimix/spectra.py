@@ -374,10 +374,11 @@ class FourierBasis:
     orthogonal ρ_r: ``matrix`` holds their R = ``real_columns`` columns as they are.  The
     other rows follow, in table order, in complex form: ``matrix`` holds the real parts of
     columns R to n in its columns R to n, and their imaginary parts in its columns n to
-    2n − R.  So ``matrix`` is n×(2n − R) float64 (8n·(2n − R) bytes), and ``transform``
-    takes the coefficients of many functions with one real GEMM.  ``runs`` lists
+    2n − R.  So ``matrix`` is n×(2n − R) float64 (8n·(2n − R) bytes), and one real GEMM
+    of [Re f; Im f] against it gives the real and imaginary parts of the coefficients of
+    many functions f (harmonic._real_grams reads them off).  ``runs`` lists
     (d, column slice) for each run of consecutive blocks of equal degree and one type;
-    ``trivial_column`` is the column of the trivial representation.
+    ``trivial_column`` is the column of the trivial representation, a real column.
     """
 
     matrix: np.ndarray  # (n, 2n - real_columns) float64
@@ -385,22 +386,6 @@ class FourierBasis:
     offsets: np.ndarray  # (k,) int64: the first column of each table row
     runs: Tuple[Tuple[int, slice], ...]
     trivial_column: int
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        """The (b, n) complex Fourier coefficients of the b rows of ``values``.
-
-        One GEMM of [Re values; Im values] against ``matrix``: a real column's two products
-        are its coefficient's real and imaginary parts, and on a complex column ρ = A + iB,
-        (Re f + i·Im f)·ρ = (Re f·A − Im f·B) + i·(Re f·B + Im f·A).
-        """
-        n, b, r = len(self.matrix), len(values), self.real_columns
-        stacked = np.concatenate([values.real, values.imag]) @ self.matrix
-        top, bottom = stacked[:b], stacked[b:]
-        coeffs = np.empty((b, n), dtype=np.complex128)
-        coeffs.real[:, :r], coeffs.imag[:, :r] = top[:, :r], bottom[:, :r]
-        np.subtract(top[:, r:n], bottom[:, n:], out=coeffs.real[:, r:])
-        np.add(top[:, n:], bottom[:, r:n], out=coeffs.imag[:, r:])
-        return coeffs
 
 
 def _rho(basis: FourierBasis, rows, cols: slice) -> np.ndarray:
@@ -559,23 +544,29 @@ def _check_basis(
 ) -> None:
     """Raise SpectralInconsistencyError unless the basis holds unitary irreps of the table.
 
-    rho(s)rho(x) = rho(sx) for every generator s (closed under inverses) and
-    every x makes rho a homomorphism; unitary rho(s) makes every rho(g) unitary;
-    tr rho = chi on orthonormal table rows makes each block irreducible and the
-    rows inequivalent.  So Schur orthogonality holds: E*E = I for E scaled by
-    sqrt(d/n) per column, with no n×n product formed.  Each run is read in its
-    own type, so the real blocks are certified in real arithmetic.
+    ``gens`` generate the group and hold each drawn seed with its inverse
+    (_generators); the checks below read one of each pair, the seeds s <= s⁻¹.
+    Unitary rho(s) and rho(s)rho(x) = rho(sx) for every seed s and every x make
+    rho a homomorphism: the group is finite, so every element is a positive word
+    in the seeds; rho(s)rho(e) = rho(s) with rho(s) invertible gives rho(e) = I;
+    and induction on the word length of g gives rho(gx) = rho(g)rho(x).  Then
+    every rho(g) is a product of unitary matrices; tr rho = chi on orthonormal
+    table rows makes each block irreducible and the rows inequivalent.  So Schur
+    orthogonality holds: E*E = I for E scaled by sqrt(d/n) per column, with no
+    n×n product formed.  Each run is read in its own type, so the real blocks
+    are certified in real arithmetic.
     """
     n = group.order
+    seeds = [s for s in gens if s <= group.inv[s]]
     homomorphism = unitarity = 0.0
     for d, cols in basis.runs:
-        rho_gens = [_rho(basis, s, cols).reshape(-1, d, d) for s in gens]
+        rho_gens = [_rho(basis, s, cols).reshape(-1, d, d) for s in seeds]
         for rho_s in rho_gens:
             residue = rho_s @ rho_s.conj().transpose(0, 2, 1) - np.eye(d)
             unitarity = max(unitarity, float(np.abs(residue).max()))
         for rows in row_chunks(n, n):
             block = _rho(basis, rows, cols).reshape(rows.stop - rows.start, -1, d, d)
-            for s, rho_s in zip(gens, rho_gens):
+            for s, rho_s in zip(seeds, rho_gens):
                 lhs = rho_s * block if d == 1 else rho_s @ block
                 rhs = _rho(basis, group.mul[s, rows], cols).reshape(lhs.shape)
                 homomorphism = max(homomorphism, float(np.abs(lhs - rhs).max()))
@@ -606,7 +597,7 @@ def fourier_basis(
     generators s, and every rho(x) follows along a breadth-first tree over them:
     rho(s y) = rho(s) rho(y).  A row of Frobenius–Schur indicator +1 (_indicators)
     runs all of this in real arithmetic, so its rho is real orthogonal; the other
-    rows run it in complex.  _check_basis certifies the result on the generators.
+    rows run it in complex.  _check_basis certifies the result on the seeds.
     Random draws come from a fixed seed, so the basis is a function of the table.
     """
     n = group.order

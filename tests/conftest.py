@@ -83,24 +83,35 @@ def psl2_7_harmonic(psl2_7):
 
 
 @pytest.fixture(scope="session")
-def subprocess_peak_mb():
+def subprocess_stdout():
+    """Run a Python script in a fresh interpreter, with this checkout's src/ first on its
+    path, and return what it prints."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(script):
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+        )
+        return out.stdout
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def subprocess_peak_mb(subprocess_stdout):
     """Run a Python script in a fresh interpreter and return its peak RSS in MB.
 
     VmHWM counts that process's own peak; ru_maxrss would carry the parent's
     resident set as a floor.
     """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     report = (
         "\nwith open('/proc/self/status') as handle:\n"
         "    print([line.split()[1] for line in handle if line.startswith('VmHWM:')][0])\n"
     )
 
     def run(script):
-        out = subprocess.run(
-            [sys.executable, "-c", script + report],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
-        )
-        return int(out.stdout.strip()) / 1024.0
+        return int(subprocess_stdout(script + report).strip()) / 1024.0
 
     return run

@@ -25,7 +25,7 @@ from quasimix.harmonic import (
     GroupFunction,
     Harmonic,
     _disc_clip,
-    _fourier_grams,
+    _gemm_buffers,
     _unit_norm,
 )
 from quasimix.report import CHECKS
@@ -550,7 +550,8 @@ def cond_exp_conj(h, f):
 
 def substitution_distance(h, f2, g):
     """step4's substitution distance at the single element g, through the sweep's own kernel."""
-    return float(h._substitution_distances(f2, f2.values[h.conj[g]][None, :])[0])
+    conj_a = np.conj(f2.values) * f2.values[h.conj[g]]
+    return float(h._substitution_distances(conj_a[None, :], *_gemm_buffers(h.fourier(), 2))[0])
 
 
 def sample_interior_disc(n, rng):
@@ -924,20 +925,90 @@ def repacked(basis, E):
                         basis.trivial_column)
 
 
-def full_sweep_step3_terms(h, basis, f1, f2):
-    """step3's term at every h, summing to its observed value: every h, no pair {h, h⁻¹}
-    folded, and a complex GEMM against complex_basis, gathered straight from the tables.
+def transform(basis, values):
+    """The (b, n) complex Fourier coefficients of the b rows of ``values``.
+
+    This was ``FourierBasis.transform``, the package's route before step3 and step4sub
+    read real Gram parts off the GEMM product.  One GEMM of [Re values; Im values]
+    against ``matrix``: a real column's two products are its coefficient's real and
+    imaginary parts, and on a complex column ρ = A + iB,
+    (Re f + i·Im f)·ρ = (Re f·A − Im f·B) + i·(Re f·B + Im f·A).
+    """
+    n, b, r = len(basis.matrix), len(values), basis.real_columns
+    stacked = np.concatenate([values.real, values.imag]) @ basis.matrix
+    top, bottom = stacked[:b], stacked[b:]
+    coeffs = np.empty((b, n), dtype=np.complex128)
+    coeffs.real[:, :r], coeffs.imag[:, :r] = top[:, :r], bottom[:, :r]
+    np.subtract(top[:, r:n], bottom[:, n:], out=coeffs.real[:, r:])
+    np.add(top[:, n:], bottom[:, r:n], out=coeffs.imag[:, r:])
+    return coeffs
+
+
+def fourier_grams(basis, coeffs):
+    """Yield (d, V*V) for each run of degree d: the complex Gram V(ρ)*V(ρ) of every row's block.
+
+    ``coeffs`` holds Fourier coefficients row by row (``transform``), in the column
+    layout of ``basis.runs``; a degree-1 block is a scalar, whose Gram is |V|².
+    """
+    for d, cols in basis.runs:
+        block = coeffs[:, cols]
+        if d == 1:
+            yield d, abs2(block)
+        else:
+            v = block.reshape(len(coeffs), -1, d, d)
+            yield d, np.conj(np.swapaxes(v, 2, 3)) @ v
+
+
+def _sweep_rows(h, f1, f2, hs):
+    """conj a_h and b_h at the elements hs, as rows, gathered straight from the tables."""
+    conj_a = np.conj(f2.values) * f2.values[h.conj[hs]]
+    b = f1.values * np.conj(f1.values)[h.mul[:, h.inv[hs]].T]
+    return conj_a, b
+
+
+def complex_step3_terms(h, basis, f1, f2, hs):
+    """step3's unweighted term at each element of hs by the complex route: ``transform``,
+    then tr(V*V·Y*Y) = Σ conj(Y*Y)·V*V over the complex Grams of ``fourier_grams``.
 
     The term at h is Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h)/n⁵ with V_h = Σ_x conj a_h(x)ρ(x),
     Y_h = Σ_x b_h(x)ρ(x), a_h(x) = f2(x)·conj f2(hxh⁻¹), b_h(x) = f1(x)·conj f1(xh⁻¹).
     """
+    terms = np.zeros(len(hs), dtype=np.complex128)
+    for rows in row_chunks(len(hs), h.n):
+        conj_a, b = _sweep_rows(h, f1, f2, hs[rows])
+        coeffs = transform(basis, np.concatenate([conj_a, b]))
+        for d, gram in fourier_grams(basis, coeffs):
+            pair = np.conj(gram[len(b) :]) * gram[: len(b)]
+            terms[rows] += d * pair.reshape(len(b), -1).sum(axis=1)
+    return terms / h.n**5
+
+
+def complex_substitution_distances(h, basis, f2, hs):
+    """step4sub's distance at each element of hs by the complex route: the norm of the
+    non-trivial Fourier coefficients' Grams, ``transform`` and ``fourier_grams``."""
+    out = np.empty(len(hs))
+    for rows in row_chunks(len(hs), h.n):
+        coeffs = transform(basis, np.conj(f2.values) * f2.values[h.conj[hs[rows]]])
+        coeffs[:, basis.trivial_column] = 0.0
+        total = np.zeros(len(coeffs))
+        for d, gram in fourier_grams(basis, coeffs):
+            total += d * abs2(gram).reshape(len(coeffs), -1).sum(axis=1)
+        out[rows] = np.sqrt(total) / h.n**2
+    return out
+
+
+def full_sweep_step3_terms(h, basis, f1, f2):
+    """step3's term at every h, summing to its observed value: every h, no pair {h, h⁻¹}
+    folded, and a complex GEMM against complex_basis, gathered straight from the tables.
+
+    The term at h is Σ_ρ d_ρ·tr(V_h*V_h·Y_h*Y_h)/n⁵ as in complex_step3_terms.
+    """
     n, E = h.n, complex_basis(basis)
-    conj_f1, terms = np.conj(f1.values), np.zeros(n, dtype=np.complex128)
+    terms = np.zeros(n, dtype=np.complex128)
     for rows in row_chunks(n, n):
-        conj_a = np.conj(f2.values) * f2.values[h.conj[rows]]
-        b = f1.values * conj_f1[h.mul[:, h.inv[rows]].T]
+        conj_a, b = _sweep_rows(h, f1, f2, np.arange(n)[rows])
         coeffs = np.concatenate([conj_a, b]) @ E
-        for d, gram in _fourier_grams(basis, coeffs):
+        for d, gram in fourier_grams(basis, coeffs):
             pair = np.conj(gram[len(b) :]) * gram[: len(b)]
             terms[rows] += d * pair.reshape(len(b), -1).sum(axis=1)
     return terms / n**5
@@ -952,7 +1023,7 @@ def full_sweep_substitution_distances(h, basis, f2):
         coeffs = (np.conj(f2.values) * f2.values[h.conj[rows]]) @ E
         coeffs[:, basis.trivial_column] = 0.0
         total = np.zeros(len(coeffs))
-        for d, gram in _fourier_grams(basis, coeffs):
+        for d, gram in fourier_grams(basis, coeffs):
             total += d * abs2(gram).reshape(len(coeffs), -1).sum(axis=1)
         out[rows] = np.sqrt(total) / n**2
     return out

@@ -5,12 +5,16 @@ import re
 import numpy as np
 import pytest
 
+import quasimix._numutil
 import quasimix.harmonic
 import quasimix.spectra
 from oracles import (
     complex_basis,
     complex_fourier_basis,
+    complex_step3_terms,
+    complex_substitution_distances,
     cond_exp_conj,
+    fourier_grams,
     full_sweep_step3_terms,
     full_sweep_substitution_distances,
     loop_step3_intermediate,
@@ -19,10 +23,20 @@ from oracles import (
     repacked,
     sample_interior_disc,
     substitution_distance,
+    transform,
 )
+from quasimix._numutil import row_chunks
 from quasimix.cli import resolve_group
 from quasimix.groups import _generators
-from quasimix.harmonic import GroupFunction, Harmonic, centered, sample_disc
+from quasimix.harmonic import (
+    GEMM_ROWS,
+    GroupFunction,
+    Harmonic,
+    _gemm_buffers,
+    _real_grams,
+    centered,
+    sample_disc,
+)
 from quasimix.spectra import (
     CharacterTable,
     DegenerateSpectrumError,
@@ -202,6 +216,23 @@ def test_substitution_matches_loop_oracle(kernel_harmonic):
 _SWEEP_ROWS = {"a:5": 38, "sl2:7": 169, "psl2:11": 358, "s:6": 398}
 
 
+def _gemm_rows(monkeypatch):
+    """The rows of every _real_grams call's blocks, as step3 and step4sub make them."""
+    seen = []
+    real_grams = quasimix.harmonic._real_grams
+
+    def spy(basis, blocks, *args, **kwargs):
+        seen.append([len(block) for block in blocks])
+        return real_grams(basis, blocks, *args, **kwargs)
+
+    monkeypatch.setattr(quasimix.harmonic, "_real_grams", spy)
+    return seen
+
+
+# psl2:11's 358 sweep rows run in chunks of 65536 // 660 = 99
+_SWEEP_CHUNKS = {"psl2:11": [99, 99, 99, 61]}
+
+
 @pytest.fixture(scope="module")
 def full_sweeps(built):
     """On one centered phase f1 and one phase f2: the harmonic on the built basis, and
@@ -229,11 +260,111 @@ def test_half_sweep_terms_are_equal_at_h_and_its_inverse(full_sweeps):
     assert np.array_equal(np.sort(np.concatenate([hs, inv[hs[weights == 2]]])), np.arange(n))
 
 
-def test_half_sweep_matches_the_full_all_complex_sweep(full_sweeps):
+def test_half_sweep_matches_the_full_all_complex_sweep(full_sweeps, monkeypatch):
+    # step3's value and step4sub's distance at each sweep row, read off the real GEMM
+    # product, against the complex route on the same basis and the all-complex full
+    # sweep, to 1e-12 relative; each chunk of the sweep is one _real_grams call
     harmonic, f1, f2, terms, distances = full_sweeps
+    basis, n = harmonic.fourier(), harmonic.n
+    hs, weights = harmonic._half_sweep()
     assert abs(terms.sum().imag) <= 1e-12 * abs(terms.sum())
-    assert _agree(harmonic.step3_intermediate(f1, f2).observed, terms.sum().real)
-    assert _agree(harmonic.step4_substitution_sweep(f2).observed, distances.max())
+    seen = _gemm_rows(monkeypatch)
+    step3 = harmonic.step3_intermediate(f1, f2).observed
+    assert _agree(step3, terms.sum().real)
+    assert _agree(step3, (weights * complex_step3_terms(harmonic, basis, f1, f2, hs)).sum().real)
+    step4sub = harmonic.step4_substitution_sweep(f2).observed
+    assert _agree(step4sub, distances.max())
+    sizes = [rows.stop - rows.start for rows in row_chunks(len(hs), n, GEMM_ROWS)]
+    assert sizes == _SWEEP_CHUNKS.get(harmonic.group.name, sizes)
+    assert seen == [[m, m] for m in sizes] + [[m] for m in sizes]
+
+    conj_a = np.conj(f2.values) * f2.values[harmonic.conj[hs]]
+    each = harmonic._substitution_distances(conj_a, *_gemm_buffers(basis, 2 * len(hs)))
+    for ref in (complex_substitution_distances(harmonic, basis, f2, hs), distances[hs]):
+        assert np.all(np.abs(each - ref) <= 1e-12 * np.abs(ref) + 1e-15)
+
+
+# -- the real Gram parts against the complex route -----------------------------------
+
+
+def test_real_grams_are_the_complex_grams(built):
+    # S + iA of every block is the complex Gram V*V of the coefficients the complex route
+    # computes (transform, fourier_grams), on real and complex columns alike: sl2:7 has
+    # rows of indicator +1, 0 and -1.  With the trivial coefficient dropped, the trivial
+    # column's part is exactly 0 and the rest is the complex route with that column zeroed
+    group, _, basis = built
+    n = group.order
+    rng = np.random.default_rng(37)
+    blocks = [rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)) for _ in range(2)]
+    coeffs = transform(basis, np.concatenate(blocks))
+    operand, product = _gemm_buffers(basis, 12)
+    for drop in (False, True):
+        if drop:
+            coeffs[:, basis.trivial_column] = 0.0
+        got = list(_real_grams(basis, blocks, operand, product, drop))
+        ref = list(fourier_grams(basis, coeffs))
+        assert [d for d, _ in got] == [d for d, _ in ref] == [d for d, _ in basis.runs]
+        for (d, parts), (_, gram), (_, cols) in zip(got, ref, basis.runs):
+            assert len(parts) == (1 if d == 1 else 2)
+            if d == 1:
+                value = parts[0].reshape(gram.shape)
+            else:
+                s, a = parts
+                assert np.array_equal(s, np.swapaxes(s, 2, 3))
+                assert np.array_equal(a, -np.swapaxes(a, 2, 3))
+                value = s + 1j * a
+            assert np.abs(value - gram).max() <= 1e-12 * np.abs(gram).max()
+            if drop and cols.start <= basis.trivial_column < cols.stop:
+                assert not parts[0][:, basis.trivial_column - cols.start].any()
+    if group.name == "sl2:7":
+        types = {cols.start < basis.real_columns for _, cols in basis.runs}
+        assert types == {True, False}
+
+
+def test_step3_and_step4sub_take_at_least_gemm_rows_a_chunk(monkeypatch):
+    # with TEMP_ENTRIES at 2048 every other kernel takes 6 rows a chunk on sl2:7
+    # (n = 336), and step3 and step4sub take GEMM_ROWS = 64 of its 169 sweep rows: the
+    # gather's blocks grow to 64 rows, and both values keep the complex route's
+    harmonic = Harmonic(spectral_data(resolve_group("sl2:7")))
+    rng = np.random.default_rng(37)
+    f1, f2, f3 = centered(sample_disc(336, rng)), sample_disc(336, rng), sample_disc(336, rng)
+    monkeypatch.setattr(quasimix._numutil, "TEMP_ENTRIES", 2048)
+    assert harmonic._chunk_rows() == 6 and GEMM_ROWS == 64
+    harmonic.step1_reduced_lhs(f1, f2, f3)
+    assert [len(block) for block in harmonic._blocks] == [6, 6]
+    seen = _gemm_rows(monkeypatch)
+    step3 = harmonic.step3_intermediate(f1, f2).observed
+    step4sub = harmonic.step4_substitution_sweep(f2).observed
+    assert seen == [[64, 64], [64, 64], [41, 41], [64], [64], [41]]
+    assert [len(block) for block in harmonic._blocks] == [64, 64]
+    monkeypatch.undo()
+    basis, (hs, weights) = harmonic.fourier(), harmonic._half_sweep()
+    assert _agree(step3, (weights * complex_step3_terms(harmonic, basis, f1, f2, hs)).sum().real)
+    assert _agree(step4sub, complex_substitution_distances(harmonic, basis, f2, hs).max())
+
+
+def test_step3_and_step4sub_add_no_complex_temporaries(subprocess_stdout):
+    # the rise of VmHWM over one step3 and one step4sub after the s:6 basis is built reads
+    # 3.95 MB with the real GEMM operand and product; with complex coefficients, their
+    # concatenation and complex Gram stacks it read 11.4 MB
+    script = (
+        "import numpy as np\n"
+        "from quasimix.groups import build_symmetric\n"
+        "from quasimix.harmonic import Harmonic, centered, sample_disc\n"
+        "from quasimix.spectra import spectral_data\n"
+        "def hwm_mb():\n"
+        "    with open('/proc/self/status') as handle:\n"
+        "        return int(next(l.split()[1] for l in handle if l.startswith('VmHWM:'))) / 1024\n"
+        "h = Harmonic(spectral_data(build_symmetric(6)))\n"
+        "rng = np.random.default_rng(0)\n"
+        "f1, f2 = centered(sample_disc(h.n, rng)), sample_disc(h.n, rng)\n"
+        "h.fourier()\n"
+        "before = hwm_mb()\n"
+        "h.step3_intermediate(f1, f2)\n"
+        "h.step4_substitution_sweep(f2)\n"
+        "print(hwm_mb() - before)\n"
+    )
+    assert float(subprocess_stdout(script)) < 7.0
 
 
 # -- the Frobenius–Schur certificate -------------------------------------------------
