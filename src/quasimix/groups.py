@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Optional, TextIO, Union
+from typing import List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,8 @@ class CayleyTableError(ValueError):
 class FiniteGroup:
     """A finite group on elements 0..order-1 with dense multiplication tables.
 
-    ``mul[i, j]`` is the product i*j, ``inv[i]`` the inverse of i.  Instances
+    ``mul[i, j]`` is the product i*j, ``inv[i]`` the inverse of i, and ``generators``
+    the seeds validation drew with their inverses (``_check_associative``).  Instances
     are immutable after construction; derived tables are cached lazily.
     """
 
@@ -49,6 +50,7 @@ class FiniteGroup:
     inv: np.ndarray
     identity: int
     name: str
+    generators: Tuple[int, ...]
 
     def __post_init__(self):
         self.mul = np.ascontiguousarray(self.mul, dtype=np.int32)
@@ -168,40 +170,48 @@ def _certified_group(mul: np.ndarray, name: str) -> FiniteGroup:
     if bad.any():
         raise CayleyTableError(f"inverse of element {int(np.argmax(bad))} is not two-sided")
 
-    _check_associative(mul, identity, inv)
-    return FiniteGroup(n, mul, inv, identity, name)
+    generators = _check_associative(mul, identity, inv)
+    return FiniteGroup(n, mul, inv, identity, name, generators)
 
 
-def _check_associative(mul: np.ndarray, identity: int, inv: np.ndarray) -> None:
-    """Raise unless the table, whose identity e and inverses are two-sided, is associative.
+def _check_associative(mul: np.ndarray, identity: int, inv: np.ndarray) -> Tuple[int, ...]:
+    """Raise unless the table, whose identity e and inverses are two-sided, is associative;
+    return the seeds S it drew, each with its inverse, which generate the group.
 
-    Each round draws a seed s from the elements not yet known, from the stream
-    ``_generators`` draws from, and adds s and its inverse to the seeds S (on a group,
-    S ends as the generators that label the classes).  (B) (a*z)*b = a*(z*b) must hold for all
-    z and each new pair a, b in S.  (A) A breadth-first search by left multiplication
-    by S from every known element makes each new element x = t*p known by one edge,
-    and row(x) must equal row(t)[row(p)].  Why that suffices: by (A) every row map L_x
-    is a composition of maps L_s; by (B) each L_s commutes with each z -> z*t, t in S,
-    so every L_x commutes with every composition d of those; every element is d(e) for
-    some d, since t*d(e) = d(t) = (d after z -> z*t)(e).  L_x after L_y and L_{x*y}
-    both commute with every d and send e to x*y, so they agree on every d(e): the
-    table is associative.  After each round that passes, the known elements form a
-    group, which the next seed, lying outside it, at least doubles: at most
+    Each round of ``_seed_rounds`` draws a seed s from the elements not yet known and
+    adds s and its inverse to S; the round is checked as it is drawn, so a failing
+    round is the last one drawn.  (B) (a*z)*b = a*(z*b) must hold for all z and each
+    new pair a, b in S.  (A) The round's tree by left multiplication by S from every
+    known element makes each new element x = t*p known by one edge, and row(x) must
+    equal row(t)[row(p)].  Why that suffices: by (A) every row map L_x is a composition
+    of maps L_s; by (B) each L_s commutes with each z -> z*t, t in S, so every L_x
+    commutes with every composition d of those; every element is d(e) for some d,
+    since t*d(e) = d(t) = (d after z -> z*t)(e).  L_x after L_y and L_{x*y} both
+    commute with every d and send e to x*y, so they agree on every d(e): the table is
+    associative.  After each round that passes, the known elements form a group,
+    which the next seed, lying outside it, at least doubles: at most
     floor(log2 n) + 1 rounds, n - 1 row compares and O(n log^2 n) other work, on any
     table.
     """
-    n = mul.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(_CLASSES_TAG))
-    known = np.zeros(n, dtype=bool)
-    known[identity] = True
     gens: List[int] = []
-    while not known.all():
-        s = int(rng.choice(np.flatnonzero(~known)))
+    for new, layers in _seed_rounds(mul, identity, inv, rng, gens):
+        _check_pairs(mul, gens, new)
+        _check_edges(mul, gens, layers)
+    return tuple(gens)
+
+
+def _seed_rounds(mul: np.ndarray, identity: int, inv: np.ndarray, rng, gens, within=None):
+    """Per seed, lazily: add a random element of the mask ``within`` (every element if None)
+    outside the subgroup ``gens`` generate, with its inverse, to ``gens``, in place; yield
+    how many joined and the ``_tree_layers`` that the new seeds grow from that subgroup."""
+    known = np.zeros(mul.shape[0], dtype=bool)
+    known[identity] = True
+    while (unknown := ~known if within is None else within & ~known).any():
+        s = int(rng.choice(np.flatnonzero(unknown)))
         new = [s] if inv[s] == s else [s, int(inv[s])]
         gens += new
-        _check_pairs(mul, gens, len(new))
-        # the new seeds act on every known row; each child joins the tree by one edge
-        _check_edges(mul, gens, _tree_layers(mul, gens, known, np.flatnonzero(known)))
+        yield len(new), _tree_layers(mul, gens, known, np.flatnonzero(known))
 
 
 def _check_pairs(mul: np.ndarray, gens: List[int], new: int) -> None:
@@ -253,8 +263,8 @@ def _element_table(elements: np.ndarray, compose, key) -> np.ndarray:
     ``compose(a, b)`` multiplies each element of a by each element of b; ``key`` maps
     elements (their trailing axes) to distinct integers, and a dense key -> index array
     turns each product back into its position.  Only a few seed rows are composed: the
-    smallest element whose row is unknown becomes a seed, and a breadth-first search by
-    left multiplication by the seeds fills each row it reaches from the known rows by
+    smallest element whose row is unknown becomes a seed, and the ``_tree_layers`` of
+    left multiplication by the seeds from the known rows fill each row they reach by
     row(s*i) = row(s)[row(i)], since (s*i)*j = s*(i*j).  The known rows are then the
     subgroup the seeds generate, which each new seed, lying outside it, at least
     doubles: at most floor(log2 n) + 1 rows are composed.
@@ -271,21 +281,15 @@ def _element_table(elements: np.ndarray, compose, key) -> np.ndarray:
         mul[s] = index[key(compose(elements[s : s + 1], elements))[0]]
         known[s] = True
         seeds.append(s)
-        frontier = np.flatnonzero(known)  # the new seed acts on every known row
-        while len(frontier):
-            filled = []
-            for t in seeds:  # children grouped by seed: each fill reads the one row mul[t]
-                children = mul[t, frontier]
-                fresh = ~known[children]
-                children, parents = children[fresh], frontier[fresh]
-                known[children] = True
+        # the new seed acts on every known row; a layer's parents are filled before it
+        for children, gen_index, parents in _tree_layers(mul, seeds, known, np.flatnonzero(known)):
+            for k, t in enumerate(seeds):  # children grouped by seed: each fill reads mul[t]
+                xs, ps = children[gen_index == k], parents[gen_index == k]
                 # the int32 parent rows, np.take's intp copy and the int32 result take 16
                 # bytes an entry; quarter chunks keep them within 256 KB, since a large
                 # group's set-up peaks while its table is built
-                for rows in row_chunks(len(children), 4 * n):
-                    mul[children[rows]] = mul[t].take(mul[parents[rows]])
-                filled.append(children)
-            frontier = np.concatenate(filled)
+                for rows in row_chunks(len(xs), 4 * n):
+                    mul[xs[rows]] = mul[t].take(mul[ps[rows]])
     return mul
 
 
@@ -431,21 +435,17 @@ def format_cayley_table(group: FiniteGroup) -> str:
 
 def _generators(group: FiniteGroup, rng: np.random.Generator, within=None):
     """Random unreached elements of the mask ``within`` (every element if None), each with
-    its inverse, until they generate what it generates; with their spanning tree.
+    its inverse, until they generate what it generates (``_seed_rounds``); with a tree.
 
     The tree is the breadth-first layers (children, generator index, parents) from the
     identity, child = gens[index] * parent; its elements are the generated subgroup.
     """
     gens: List[int] = []
-    while True:
-        seen = np.zeros(group.order, dtype=bool)
-        seen[group.identity] = True
-        layers = _tree_layers(group.mul, gens, seen, np.array([group.identity], dtype=np.int64))
-        unreached = ~seen if within is None else within & ~seen
-        if not unreached.any():
-            return gens, layers
-        s = int(rng.choice(np.flatnonzero(unreached)))
-        gens += [s] if group.inv[s] == s else [s, int(group.inv[s])]
+    for _ in _seed_rounds(group.mul, group.identity, group.inv, rng, gens, within):
+        pass
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    return gens, _tree_layers(group.mul, gens, seen, np.array([group.identity], dtype=np.int64))
 
 
 def _tree_layers(mul: np.ndarray, gens: List[int], seen: np.ndarray, frontier: np.ndarray):
@@ -470,19 +470,18 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyStructure:
     """Partition the group into conjugation orbits, classes ordered by smallest member.
 
     Each element is labelled by the smallest member of its orbit, found by
-    propagating the least label along conjugation by generators closed under
-    inverses, label[x] <- min(label[x], label[s x s^-1]), and pointer jumping,
-    label <- label[label], until nothing changes: O(n·|gens|) per round, and
-    no conjugation table.  A label only ever moves to another member of x's
-    orbit; at the fixed point it is constant along every generator's
-    conjugation, hence on the orbit, and the orbit's smallest member m keeps
-    label m.  The distinct labels, in increasing order, are the
-    representatives; a label's rank is the class index and its multiplicity
-    the class size.
+    propagating the least label along conjugation by ``group.generators``, which
+    are closed under inverses, label[x] <- min(label[x], label[s x s^-1]), and
+    pointer jumping, label <- label[label], until nothing changes: O(n·|gens|) per
+    round, no seeds drawn and no conjugation table.  A label only ever moves to
+    another member of x's orbit; at the fixed point it is constant along every
+    generator's conjugation, hence on the orbit, and the orbit's smallest member m
+    keeps label m.  The distinct labels, in increasing order, are the
+    representatives; a label's rank is the class index and its multiplicity the
+    class size.
     """
     n = group.order
-    gens, _ = _generators(group, np.random.default_rng(np.random.SeedSequence(_CLASSES_TAG)))
-    moves = group.conjugation_rows(np.asarray(gens, dtype=np.int64))
+    moves = group.conjugation_rows(np.asarray(group.generators, dtype=np.int64))
     labels = np.arange(n, dtype=np.int32)
     while True:
         before = labels
@@ -510,16 +509,16 @@ def commutator_subgroup(
 ) -> frozenset:
     """Element indices of the subgroup generated by all commutators.
 
-    For S the generators that label the classes, G' is the subgroup N generated
-    by the classes of the commutators [s, t]: N is normal and inside G', and S
-    commutes modulo N.  ``classes`` are computed when not given.
+    For S = ``group.generators``, G' is the subgroup N generated by the classes of
+    the commutators [s, t]: N is normal and inside G', and S commutes modulo N.
+    Seeds are drawn only to generate N.  ``classes`` are computed when not given.
     """
     if classes is None:
         classes = conjugacy_classes(group)
     mul, inv = group.mul, group.inv
-    rng = np.random.default_rng(np.random.SeedSequence(_CLASSES_TAG))
-    s = np.asarray(_generators(group, rng)[0], dtype=np.int64)
+    s = np.asarray(group.generators, dtype=np.int64)
     hit = np.zeros(classes.num_classes, dtype=bool)
     hit[classes.class_of[mul[mul[mul[s[:, None], s], inv[s][:, None]], inv[s]]]] = True
+    rng = np.random.default_rng(np.random.SeedSequence(_CLASSES_TAG))
     _, layers = _generators(group, rng, within=hit[classes.class_of])
     return frozenset(np.concatenate([[group.identity], *(c for c, _, _ in layers)]).tolist())

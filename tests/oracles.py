@@ -18,6 +18,7 @@ from quasimix.groups import (
     ConjugacyStructure,
     FiniteGroup,
     _generators,
+    _tree_layers,
     group_from_table,
 )
 from quasimix.harmonic import (
@@ -645,6 +646,22 @@ def product_closure(group, inside):
             inside[group.mul[np.ix_(current[rows], current)]] = True
         if np.count_nonzero(inside) == len(current):
             return frozenset(current.tolist())
+
+
+def rebuilt_generators(group, rng, within=None):
+    """``groups._generators`` by rebuilding the whole tree from the identity once per
+    seed: the seeds are drawn from the elements of ``within`` (every element if None)
+    that the tree of the seeds so far does not reach, and the last tree is returned."""
+    gens = []
+    while True:
+        seen = np.zeros(group.order, dtype=bool)
+        seen[group.identity] = True
+        layers = _tree_layers(group.mul, gens, seen, np.array([group.identity], dtype=np.int64))
+        unreached = ~seen if within is None else within & ~seen
+        if not unreached.any():
+            return gens, layers
+        s = int(rng.choice(np.flatnonzero(unreached)))
+        gens += [s] if group.inv[s] == s else [s, int(group.inv[s])]
 
 
 def representative_commutator_subgroup(group, classes):

@@ -24,6 +24,7 @@ from oracles import (
     middle_nucleus_verdict,
     product,
     product_closure,
+    rebuilt_generators,
     representative_commutator_subgroup,
 )
 import quasimix.groups
@@ -45,7 +46,7 @@ from quasimix.groups import (
     _validated_group,
 )
 from quasimix.report import group_summary
-from quasimix.spectra import spectral_data
+from quasimix.spectra import _FOURIER_TAG, spectral_data
 
 # Latin square with identity 0 where element 2's right inverse is not a left
 # inverse: 2*3 = 0 but 3*2 = 1.
@@ -345,6 +346,52 @@ def test_associativity_certificate_draws_at_most_log2_order_plus_one(monkeypatch
     # the seeds and their inverses are the generators that label the classes
     rng = np.random.default_rng(np.random.SeedSequence(quasimix.groups._CLASSES_TAG))
     assert (calls[-1][1] if calls else []) == _generators(group, rng)[0]
+    assert list(group.generators) == (calls[-1][1] if calls else [])
+
+
+def _assert_same_generators(group, seed, within=None):
+    """``_generators`` draws the seeds, builds the tree and leaves the stream as the
+    rebuild-per-seed oracle does: the Fourier basis, built on that tree, keeps its bytes."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    gens, layers = _generators(group, rng, within=within)
+    expect_gens, expect_layers = rebuilt_generators(group, oracle_rng, within=within)
+    assert gens == expect_gens
+    assert len(layers) == len(expect_layers)
+    for layer, expect in zip(layers, expect_layers):
+        for got, want in zip(layer, expect):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.integers(2**62) == oracle_rng.integers(2**62)  # the stream the basis reads on
+
+
+@pytest.mark.parametrize("token", BUILT_IN_TOKENS + ["s:7", "z:5040"])
+def test_generators_match_the_rebuild_per_seed_oracle(token):
+    group = resolve_group(token)
+    for tag in (quasimix.groups._CLASSES_TAG, _FOURIER_TAG):
+        _assert_same_generators(group, np.random.SeedSequence(tag))
+
+
+def _spy_on_seed_rounds(monkeypatch):
+    """Record the ``within`` mask of each run of the seed-drawing loop."""
+    masks = []
+    real = quasimix.groups._seed_rounds
+
+    def spy(mul, identity, inv, rng, gens, within=None):
+        masks.append(within)
+        return real(mul, identity, inv, rng, gens, within)
+
+    monkeypatch.setattr(quasimix.groups, "_seed_rounds", spy)
+    return masks
+
+
+@pytest.mark.parametrize("token", ["z:1", "s:4", "a:5", "sl2:5", "s:7"])
+def test_classes_and_commutators_read_the_generators_validation_drew(monkeypatch, token):
+    group = resolve_group(token)
+    masks = _spy_on_seed_rounds(monkeypatch)
+    classes = conjugacy_classes(group)
+    assert masks == []  # no seed drawn: the classes conjugate by group.generators
+    commutator_subgroup(group, classes)
+    # one run, for the closure of the commutators' classes alone
+    assert len(masks) == 1 and masks[0] is not None and masks[0].shape == (group.order,)
 
 
 def test_associativity_certificate_stops_at_the_first_failing_pair_or_edge(monkeypatch):
@@ -635,12 +682,20 @@ def test_commutator_subgroup_does_not_depend_on_the_generators_drawn(monkeypatch
     group = resolve_group(token)
     classes = conjugacy_classes(group)
     expect = commutator_subgroup(group, classes)
+    drawn = {group.generators}
     for tag in range(1, 9):
-        monkeypatch.setattr(quasimix.groups, "_CLASSES_TAG", tag)  # another S for the commutators
-        assert commutator_subgroup(group, classes) == expect
+        # validation draws S, so another tag means another build
+        monkeypatch.setattr(quasimix.groups, "_CLASSES_TAG", tag)
+        group = resolve_group(token)
+        drawn.add(group.generators)
+        other = conjugacy_classes(group)
+        assert np.array_equal(other.class_of, classes.class_of)
+        assert commutator_subgroup(group, other) == expect
+    assert len(drawn) > 1
 
 
 def _tree_elements(group, within, seed=0):
+    _assert_same_generators(group, seed, within)
     gens, layers = _generators(group, np.random.default_rng(seed), within=within)
     members = [group.identity] + [int(x) for children, _, _ in layers for x in children]
     assert len(set(members)) == len(members)  # a tree: each element reached once

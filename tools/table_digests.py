@@ -1,13 +1,17 @@
-"""Print one line ``token order sha256(mul)`` for every built-in permutation and matrix group.
+"""Print one line ``token order sha256(mul) sha256(class_of) |G'|`` per built-in
+permutation and matrix group.
 
 Usage: python tools/table_digests.py [--src DIR]
 
 Each group is built and validated through ``quasimix.cli.resolve_group`` from the
-quasimix package under DIR (default: this checkout's src/).  The tokens are s:2..7,
-a:2..7, and sl2:p and psl2:p for p in 3, 5, 7, 11, 13: every table the permutation
-and matrix builders make.  Two source trees give two listings, and ``diff`` of the
-two shows any table that changed a byte, including s:7, a:7, sl2:13 and psl2:13,
-which no command of tools/command_matrix.py builds.
+quasimix package under DIR (default: this checkout's src/); ``class_of`` is the int32
+class index of each element from ``conjugacy_classes``, and |G'| the order of
+``commutator_subgroup``, which is the whole group exactly when the group is perfect.
+The tokens are s:2..7, a:2..7, and sl2:p and psl2:p for p in 3, 5, 7, 11, 13: every
+table the permutation and matrix builders make.  Two source trees give two listings,
+and ``diff`` of the two shows any table, class labelling or commutator subgroup order
+that changed, including those of s:7, a:7, sl2:13 and psl2:13, which no command of
+tools/command_matrix.py builds.
 """
 
 import argparse
@@ -29,10 +33,19 @@ def main(argv):
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     from quasimix.cli import resolve_group
+    from quasimix.groups import commutator_subgroup, conjugacy_classes
 
     for token in TOKENS:
         group = resolve_group(token)
-        print(token, group.order, hashlib.sha256(group.mul.tobytes()).hexdigest(), flush=True)
+        classes = conjugacy_classes(group)
+        print(
+            token,
+            group.order,
+            hashlib.sha256(group.mul.tobytes()).hexdigest(),
+            hashlib.sha256(classes.class_of.tobytes()).hexdigest(),
+            len(commutator_subgroup(group, classes)),
+            flush=True,
+        )
     return 0
 
 
