@@ -432,52 +432,133 @@ def _indicators(group: FiniteGroup, classes: ConjugacyStructure, table: Characte
     return nu
 
 
-def _probe_weights(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Complex Gaussian weights for the commutant probe of a row whose indicator is not +1.
+def _probe_weights(rng: np.random.Generator, size: int, real: bool) -> np.ndarray:
+    """Gaussian weights for a commutant probe: real on a row of indicator +1, else complex.
 
-    They must be complex: on a quaternionic row, real weights give a probe that
-    commutes with the row's antiunitary structure, so every eigenvalue is double
-    (Kramers) and no draw splits the row.  A row of indicator +1 is built in real
-    arithmetic, and its probe takes real weights (_irreducible_frame).
+    They must be complex off the real rows: on a quaternionic row's whole isotypic
+    component, real weights give a probe that commutes with the row's antiunitary
+    structure, so every eigenvalue is double (Kramers) and no draw splits the row.  A
+    row of indicator +1 is built in real arithmetic, and its probe is real symmetric.
     """
+    if real:
+        return rng.standard_normal(size)
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
-def _isotypic_factor(group: FiniteGroup, phi: np.ndarray, d: int, row: int) -> np.ndarray:
-    """An n×d² orthonormal frame of the chi-isotypic component, by pivoted Cholesky.
+def _cyclic_cosets(group: FiniteGroup, classes: ConjugacyStructure) -> np.ndarray:
+    """The left cosets x<h> of the cyclic subgroup of h, the first class representative of
+    greatest order o, as an (n/o, o) array: row c lists c, c·h, …, c·h^(o−1).  Row 0 is
+    <h> itself from the identity, so it lists the powers h^j.
 
-    P[x, y] = phi(y^-1 x), phi = (d/n)·conj chi, is the orthogonal projection onto
-    the component (rank d², constant diagonal d²/n), and its column p is one
-    O(n) gather.  d² greedy pivots give L with L L* = P (Harbrecht, Peters and
-    Schneider, Appl. Numer. Math. 62 (2012)).  A pivot residual that vanishes
-    before d² pivots, or one left after them, means P has another rank: the
-    table's degree for this row is wrong.  Otherwise L*L - I is below
-    n·tol = BASIS_TOL·d² in norm, and one Newton-Schulz step,
+    The orders come from one power loop vectorised over the representatives.  x ↦ x·h
+    is a permutation whose cycles are the cosets, each of length o; ⌈log₂ o⌉ rounds of
+    pointer doubling give every x the least element of its coset, which starts its row.
+    """
+    n, reps = group.order, classes.representatives
+    orders, power = np.zeros(len(reps), dtype=np.int64), reps
+    for m in count(1):
+        orders[(orders == 0) & (power == group.identity)] = m
+        if orders.all():
+            break
+        power = group.mul[power, reps]
+    h, o = int(reps[np.argmax(orders)]), int(orders.max())
+    step = group.mul[:, h]  # x -> x·h
+    least, jump = np.arange(n), step
+    for _ in range((o - 1).bit_length()):
+        least, jump = np.minimum(least, least[jump]), jump[jump]
+    starts = np.flatnonzero(least == np.arange(n))
+    starts = np.concatenate([[group.identity], starts[starts != least[group.identity]]])
+    cosets = np.empty((len(starts), o), dtype=np.int64)
+    cosets[:, 0] = starts
+    for i in range(1, o):
+        cosets[:, i] = step[cosets[:, i - 1]]
+    return cosets
+
+
+def _multiplicities(chi_powers: np.ndarray, row: int) -> np.ndarray:
+    """The multiplicity μ(ω) of each eigenvalue ω = exp(2πik/o) of ρ(h), k < o, as exact integers.
+
+    ``chi_powers`` holds χ(h^j) for j < o, and μ(ω) = (1/o)·Σ_j χ(h^j)·ω^(−j) is one FFT.
+    SpectralInconsistencyError is raised unless every μ rounds to a non-negative integer
+    within TRACE_TOL.
+    """
+    o = len(chi_powers)
+    mu = np.fft.fft(chi_powers) / o
+    rounded = np.rint(mu.real)
+    off = ~((np.abs(mu - rounded) <= TRACE_TOL) & (rounded >= 0))  # nan is off too
+    if off.any():
+        k = int(np.argmax(off))
+        raise SpectralInconsistencyError(
+            f"row {row}: eigenvalue exp(2πi·{k}/{o}) of ρ(h) has multiplicity "
+            f"{complex(mu[k]):.6g}, not a non-negative integer"
+        )
+    return rounded.astype(np.int64)
+
+
+def _eigenspace_kernel(
+    cosets: np.ndarray, phi: np.ndarray, mu: np.ndarray, real: bool
+) -> Tuple[np.ndarray, int]:
+    """q = phi * e_ω for the eigenvalue ω of ρ(h) of least positive multiplicity, and the
+    multiplicity μ of the eigenspace K[x, y] = q(y^-1 x) projects onto, rank d·μ.
+
+    e_ω = (1/o)·Σ_j ω^(−j)·δ_(h^j) is a Hermitian idempotent, so q(x) = (1/o)·Σ_j ω^(−j)·
+    phi(x·h^(−j)) is one too, and K projects onto the part of the chi-isotypic component on
+    which right translation by h acts as ω.  q(c·h^i) = ω^(−i)·q(c), with q(c) =
+    (1/o)·Σ_l ω^l·phi(c·h^l), so q costs O(n) over the cosets.  A real phi (indicator +1)
+    stays real: it takes ω = ±1, or the pair {ω, ω̄}, q_ω + q_ω̄ = 2·Re q_ω, of
+    multiplicity 2μ(ω).
+    """
+    o = cosets.shape[1]
+    k = np.arange(o)
+    sizes = mu
+    if real:  # μ(ω̄) = μ(ω) on a real character
+        sizes = np.where((k == 0) | (2 * k == o), mu, 2 * mu) * (2 * k <= o)
+    best = int(np.argmin(np.where(sizes > 0, sizes, sizes.max() + 1)))
+    phase = np.exp(2j * np.pi * best * k / o)
+    q = np.empty(len(phi), dtype=np.complex128)
+    q[cosets] = (phi[cosets] @ phase / o)[:, None] * phase.conj()
+    if real:
+        q = (sizes[best] // mu[best]) * q.real
+    return q, int(sizes[best])
+
+
+def _isotypic_factor(
+    group: FiniteGroup, q: np.ndarray, d: int, mu: int, row: int
+) -> np.ndarray:
+    """An n×(d·μ) orthonormal frame of the range of K[x, y] = q(y^-1 x), by pivoted Cholesky.
+
+    K is an orthogonal projection onto μ copies of the chi-type irrep (_eigenspace_kernel;
+    q = phi gives the whole isotypic component, μ = d), so it has rank d·μ and the constant
+    diagonal d·μ/n, and its column p is one O(n) gather.  d·μ greedy pivots give L with
+    L L* = K (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62 (2012)).  A pivot
+    residual that vanishes before d·μ pivots, or one left after them, means K has another
+    rank: the table's degree for this row is wrong.  Otherwise L*L - I is below
+    n·tol = BASIS_TOL·d·μ in norm, and one Newton-Schulz step,
     L <- L (3I - L*L)/2 (Björck and Bowie, SIAM J. Numer. Anal. 8 (1971)),
-    squares that residue down to rounding with two GEMMs.  L has phi's dtype: a
-    real chi makes P real symmetric, and the factor real.
+    squares that residue down to rounding with two GEMMs.  L has q's dtype: a
+    real chi makes K real symmetric, and the factor real.
     """
     n = group.order
-    m = d * d
+    m = d * mu
     tol = BASIS_TOL * m / n
-    factor = np.empty((n, m), dtype=phi.dtype)
-    residual = np.full(n, phi[group.identity].real)
+    factor = np.empty((n, m), dtype=q.dtype)
+    residual = np.full(n, q[group.identity].real)
     for k in range(m):
         p = int(np.argmax(residual))
         pivot = residual[p]
         if not pivot > tol:  # also catches nan
             raise SpectralInconsistencyError(
-                f"row {row} (degree {d}): isotypic projection has rank {k}, not degree² = {m} "
+                f"row {row} (degree {d}): eigenspace projection has rank {k}, not d·μ = {m} "
                 f"(pivot residual {pivot:.3g})"
             )
-        column = phi.take(group.mul[group.inv[p]])
+        column = q.take(group.mul[group.inv[p]])
         column -= factor[:, :k] @ factor[p, :k].conj()
         column /= np.sqrt(pivot)
         factor[:, k] = column
         residual -= abs2(column)
     if not residual.max() <= tol:
         raise SpectralInconsistencyError(
-            f"row {row} (degree {d}): isotypic projection has rank above degree² = {m} "
+            f"row {row} (degree {d}): eigenspace projection has rank above d·μ = {m} "
             f"(residual {residual.max():.3g} after {m} pivots)"
         )
 
@@ -491,37 +572,37 @@ def _isotypic_factor(group: FiniteGroup, phi: np.ndarray, d: int, row: int) -> n
 
 
 def _irreducible_frame(
-    group: FiniteGroup, phi: np.ndarray, d: int, rng: np.random.Generator, row: int
+    group: FiniteGroup, q: np.ndarray, d: int, mu: int, rng: np.random.Generator, row: int
 ) -> np.ndarray:
     """An n×d orthonormal frame of one left-invariant irreducible subspace of type chi.
 
-    A Hermitian right convolution R[x, y] = c(x^-1 y), c(g^-1) = conj c(g),
-    commutes with the left action and acts on the isotypic component with d
-    eigenvalues of multiplicity d; its lowest eigenspace is irreducible.  c is
-    supported on PROBE_SIZE random elements t and their inverses, so on the
-    frame L, (R L)[x] = sum_t c(t)·L[x t] costs O(n·d²) per support element.
-    A real phi (indicator +1) gives a real frame and takes real weights, c(t^-1) =
-    c(t): R is then real symmetric in the commutant M_d(R) of the real component,
-    so its lowest eigenspace is a real irreducible copy.  Any other row takes the
-    complex _probe_weights.  Draws whose lowest cluster is not separated are retried.
+    The range of K[x, y] = q(y^-1 x) holds μ copies of the irrep (_isotypic_factor): with
+    μ = 1 its frame is the answer.  Otherwise a Hermitian right convolution
+    R[x, y] = c(x^-1 y), c(g^-1) = conj c(g), commutes with the left action, and its
+    compression to the range is I_d ⊗ B with B μ×μ: d-fold eigenvalues, the lowest of
+    which spans an irreducible subspace.  c is supported on PROBE_SIZE random elements t
+    and their inverses, and right translation is a permutation, R_(t^-1) = R_t*, so on the
+    frame L the compression is M + M* with M = Σ_t c(t)·L*R_t L, (R_t L)[x] = L[x t]:
+    O(n·d·μ) per support element.  A real q (indicator +1) gives a real frame and takes
+    real weights: R is then real symmetric in the commutant of the real component, so
+    its lowest eigenspace is a real irreducible copy.  Draws whose lowest cluster is not
+    separated are retried.
     """
     n = group.order
-    m = d * d
-    frame = _isotypic_factor(group, phi, d, row)
+    frame = _isotypic_factor(group, q, d, mu, row)
+    if mu == 1:
+        return frame
+    m = d * mu
     failure = "no attempt made"
     for _ in range(DEFAULT_ATTEMPTS):
         t = rng.integers(0, n, size=PROBE_SIZE)
-        if np.iscomplexobj(frame):
-            c = _probe_weights(rng, PROBE_SIZE)
-        else:
-            c = rng.standard_normal(PROBE_SIZE)
-        support, weights = np.concatenate([t, group.inv[t]]), np.concatenate([c, c.conj()])
-        herm = np.zeros((m, m), dtype=frame.dtype)
+        c = _probe_weights(rng, PROBE_SIZE, not np.iscomplexobj(frame))
+        half = np.zeros((m, m), dtype=frame.dtype)
         for rows in row_chunks(n, m):
-            at = group.mul[rows][:, support]  # x t for each support element t
-            image = sum(w * frame[at[:, j]] for j, w in enumerate(weights))  # (R L)[rows]
-            herm += frame[rows].conj().T @ image
-        evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
+            at = group.mul[rows][:, t]  # x t for each support element t
+            image = sum(w * frame[at[:, j]] for j, w in enumerate(c))  # Σ_t c(t)·(R_t L)[rows]
+            half += frame[rows].conj().T @ image
+        evals, evecs = np.linalg.eigh(half + half.conj().T)
         scale = float(np.abs(evals).max())
         if evals[d - 1] - evals[0] > BASIS_TOL * scale:
             failure = "lowest eigenvalue cluster is not d-fold"
@@ -593,8 +674,10 @@ def fourier_basis(
 
     Degree-1 rows are their characters.  For every other row an irreducible
     subspace of the regular representation is split off (Dixon, Math. Comp. 24
-    (1970), numerically), rho(s) = W* lambda(s) W is formed on a few random
-    generators s, and every rho(x) follows along a breadth-first tree over them:
+    (1970), numerically) out of one eigenspace of the right translation by a fixed
+    element h of greatest order, of rank d·μ rather than the isotypic component's d²
+    (_cyclic_cosets, _eigenspace_kernel).  rho(s) = W* lambda(s) W is formed on a few
+    random generators s, and every rho(x) follows along a breadth-first tree over them:
     rho(s y) = rho(s) rho(y).  A row of Frobenius–Schur indicator +1 (_indicators)
     runs all of this in real arithmetic, so its rho is real orthogonal; the other
     rows run it in complex.  _check_basis certifies the result on the seeds.
@@ -612,6 +695,7 @@ def fourier_basis(
     real_columns = int((degrees[real] ** 2).sum())
     shift = n - real_columns  # from a complex column's real part to its imaginary part
     E = np.empty((n, n + shift))
+    cosets = _cyclic_cosets(group, classes) if (degrees > 1).any() else None
     for r, d in enumerate(degrees):
         chi = table.values[r][classes.class_of]
         cols = slice(int(offsets[r]), int(offsets[r] + d * d))
@@ -623,7 +707,9 @@ def fourier_basis(
         if d == 1:
             rho[:, 0, 0] = chi
         else:
-            frame = _irreducible_frame(group, (d / n) * chi.conj(), int(d), rng, r)
+            mu = _multiplicities(table.values[r, classes.class_of[cosets[0]]], r)
+            q, mult = _eigenspace_kernel(cosets, (d / n) * chi.conj(), mu, real[r])
+            frame = _irreducible_frame(group, q, int(d), mult, rng, r)
             # (lambda(s) W)[y] = W[s^-1 y]
             rho_gens = np.stack([frame.conj().T @ frame[group.mul[group.inv[s]]] for s in gens])
             rho[group.identity] = np.eye(d)

@@ -34,6 +34,7 @@ from quasimix._numutil import abs2, row_chunks
 from quasimix.spectra import (
     BASIS_TOL,
     DEFAULT_ATTEMPTS,
+    PROBE_SIZE,
     SPLIT_GAP,
     _FOURIER_TAG,
     _SPECTRA_TAG,
@@ -43,7 +44,7 @@ from quasimix.spectra import (
     SpectralInconsistencyError,
     _check_basis,
     _check_classes,
-    _irreducible_frame,
+    _probe_weights,
     _sorted_rows,
     class_algebra,
     isotypic_project,
@@ -877,19 +878,63 @@ def projection_fourier_basis(group, classes, table):
     return _complex_tree_basis(group, classes, table, frame)
 
 
+def isotypic_frame(group, phi, d, rng, row):
+    """An n×d orthonormal frame of one irreducible subspace, split off the whole isotypic component.
+
+    This was ``fourier_basis``' frame build before each row was split off one eigenspace
+    of a cyclic right translation: d² pivots of a pivoted Cholesky of the isotypic
+    projection P[x, y] = phi(y^-1 x), one Newton–Schulz step on the n×d² frame, then a
+    Hermitian right convolution on PROBE_SIZE random elements and their inverses, six
+    gathers an attempt with the complex _probe_weights, whose lowest d-fold eigenspace of
+    the d²×d² compression is irreducible.  phi is complex, as complex_fourier_basis
+    passes it.
+    """
+    n, m = group.order, d * d
+    tol = BASIS_TOL * m / n
+    frame = np.empty((n, m), dtype=phi.dtype)
+    residual = np.full(n, phi[group.identity].real)
+    for k in range(m):
+        p = int(np.argmax(residual))
+        if not residual[p] > tol:
+            raise SpectralInconsistencyError(f"row {row}: isotypic projection has rank {k}")
+        column = phi.take(group.mul[group.inv[p]])
+        column -= frame[:, :k] @ frame[p, :k].conj()
+        column /= np.sqrt(residual[p])
+        frame[:, k] = column
+        residual -= abs2(column)
+    if not residual.max() <= tol:
+        raise SpectralInconsistencyError(f"row {row}: isotypic projection has rank above {m}")
+    frame = frame @ ((3 * np.eye(m) - frame.conj().T @ frame) / 2)
+
+    for _ in range(DEFAULT_ATTEMPTS):
+        t = rng.integers(0, n, size=PROBE_SIZE)
+        c = _probe_weights(rng, PROBE_SIZE, False)
+        support, weights = np.concatenate([t, group.inv[t]]), np.concatenate([c, c.conj()])
+        at = group.mul[:, support]
+        image = sum(w * frame[at[:, j]] for j, w in enumerate(weights))
+        herm = frame.conj().T @ image
+        evals, evecs = np.linalg.eigh((herm + herm.conj().T) / 2)
+        scale = float(np.abs(evals).max())
+        if (evals[d - 1] - evals[0] <= BASIS_TOL * scale
+                and evals[d] - evals[d - 1] >= SPLIT_GAP * scale):
+            return frame @ evecs[:, :d]
+    raise DegenerateSpectrumError(f"row {row}: no separated irreducible subspace")
+
+
 def complex_fourier_basis(group, classes, table):
     """The Fourier basis with every row built in complex arithmetic, real-type rows too.
 
     This was ``fourier_basis``' route before the rows of Frobenius–Schur indicator +1
-    were built in real arithmetic: the package's pivoted Cholesky and commutant probe on
-    the complex phi = (d/n)·conj chi, with the complex _probe_weights, then the same tree
-    fill.  It is certified by _check_basis and stored with no real column.
+    were built in real arithmetic and before each row was split off one eigenspace of a
+    cyclic right translation: isotypic_frame at rank d² on the complex
+    phi = (d/n)·conj chi, then the same tree fill.  It is certified by _check_basis and
+    stored with no real column.
     """
     n = group.order
 
     def frame(r, d, rng):
         phi = (d / n) * table.values[r][classes.class_of].conj()
-        return _irreducible_frame(group, phi, d, rng, r)
+        return isotypic_frame(group, phi, d, rng, r)
 
     return _complex_tree_basis(group, classes, table, frame)
 

@@ -1,6 +1,7 @@
 """The Fourier basis (unitary irreps from the Cayley table) and the Plancherel kernels."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,11 @@ from quasimix.spectra import (
     DegenerateSpectrumError,
     SpectralInconsistencyError,
     _check_basis,
+    _cyclic_cosets,
+    _eigenspace_kernel,
     _indicators,
+    _irreducible_frame,
+    _multiplicities,
     fourier_basis,
     spectral_data,
 )
@@ -235,8 +240,9 @@ _SWEEP_CHUNKS = {"psl2:11": [99, 99, 99, 61]}
 
 @pytest.fixture(scope="module")
 def full_sweeps(built):
-    """On one centered phase f1 and one phase f2: the harmonic on the built basis, and
-    the per-h step3 terms and step4sub distances over every h on the all-complex basis."""
+    """On one centered phase f1 and one phase f2: the harmonic on the built basis, the
+    per-h step3 terms and step4sub distances over every h on the all-complex basis, and
+    that basis, whose frames are split off the whole isotypic component at rank d²."""
     group, data, basis = built
     harmonic = Harmonic(data)
     harmonic._basis = basis
@@ -246,11 +252,11 @@ def full_sweeps(built):
     assert oracle.real_columns == 0
     terms = full_sweep_step3_terms(harmonic, oracle, f1, f2)
     distances = full_sweep_substitution_distances(harmonic, oracle, f2)
-    return harmonic, f1, f2, terms, distances
+    return harmonic, f1, f2, terms, distances, oracle
 
 
 def test_half_sweep_terms_are_equal_at_h_and_its_inverse(full_sweeps):
-    harmonic, _, _, terms, distances = full_sweeps
+    harmonic, _, _, terms, distances, _ = full_sweeps
     inv, n = harmonic.inv, harmonic.n
     assert np.abs(terms - terms[inv]).max() <= 1e-12 * np.abs(terms).max()
     assert np.abs(distances - distances[inv]).max() <= 1e-12 * distances.max()
@@ -264,7 +270,7 @@ def test_half_sweep_matches_the_full_all_complex_sweep(full_sweeps, monkeypatch)
     # step3's value and step4sub's distance at each sweep row, read off the real GEMM
     # product, against the complex route on the same basis and the all-complex full
     # sweep, to 1e-12 relative; each chunk of the sweep is one _real_grams call
-    harmonic, f1, f2, terms, distances = full_sweeps
+    harmonic, f1, f2, terms, distances, _ = full_sweeps
     basis, n = harmonic.fourier(), harmonic.n
     hs, weights = harmonic._half_sweep()
     assert abs(terms.sum().imag) <= 1e-12 * abs(terms.sum())
@@ -282,6 +288,19 @@ def test_half_sweep_matches_the_full_all_complex_sweep(full_sweeps, monkeypatch)
     each = harmonic._substitution_distances(conj_a, *_gemm_buffers(basis, 2 * len(hs)))
     for ref in (complex_substitution_distances(harmonic, basis, f2, hs), distances[hs]):
         assert np.all(np.abs(each - ref) <= 1e-12 * np.abs(ref) + 1e-15)
+
+
+def test_eigenspace_basis_matches_the_isotypic_oracle(full_sweeps):
+    # the basis split off one eigenspace of a cyclic right translation and the d²-rank
+    # isotypic build are different bases of the same irreps: step3 and step4sub, which
+    # do not depend on the choice, agree to 1e-12 relative on every basis group
+    harmonic, f1, f2, _, _, oracle = full_sweeps
+    reference = Harmonic(harmonic.spectral)
+    reference._basis = oracle
+    assert _agree(harmonic.step3_intermediate(f1, f2).observed,
+                  reference.step3_intermediate(f1, f2).observed)
+    assert _agree(harmonic.step4_substitution_sweep(f2).observed,
+                  reference.step4_substitution_sweep(f2).observed)
 
 
 # -- the real Gram parts against the complex route -----------------------------------
@@ -343,28 +362,33 @@ def test_step3_and_step4sub_take_at_least_gemm_rows_a_chunk(monkeypatch):
     assert _agree(step4sub, complex_substitution_distances(harmonic, basis, f2, hs).max())
 
 
-def test_step3_and_step4sub_add_no_complex_temporaries(subprocess_stdout):
-    # the rise of VmHWM over one step3 and one step4sub after the s:6 basis is built reads
-    # 3.95 MB with the real GEMM operand and product; with complex coefficients, their
-    # concatenation and complex Gram stacks it read 11.4 MB
-    script = (
-        "import numpy as np\n"
-        "from quasimix.groups import build_symmetric\n"
-        "from quasimix.harmonic import Harmonic, centered, sample_disc\n"
-        "from quasimix.spectra import spectral_data\n"
-        "def hwm_mb():\n"
-        "    with open('/proc/self/status') as handle:\n"
-        "        return int(next(l.split()[1] for l in handle if l.startswith('VmHWM:'))) / 1024\n"
-        "h = Harmonic(spectral_data(build_symmetric(6)))\n"
-        "rng = np.random.default_rng(0)\n"
-        "f1, f2 = centered(sample_disc(h.n, rng)), sample_disc(h.n, rng)\n"
-        "h.fourier()\n"
-        "before = hwm_mb()\n"
-        "h.step3_intermediate(f1, f2)\n"
-        "h.step4_substitution_sweep(f2)\n"
-        "print(hwm_mb() - before)\n"
-    )
-    assert float(subprocess_stdout(script)) < 7.0
+def _traced_peak_mib(*calls):
+    """The tracemalloc peak over ``calls``, in MiB: the arrays they allocate, numpy's included."""
+    tracemalloc.start()
+    try:
+        for call in calls:
+            call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_step3_and_step4sub_add_no_complex_temporaries():
+    # after the s:6 basis is built and one untraced step3 and step4sub have kept their
+    # gather blocks, the next two calls peak at 5.71 MiB under tracemalloc with the real
+    # GEMM operand and product; the complex route over the same half sweep (transform,
+    # then complex Grams) peaks at 11.07 MiB
+    harmonic = Harmonic(spectral_data(resolve_group("s:6")))
+    rng = np.random.default_rng(0)
+    f1, f2 = centered(sample_disc(harmonic.n, rng)), sample_disc(harmonic.n, rng)
+    basis, (hs, _) = harmonic.fourier(), harmonic._half_sweep()
+    kernels = (lambda: harmonic.step3_intermediate(f1, f2),
+               lambda: harmonic.step4_substitution_sweep(f2))
+    oracle = (lambda: complex_step3_terms(harmonic, basis, f1, f2, hs),
+              lambda: complex_substitution_distances(harmonic, basis, f2, hs))
+    for call in kernels + oracle:
+        call()
+    assert _traced_peak_mib(*kernels) < 8.0 < _traced_peak_mib(*oracle)
 
 
 # -- the Frobenius–Schur certificate -------------------------------------------------
@@ -444,10 +468,18 @@ def test_cholesky_basis_matches_projection_oracle(token):
         assert _agree(fast.step4_substitution_sweep(f2).observed, ref), (token, name)
 
 
+def _row_multiplicities(group, data, row):
+    """The certified eigenvalue multiplicities μ(ω) of ρ(h) on a table row, h as the build
+    picks it, with the left cosets of <h> (row 0: the powers of h)."""
+    cosets = _cyclic_cosets(group, data.classes)
+    chi_powers = data.table.values[row, data.classes.class_of[cosets[0]]]
+    return cosets, _multiplicities(chi_powers, row)
+
+
 @pytest.mark.parametrize("token", ["a:5", "sl2:5"])
 def test_wrong_degree_fails_the_rank_cross_check(token):
-    # a degree raised to d + 1 with the values kept: the isotypic projection has
-    # rank d², not (d + 1)², and the pivoted Cholesky stops at that row by name
+    # a degree raised to d + 1 with the values kept: the eigenspace projection has
+    # rank d·μ, not (d + 1)·μ, and the pivoted Cholesky stops at that row by name
     group = resolve_group(token)
     data = spectral_data(group)
     table = data.table
@@ -457,31 +489,112 @@ def test_wrong_degree_fails_the_rank_cross_check(token):
     wrong = CharacterTable(
         table.values, degrees, table.trivial_row, table.conjugation_multiplicities
     )
+    real = _indicators(group, data.classes, table) == 1
+    cosets, mu = _row_multiplicities(group, data, row)
+    _, mult = _eigenspace_kernel(cosets, table.values[row][data.classes.class_of], mu,
+                                 real[row])
     d = int(table.degrees[row])
     with pytest.raises(SpectralInconsistencyError) as caught:
         fourier_basis(group, data.classes, wrong)
     assert f"row {row} (degree {d + 1})" in str(caught.value)
-    assert f"rank {d * d}, not degree² = {(d + 1) ** 2}" in str(caught.value)
+    assert f"rank {d * mult}, not d·μ = {(d + 1) * mult}" in str(caught.value)
 
 
 def test_real_probe_weights_cannot_split_a_quaternionic_row(monkeypatch):
-    # SL(2,5)'s degree-2 rows are quaternionic: a probe with real weights commutes
-    # with their antiunitary structure, so its eigenvalues come in pairs and no
-    # draw separates a d-fold cluster; the error names the row and its degree
+    # SL(2,5)'s degree-2 rows are quaternionic: on the whole isotypic component (rank
+    # d², as the build took it before it split each row off an eigenspace of ρ(h), where
+    # every such row has μ = 1 and needs no probe), a probe with real weights commutes
+    # with their antiunitary structure, so its eigenvalues come in pairs and no draw
+    # separates a d-fold cluster; the error names the row and its degree
     group = resolve_group("sl2:5")
     data = spectral_data(group)
     degrees = data.table.degrees
-    monkeypatch.setattr(
-        quasimix.spectra, "_probe_weights", lambda rng, size: rng.standard_normal(size)
-    )
-    with pytest.raises(DegenerateSpectrumError) as caught:
-        fourier_basis(group, data.classes, data.table)
     row = next(r for r in range(len(degrees)) if degrees[r] > 1)
     assert int(degrees[row]) == 2
+    assert _indicators(group, data.classes, data.table)[row] == -1
+    phi = (2 / group.order) * data.table.values[row][data.classes.class_of].conj()
+    monkeypatch.setattr(
+        quasimix.spectra, "_probe_weights", lambda rng, size, real: rng.standard_normal(size)
+    )
+    with pytest.raises(DegenerateSpectrumError) as caught:
+        _irreducible_frame(group, phi, 2, 2, np.random.default_rng(0), row)
     assert str(caught.value) == (
         f"row {row} (degree 2): no separated irreducible subspace after 20 attempts "
         "(last failure: lowest eigenvalue cluster is not separated)"
     )
+
+
+# -- one eigenspace of the right translation by h ----------------------------------
+
+
+def test_multiplicities_sum_to_the_degree(built):
+    # Σ_ω μ(ω) = χ(1) = d on every row, each μ an integer in [0, d]
+    group, data, _ = built
+    for row, d in enumerate(data.table.degrees):
+        _, mu = _row_multiplicities(group, data, row)
+        assert mu.sum() == d and mu.min() >= 0 and mu.max() <= d
+
+
+def test_multiplicities_must_be_non_negative_integers():
+    group = resolve_group("a:5")
+    data = spectral_data(group)
+    cosets, _ = _row_multiplicities(group, data, 1)
+    chi_powers = data.table.values[1, data.classes.class_of[cosets[0]]]
+    with pytest.raises(SpectralInconsistencyError, match=r"row 1: eigenvalue exp\(2πi·0/5\)"):
+        _multiplicities(chi_powers / 2, 1)
+
+
+@pytest.mark.parametrize("token", ["a:5", "sl2:7", "s:6"])
+def test_eigenspace_kernel_is_a_projection_inside_the_isotypic_component(token):
+    # K[x, y] = q(y⁻¹x) is Hermitian and idempotent with diagonal d·μ/n, so it projects
+    # onto a space of dimension d·μ; P·K = K with P the isotypic projection puts that
+    # space inside the χ-component.  Real rows keep a real q
+    group = resolve_group(token)
+    data = spectral_data(group)
+    n, table = group.order, data.table
+    real = _indicators(group, data.classes, table) == 1
+    at = group.mul[group.inv].T  # at[x, y] = y⁻¹x
+    for row, d in enumerate(table.degrees):
+        if d == 1:
+            continue
+        chi = table.values[row][data.classes.class_of]
+        phi = (d / n) * (chi.real if real[row] else chi).conj()
+        cosets, mu = _row_multiplicities(group, data, row)
+        q, mult = _eigenspace_kernel(cosets, phi, mu, real[row])
+        assert np.isrealobj(q) == real[row]
+        kernel, isotypic = q[at], phi[at]
+        assert np.abs(kernel - kernel.conj().T).max() < 1e-14
+        assert np.abs(kernel @ kernel - kernel).max() < 1e-13
+        assert np.abs(np.diagonal(kernel) - d * mult / n).max() < 1e-14
+        assert np.abs(isotypic @ kernel - kernel).max() < 1e-13
+        assert mult <= d
+
+
+def test_rows_of_multiplicity_one_draw_no_probe(monkeypatch):
+    # s:6 and sl2:7: each non-linear row's factor, then the probe draws that follow it
+    # before the next row's factor; a row with μ = 1 is irreducible already
+    calls = []
+    factor, weights = quasimix.spectra._isotypic_factor, quasimix.spectra._probe_weights
+
+    def factor_spy(group, q, d, mu, row):
+        calls.append([mu])
+        return factor(group, q, d, mu, row)
+
+    def weights_spy(rng, size, real):
+        calls[-1].append("probe")
+        return weights(rng, size, real)
+
+    monkeypatch.setattr(quasimix.spectra, "_isotypic_factor", factor_spy)
+    monkeypatch.setattr(quasimix.spectra, "_probe_weights", weights_spy)
+    for token in ("s:6", "sl2:7"):
+        calls.clear()
+        group = resolve_group(token)
+        data = spectral_data(group)
+        fourier_basis(group, data.classes, data.table)
+        assert len(calls) == (data.table.degrees > 1).sum()
+        assert all(len(probes) == 0 for mu, *probes in calls if mu == 1)
+        assert all(len(probes) >= 1 for mu, *probes in calls if mu > 1)
+        assert {mu == 1 for mu, *_ in calls} == {True, False}
 
 
 # -- the lazy build ----------------------------------------------------------------
