@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 MAX_ORDER = 5040
+TABLE_DTYPE = np.dtype(np.int16)
+"""The dtype of every multiplication, inverse and conjugation table: entries are element
+indices below MAX_ORDER, and nothing does arithmetic on them."""
+if MAX_ORDER - 1 > np.iinfo(TABLE_DTYPE).max:
+    raise ImportError(f"MAX_ORDER {MAX_ORDER} does not fit the table dtype {TABLE_DTYPE}")
 _CLASSES_TAG = 0x434C  # fixed: the generators that label classes never depend on a user seed
 
 _SL2_PRIMES = (3, 5, 7, 11, 13)
@@ -41,8 +46,9 @@ class FiniteGroup:
     """A finite group on elements 0..order-1 with dense multiplication tables.
 
     ``mul[i, j]`` is the product i*j, ``inv[i]`` the inverse of i, and ``generators``
-    the seeds validation drew with their inverses (``_check_associative``).  Instances
-    are immutable after construction; derived tables are cached lazily.
+    the seeds validation drew with their inverses (``_check_associative``).  Both
+    tables, and the cached conjugation table, are TABLE_DTYPE.  Instances are immutable
+    after construction; derived tables are cached lazily.
     """
 
     order: int
@@ -53,8 +59,8 @@ class FiniteGroup:
     generators: Tuple[int, ...]
 
     def __post_init__(self):
-        self.mul = np.ascontiguousarray(self.mul, dtype=np.int32)
-        self.inv = np.ascontiguousarray(self.inv, dtype=np.int32)
+        self.mul = np.ascontiguousarray(self.mul, dtype=TABLE_DTYPE)
+        self.inv = np.ascontiguousarray(self.inv, dtype=TABLE_DTYPE)
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
         self._conj_table: Optional[np.ndarray] = None
@@ -81,7 +87,8 @@ class ConjugacyStructure:
 
     Classes are numbered by their smallest member.  ``class_of[x]`` is the
     class index of element x, ``representatives[c]`` its smallest member and
-    ``class_sizes[c]`` its size.
+    ``class_sizes[c]`` its size.  ``class_of`` and ``representatives`` are int32 and
+    ``class_sizes`` int64, whatever the table dtype.
     """
 
     class_of: np.ndarray
@@ -109,13 +116,13 @@ def group_from_table(mul, name: str = "table") -> FiniteGroup:
     a group has both, so the lines are sorted only when a check fails; a row,
     then a column, that is not a permutation is reported ahead of it.  Violations
     raise CayleyTableError naming an offending index.  The group holds its own
-    int32 copy, so the caller's array is neither frozen nor aliased.
+    TABLE_DTYPE copy, so the caller's array is neither frozen nor aliased.
     """
     mul = np.asarray(mul)
     if not np.issubdtype(mul.dtype, np.integer):  # before any cast, which would truncate
         raise CayleyTableError(f"table entries must be integers, got dtype {mul.dtype}")
-    _check_shape_and_range(mul)  # before the int32 copy, so no entry can wrap
-    return _validated_group(mul.astype(np.int32), name)
+    _check_shape_and_range(mul)  # before the TABLE_DTYPE copy, so no entry can wrap
+    return _validated_group(mul.astype(TABLE_DTYPE), name)
 
 
 def _check_shape_and_range(mul: np.ndarray) -> None:
@@ -132,7 +139,7 @@ def _check_shape_and_range(mul: np.ndarray) -> None:
 
 
 def _validated_group(mul: np.ndarray, name: str) -> FiniteGroup:
-    """group_from_table's checks on a fresh int32 table, which the group then owns."""
+    """group_from_table's checks on a fresh TABLE_DTYPE table, which the group then owns."""
     _check_shape_and_range(mul)
     try:
         return _certified_group(mul, name)
@@ -144,7 +151,7 @@ def _validated_group(mul: np.ndarray, name: str) -> FiniteGroup:
 def _check_latin(mul: np.ndarray) -> None:
     """Raise naming the first row, then the first column, that is not a permutation."""
     n = mul.shape[0]
-    expect = np.arange(n, dtype=np.int32)
+    expect = np.arange(n)
     for kind, lines in (("row", mul), ("column", mul.T)):
         for block in row_chunks(n, n):  # sorted blocks of lines
             bad = (np.sort(lines[block], axis=1) != expect).any(axis=1)
@@ -158,7 +165,7 @@ def _check_latin(mul: np.ndarray) -> None:
 def _certified_group(mul: np.ndarray, name: str) -> FiniteGroup:
     """The identity, inverse and associativity checks, which together certify a group."""
     n = mul.shape[0]
-    expect = np.arange(n, dtype=np.int32)
+    expect = np.arange(n)
     # the one row fixing 0 if column 0 is Latin; if not, no group: a check below fails
     identity = int(np.argmax(mul[:, 0] == 0))
     if not (np.array_equal(mul[identity], expect) and np.array_equal(mul[:, identity], expect)):
@@ -232,8 +239,9 @@ def _check_edges(mul: np.ndarray, gens: List[int], layers) -> None:
     children, gen_index, parents = map(np.concatenate, zip(*layers))
     for k, t in enumerate(gens):  # edges grouped by seed: each compare reads one row mul[t]
         xs, ps = children[gen_index == k], parents[gen_index == k]
-        # the int32 rows, take's intp copy, its int32 result and the mask take 21 bytes
-        # an entry: quarter chunks keep them near 340 KB, below the table build's peak
+        # the two gathered rows, take's intp copy of one, its result and the mask take
+        # 15 bytes an entry: quarter chunks keep them near 240 KB, below the table
+        # build's peak
         for rows in row_chunks(len(xs), 4 * mul.shape[0]):
             bad = mul[xs[rows]] != mul[t].take(mul[ps[rows]])
             if bad.any():
@@ -253,8 +261,10 @@ def build_cyclic(n: int) -> FiniteGroup:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported cap {MAX_ORDER}")
-    idx = np.arange(n, dtype=np.int32)
-    return _validated_group(np.add.outer(idx, idx) % n, name=f"z:{n}")
+    idx = np.arange(n, dtype=TABLE_DTYPE)
+    mul = np.subtract.outer(idx, n - idx)  # i + j - n, in -n..n - 2: no entry wraps
+    np.remainder(mul, n, out=mul)
+    return _validated_group(mul, name=f"z:{n}")
 
 
 def _element_table(elements: np.ndarray, compose, key) -> np.ndarray:
@@ -271,9 +281,9 @@ def _element_table(elements: np.ndarray, compose, key) -> np.ndarray:
     """
     n = len(elements)
     keys = key(elements)
-    index = np.full(int(keys.max()) + 1, -1, dtype=np.int32)
-    index[keys] = np.arange(n, dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
+    index = np.full(int(keys.max()) + 1, -1, dtype=TABLE_DTYPE)
+    index[keys] = np.arange(n)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
     known = np.zeros(n, dtype=bool)
     seeds: List[int] = []
     while not known.all():
@@ -285,8 +295,8 @@ def _element_table(elements: np.ndarray, compose, key) -> np.ndarray:
         for children, gen_index, parents in _tree_layers(mul, seeds, known, np.flatnonzero(known)):
             for k, t in enumerate(seeds):  # children grouped by seed: each fill reads mul[t]
                 xs, ps = children[gen_index == k], parents[gen_index == k]
-                # the int32 parent rows, np.take's intp copy and the int32 result take 16
-                # bytes an entry; quarter chunks keep them within 256 KB, since a large
+                # the parent rows, np.take's intp copy of them and the result take 12
+                # bytes an entry; quarter chunks keep them within 192 KB, since a large
                 # group's set-up peaks while its table is built
                 for rows in row_chunks(len(xs), 4 * n):
                     mul[xs[rows]] = mul[t].take(mul[ps[rows]])
@@ -357,9 +367,10 @@ def load_cayley_table(text: Union[str, TextIO], name: str = "cayley") -> FiniteG
     Format: optional comment lines starting with '#', a line holding the
     order n, then n lines of n space-separated 0-based element indices
     (row i, column j holds i*j).  The identity is located by the identity
-    law; it need not be element 0.  ``text`` may also be an open text file.
+    law; it need not be element 0.  ``text`` may also be an open text file; its rows
+    are read one line at a time into the one TABLE_DTYPE table the group then owns.
     """
-    table: Optional[np.ndarray] = None  # int32, allocated once the order passes its cap check
+    table: Optional[np.ndarray] = None  # allocated once the order passes its cap check
     filled = 0
     for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
@@ -374,13 +385,13 @@ def load_cayley_table(text: Union[str, TextIO], name: str = "cayley") -> FiniteG
                 raise CayleyTableError(f"line {lineno}: order must be >= 1, got {order}")
             if order > MAX_ORDER:
                 raise CayleyTableError(f"order {order} exceeds the supported cap {MAX_ORDER}")
-            table = np.empty((order, order), dtype=np.int32)
+            table = np.empty((order, order), dtype=TABLE_DTYPE)
             continue
         if len(values) != order:
             raise CayleyTableError(
                 f"line {lineno}: expected {order} entries, got {len(values)}"
             )
-        outside = values[(values < 0) | (values >= order)]  # int32 could overflow on them
+        outside = values[(values < 0) | (values >= order)]  # TABLE_DTYPE could wrap them
         if len(outside):
             raise CayleyTableError(f"line {lineno}: entry {outside[0]} is outside 0..{order - 1}")
         if filled == order:

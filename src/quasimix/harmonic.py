@@ -316,11 +316,14 @@ class Harmonic:
     def _points(self, point: str, rows, out: np.ndarray) -> np.ndarray:
         """Write into the intp block ``out`` the element indices of the point p(g, x) for
         g in rows, a slice or an index array: "gx", "xg", "gxg^-1" or "xg^-1"."""
-        if point == "xg^-1":  # column g^-1 of mul, one copy per g: fancy indexing the
-            for row, column in zip(out, self.inv[rows].tolist()):  # columns makes a block
-                row[:] = self.mul[:, column]
-        else:
-            np.copyto(out, {"gx": self.mul, "xg": self.mul.T, "gxg^-1": self.conj}[point][rows])
+        if point == "xg^-1":  # column g^-1 of mul
+            point, rows = "xg", self.inv[rows]
+        table = {"gx": self.mul, "xg": self.mul.T, "gxg^-1": self.conj}[point]
+        if isinstance(rows, slice):
+            np.copyto(out, table[rows])  # a view of the table, widened straight into out
+        else:  # one row per g: fancy indexing the rows makes a block
+            for row, g in zip(out, rows.tolist()):
+                row[:] = table[g]
         return out
 
     def _chunk_rows(self, floor: int = 1) -> int:

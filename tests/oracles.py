@@ -15,6 +15,7 @@ import numpy as np
 from quasimix.adversary import SearchResult, _structured_start, evaluate_inputs
 from quasimix.groups import (
     _CLASSES_TAG,
+    TABLE_DTYPE,
     ConjugacyStructure,
     FiniteGroup,
     _generators,
@@ -336,7 +337,7 @@ def column_minimum_conjugacy_classes(group):
     reps, class_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
     return ConjugacyStructure(
         class_of=class_of.astype(np.int32),
-        representatives=reps,
+        representatives=reps.astype(np.int32),  # the minima are table entries
         class_sizes=sizes.astype(np.int64),
         num_classes=len(reps),
     )
@@ -693,7 +694,7 @@ def loop_permutation_table(m, even_only=False):
     weights = (m ** np.arange(m - 1, -1, -1)).astype(np.int64)
     keys = perms @ weights  # ascending, since perms are listed lexicographically
     n = len(perms)
-    mul = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
     for i in range(n):
         comp = perms[i][perms]  # [j, x] = p_i(p_j(x))
         mul[i] = np.searchsorted(keys, comp @ weights)
@@ -705,9 +706,9 @@ def chunked_element_table(elements, compose, key):
     ``elements`` against all of them, each temporary at most TEMP_ENTRIES entries."""
     n = len(elements)
     keys = key(elements)
-    index = np.full(int(keys.max()) + 1, -1, dtype=np.int32)
-    index[keys] = np.arange(n, dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
+    index = np.full(int(keys.max()) + 1, -1, dtype=TABLE_DTYPE)
+    index[keys] = np.arange(n)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
     for rows in row_chunks(n, elements.size):
         mul[rows] = index[key(compose(elements[rows], elements))]
     return mul
@@ -745,11 +746,11 @@ def loop_sl2_table(p, projective=False):
     if projective:
         mats = mats[codes == np.minimum(codes, _sl2_codes((-mats) % p, p))]
     n = len(mats)
-    lookup = np.full(p**4, -1, dtype=np.int32)
-    lookup[_sl2_codes(mats, p)] = np.arange(n, dtype=np.int32)
+    lookup = np.full(p**4, -1, dtype=TABLE_DTYPE)
+    lookup[_sl2_codes(mats, p)] = np.arange(n)
     if projective:
-        lookup[_sl2_codes((-mats) % p, p)] = np.arange(n, dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
+        lookup[_sl2_codes((-mats) % p, p)] = np.arange(n)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
     for i in range(n):
         mul[i] = lookup[_sl2_codes(_matmul_mod(mats[i], mats, p), p)]
     return group_from_table(mul, name=f"{'psl2' if projective else 'sl2'}:{p}")

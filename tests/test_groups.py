@@ -31,6 +31,7 @@ import quasimix.groups
 from quasimix.cli import main, resolve_group
 from quasimix.groups import (
     MAX_ORDER,
+    TABLE_DTYPE,
     CayleyTableError,
     build_alternating,
     build_cyclic,
@@ -195,16 +196,31 @@ def test_alternating_7_build_stays_small(subprocess_peak_mb):
 
 
 def test_symmetric_7_build_keeps_one_table(subprocess_peak_mb):
-    # The builder's fresh int32 table becomes the group's own: one 101 MB
-    # table at the peak, not a second copy made during validation.
+    # The builder's fresh TABLE_DTYPE table becomes the group's own: one 51 MB
+    # table at the peak, not a second copy made during validation.  About 88 MB in
+    # all; an int32 table, or a second int16 one, lifts it to about 137 MB.
     peak_mb = subprocess_peak_mb("from quasimix.groups import build_symmetric\nbuild_symmetric(7)\n")
-    assert peak_mb < 200.0, peak_mb
+    assert peak_mb < 115.0, peak_mb
+
+
+@pytest.mark.parametrize("token", ["z:12", "s:4", "a:5", "sl2:5", "psl2:7", "table", "file"])
+def test_every_table_is_stored_in_the_table_dtype(tmp_path, token):
+    if token == "table":  # int64 input is copied into the table dtype
+        group = group_from_table(build_cyclic(12).mul.astype(np.int64))
+    elif token == "file":
+        path = tmp_path / "s4.txt"
+        path.write_text(format_cayley_table(build_symmetric(4)))
+        group = resolve_group(f"file:{path}")
+    else:
+        group = resolve_group(token)
+    for table in (group.mul, group.inv, group.conjugation_table()):
+        assert table.dtype == TABLE_DTYPE, (token, table.dtype)
 
 
 def test_group_from_table_copies_the_callers_array():
     table = build_cyclic(5).mul.copy()
     g = group_from_table(table)
-    assert table.dtype == np.int32 and table.flags.writeable
+    assert table.dtype == TABLE_DTYPE and table.flags.writeable
     assert not np.shares_memory(table, g.mul)
     table[0, 0] = 4
     assert product(g, 0, 0) == 0
@@ -793,8 +809,8 @@ def test_loader_names_the_first_entry_outside_the_range():
         load_cayley_table(f"{10**23}\n0\n")
 
 
-def test_loader_reads_rows_straight_into_an_int32_table():
-    # rows are read one line at a time into one int32 table, which the group
+def test_loader_reads_rows_straight_into_a_table_dtype_table():
+    # rows are read one line at a time into one TABLE_DTYPE table, which the group
     # then owns: no list of the lines or of Python ints (about ten times the
     # table at this order), and no second table, is held while the file is
     # read.  Wide columns make the text about three times the table.
@@ -805,7 +821,7 @@ def test_loader_reads_rows_straight_into_an_int32_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert group.mul.dtype == np.int32
+    assert group.mul.dtype == TABLE_DTYPE
     assert np.array_equal(group.mul, build_cyclic(1000).mul)
     assert peak < group.mul.nbytes + len(text) // 2  # the table and less than half the text
 
@@ -814,8 +830,8 @@ def test_validation_finds_inverses_in_row_chunks():
     # one n×n bool array (mul == identity) would be 25.4 MB at the order cap; every
     # validation step, the associativity certificate's included, works in row chunks
     n = MAX_ORDER
-    idx = np.arange(n, dtype=np.int32)
-    mul = np.add.outer(idx, idx) % n
+    idx = np.arange(n, dtype=TABLE_DTYPE)
+    mul = np.add.outer(idx, idx) % n  # a TABLE_DTYPE table, which the group may own
     tracemalloc.start()
     try:
         group = _validated_group(mul, f"z:{n}")

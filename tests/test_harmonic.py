@@ -31,6 +31,7 @@ from oracles import (
 from quasimix.cli import resolve_group
 from quasimix.groups import build_cyclic
 from quasimix.harmonic import (
+    GEMM_ROWS,
     ConstraintError,
     GroupFunction,
     Harmonic,
@@ -535,9 +536,12 @@ def test_chain_kernels_stay_small_on_alternating_7(subprocess_peak_mb):
 
 def test_gathers_reuse_their_blocks_across_calls():
     # each row chunk of a gather is taken into complex scratch the Harmonic keeps, through
-    # an intp index block it also keeps: np.take copies int32 indices to a fresh intp
-    # array, and fancy indexing "xg^-1" rows makes a fresh int32 block.  After the first
-    # call, no check allocates even one int32 index block (262 KB on sl2:7).
+    # an intp index block it also keeps: np.take copies table-dtype indices to a fresh
+    # intp array, and fancy indexing "xg^-1" rows makes a fresh table-dtype block.  After
+    # the first call, no check allocates even half such an index block (65 KB on sl2:7)
+    # beyond numpy's ufunc buffer (np.getbufsize() complex entries, 128 KB), which the
+    # in-place broadcast products of theorem, step1 and step2 take on every chunk.
+    # test_points_are_written_without_a_block bounds the point gathers by the block alone.
     h = Harmonic(spectral_data(resolve_group("sl2:7")))
     rng = np.random.default_rng(0)
     f1, f2, f3 = (sample_disc(h.n, rng) for _ in range(3))
@@ -550,7 +554,8 @@ def test_gathers_reuse_their_blocks_across_calls():
         "lemma": lambda: h.lemma_gap(u, v).observed,
         "corollary": lambda: [c.observed for c in h.corollary_lhs(u, v)],
     }
-    index_bytes = next(row_chunks(h.n, h.n)).stop * h.n * np.dtype(np.int32).itemsize
+    index_bytes = next(row_chunks(h.n, h.n)).stop * h.n * h.mul.itemsize
+    ufunc_buffer = np.getbufsize() * np.dtype(np.complex128).itemsize
     for name, check in checks.items():
         first = check()
         tracemalloc.start()
@@ -560,7 +565,28 @@ def test_gathers_reuse_their_blocks_across_calls():
         finally:
             tracemalloc.stop()
         assert again == first, name
-        assert peak < index_bytes, (name, peak, index_bytes)
+        assert peak < ufunc_buffer + index_bytes // 2, (name, peak, index_bytes)
+
+
+@pytest.mark.parametrize("point", ["gx", "xg", "gxg^-1", "xg^-1"])
+def test_points_are_written_without_a_block(point):
+    # a slice of rows is a view of the table, widened straight into the intp block; the
+    # half sweep of step3 and step4sub hands _points an index array g, whose rows go into
+    # it one at a time, where fancy indexing made a table-dtype block per chunk
+    h = Harmonic(spectral_data(resolve_group("sl2:7")))
+    g = h._half_sweep()[0][: h._chunk_rows(GEMM_ROWS)]
+    size = len(g)
+    out = np.empty((size, h.n), dtype=np.intp)
+    tables = {"gx": h.mul, "xg": h.mul.T, "gxg^-1": h.conj, "xg^-1": h.mul.T[h.inv]}
+    for rows in (slice(h.n - size, h.n), g):
+        tracemalloc.start()
+        try:
+            h._points(point, rows, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, tables[point][rows]), rows
+        assert peak < size * h.n * h.mul.itemsize, (point, rows, peak)
 
 
 # -- structural exactness ----------------------------------------------------

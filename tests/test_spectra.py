@@ -219,7 +219,7 @@ def test_spectral_data_peaks_below_one_conjugation_table(token):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < group.order**2 * np.dtype(np.int32).itemsize, peak
+    assert peak < group.order**2 * group.mul.itemsize, peak
 
 
 def test_misassigned_class_fails_constancy_check(s3):

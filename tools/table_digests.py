@@ -4,9 +4,11 @@ permutation and matrix group.
 Usage: python tools/table_digests.py [--src DIR]
 
 Each group is built and validated through ``quasimix.cli.resolve_group`` from the
-quasimix package under DIR (default: this checkout's src/); ``class_of`` is the int32
-class index of each element from ``conjugacy_classes``, and |G'| the order of
+quasimix package under DIR (default: this checkout's src/); ``class_of`` is the class
+index of each element from ``conjugacy_classes``, and |G'| the order of
 ``commutator_subgroup``, which is the whole group exactly when the group is perfect.
+Both arrays are hashed as little-endian int32, whatever dtype the package stores them
+in, so the digests compare values: a change of table dtype alone moves none of them.
 The tokens are s:2..7, a:2..7, and sl2:p and psl2:p for p in 3, 5, 7, 11, 13: every
 table the permutation and matrix builders make.  Two source trees give two listings,
 and ``diff`` of the two shows any table, class labelling or commutator subgroup order
@@ -41,8 +43,8 @@ def main(argv):
         print(
             token,
             group.order,
-            hashlib.sha256(group.mul.tobytes()).hexdigest(),
-            hashlib.sha256(classes.class_of.tobytes()).hexdigest(),
+            hashlib.sha256(group.mul.astype("<i4").tobytes()).hexdigest(),
+            hashlib.sha256(classes.class_of.astype("<i4").tobytes()).hexdigest(),
             len(commutator_subgroup(group, classes)),
             flush=True,
         )
